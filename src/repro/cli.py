@@ -199,6 +199,7 @@ def _install_fault_plan(args: argparse.Namespace):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
+    import threading
     import time
 
     from repro.api import Endpoint as _Endpoint
@@ -259,11 +260,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         gateway.set_shadow(args.shadow)
 
     server_cls = GatewayHTTPServer if args.http == "threaded" else AsyncGatewayServer
-    # SIGTERM lands as KeyboardInterrupt so the context managers unwind in
-    # order: stop intake (server), drain lanes (gateway), join workers
-    # (pool) — a rolling restart loses no accepted request.
+    # SIGTERM sets a flag the wait loop polls, so the context managers
+    # unwind in order: stop intake (server), drain lanes (gateway), join
+    # workers (pool) — a rolling restart loses no accepted request.  A
+    # flag, not an exception: the signal may land at any line from here
+    # on, including before the loop below is entered.
+    stop_requested = threading.Event()
+
     def _sigterm(signum, frame):
-        raise KeyboardInterrupt
+        stop_requested.set()
 
     previous_sigterm = None
     try:
@@ -291,7 +296,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             next_poll = time.monotonic() + args.poll_seconds
             try:
                 while deadline is None or time.monotonic() < deadline:
-                    time.sleep(0.2)
+                    if stop_requested.wait(0.2):
+                        break
                     if args.poll_seconds and time.monotonic() >= next_poll:
                         next_poll = time.monotonic() + args.poll_seconds
                         for tier, changed in gateway.poll_store().items():
@@ -508,6 +514,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve import GatewayConfig
+
+    # The batching flags default to whatever GatewayConfig does, so the
+    # CLI and the library cannot drift apart.
+    gateway_defaults = GatewayConfig()
     parser = argparse.ArgumentParser(
         prog="repro", description="Overton reproduction CLI"
     )
@@ -614,13 +625,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="payload JSON file served to every tier (and worker) at startup",
     )
     p.add_argument(
-        "--batch", type=int, default=32, help="max dynamic batch size"
+        "--batch",
+        type=int,
+        default=gateway_defaults.max_batch_size,
+        help="max dynamic batch size",
     )
     p.add_argument(
         "--max-wait-ms",
         type=float,
-        default=5.0,
-        help="max time a request waits for its batch to fill",
+        default=gateway_defaults.max_wait_s * 1000.0,
+        help=(
+            "how long a partial batch lingers for batch-mates; 0 (default) "
+            "is work-conserving: a free lane serves what is queued at once "
+            "and batches fill behind a busy one"
+        ),
     )
     p.add_argument(
         "--budget-ms",
@@ -704,8 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=8080,
         help="HTTP port (0 picks a free port, -1 disables the server)",
     )
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=5.0)
+    p.add_argument(
+        "--batch", type=int, default=gateway_defaults.max_batch_size
+    )
+    p.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=gateway_defaults.max_wait_s * 1000.0,
+        help="how long a partial batch lingers for batch-mates (0 = never)",
+    )
     p.add_argument(
         "--max-seconds",
         type=float,

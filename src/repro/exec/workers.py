@@ -30,6 +30,7 @@ import atexit
 import multiprocessing
 import os
 import queue
+import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -38,9 +39,18 @@ from typing import Any, Callable, Sequence
 from repro.errors import ExecutionError, WorkerCrashError
 
 # How long stop() waits for a child to exit after its pipe closes before
-# escalating to terminate().  Children are also daemons, so even a missed
-# teardown cannot outlive the parent process.
+# escalating to terminate().  A child sees EOF the moment the parent
+# closes its end — or dies — so only one stuck inside a handler gets this
+# far; children are daemons as well, for interpreter exits without stop().
 _STOP_GRACE_S = 5.0
+
+# Every parent-side pipe end open in this process.  The file-descriptor
+# table is process-wide, so this mirror of it is too: a forked child is
+# born holding a copy of each end — its own and every live sibling's —
+# and closes them first thing (_child_main).  _SPAWN_LOCK keeps a fork
+# from landing between another worker's Pipe() and its registration.
+_PARENT_ENDS: set = set()
+_SPAWN_LOCK = threading.Lock()
 
 
 def default_mp_context(start_method: str | None = None):
@@ -55,6 +65,25 @@ def default_mp_context(start_method: str | None = None):
         methods = multiprocessing.get_all_start_methods()
         start_method = "fork" if "fork" in methods else methods[0]
     return multiprocessing.get_context(start_method)
+
+
+def _child_main(conn, target: Callable, args: tuple) -> None:
+    """First code a worker runs: shed what fork copied, then ``target``.
+
+    While any process holds a parent-side end open, closing it in the
+    parent delivers no EOF: ``stop()`` would sit out its grace period per
+    worker, and workers would outlive a killed parent forever.  With the
+    inherited copies closed, a worker's ``recv`` ends the moment its
+    parent closes the channel or dies.  (Under spawn nothing is inherited
+    and the registry is empty.)  SIGTERM goes back to its default so
+    :meth:`WorkerProcess.kill` works whatever handler the parent had
+    installed when it forked.
+    """
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    target(conn, *args)
 
 
 def serve_connection(
@@ -121,19 +150,30 @@ class WorkerProcess:
     def start(self) -> "WorkerProcess":
         if self._proc is not None:
             raise ExecutionError(f"worker {self.name!r} already started")
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        self._proc = self._ctx.Process(
-            target=self._target,
-            args=(child_conn, *self._args),
-            name=self.name,
-            daemon=True,
-        )
-        self._proc.start()
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            _PARENT_ENDS.add(parent_conn)
+            self._proc = self._ctx.Process(
+                target=_child_main,
+                args=(child_conn, self._target, self._args),
+                name=self.name,
+                daemon=True,
+            )
+            self._proc.start()
         # The parent's copy of the child end must close, or EOF would
         # never be delivered when the child dies.
         child_conn.close()
         self._conn = parent_conn
         return self
+
+    def _close_conn(self) -> None:
+        if self._conn is not None:
+            _PARENT_ENDS.discard(self._conn)
+            try:
+                self._conn.close()
+            except OSError:
+                pass
+            self._conn = None
 
     @property
     def pid(self) -> int | None:
@@ -169,12 +209,7 @@ class WorkerProcess:
 
     def stop(self, timeout: float = _STOP_GRACE_S) -> None:
         """Polite shutdown: close the channel (child sees EOF), then join."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
+        self._close_conn()
         if self._proc is not None:
             self._proc.join(timeout)
             if self._proc.is_alive():
@@ -189,12 +224,7 @@ class WorkerProcess:
                 self._proc.terminate()
             self._proc.join(_STOP_GRACE_S)
             self._proc = None
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
+        self._close_conn()
 
 
 class WorkerTeam:

@@ -1,17 +1,21 @@
 """Dynamic micro-batching primitives: the request queue and its futures.
 
 The gateway's central perf trick is *cross-request* batch formation: many
-independent callers enqueue single requests, and a worker drains them into
-model-sized batches.  A batch closes when it reaches ``max_size`` **or**
-when the oldest queued request has waited ``max_wait_s`` — so a lone
-caller is answered within the wait deadline while a busy gateway fills
-every batch, amortizing encode+forward cost across callers.
+independent callers enqueue single requests, and a lane consumer drains
+them into model-sized batches.  Formation is **work-conserving** by
+default (``max_wait_s=0``): a consumer that is free takes whatever is
+queued at once, up to ``max_size``, so batches grow by accumulating behind
+a *busy* consumer — a lone caller on an idle lane is served immediately,
+and a loaded gateway fills every batch, amortizing encode+forward cost
+across callers, without anyone having waited for it.  Lingering for
+batch-mates is opt-in: with ``max_wait_s > 0`` a partial batch stays open
+until it is full **or** its oldest request has waited that long.
 
 These pieces are deliberately tiny and lock-disciplined: a
 :class:`PendingResponse` (a settable one-shot future), a
 :class:`QueuedRequest` (payload + future + arrival time), and the
 :class:`RequestQueue` whose :meth:`~RequestQueue.pop_batch` implements the
-size-or-deadline policy.  The gateway owns the worker threads.
+size-or-deadline policy.  The gateway owns the consumer threads.
 """
 
 from __future__ import annotations
@@ -164,7 +168,9 @@ class RequestQueue:
         Waits for the first request, then keeps collecting until the batch
         is full or the *first* request has waited ``max_wait_s`` since it
         was enqueued (so queueing time already counts against the
-        deadline).  Requests come back in arrival order.
+        deadline).  With ``max_wait_s=0`` that deadline has always passed:
+        the caller gets what is queued, now.  Requests come back in
+        arrival order.
         """
         if max_size <= 0:
             raise ServeError("max_size must be positive")

@@ -10,9 +10,11 @@ One object owns the production serving loop:
   :class:`~repro.serve.replica.ReplicaPool`) and a **role** (stable or
   canary, via the :class:`~repro.serve.rollout.RolloutController`), which
   selects a *lane* — an independent queue + worker thread + replica;
-* lane workers drain their queues with the size-or-deadline policy of
-  :class:`~repro.serve.batcher.RequestQueue`, so concurrent callers share
-  model batches (the dynamic micro-batching win);
+* lane workers drain their queues with the work-conserving policy of
+  :class:`~repro.serve.batcher.RequestQueue` — a free worker takes what
+  is queued, a busy one lets the next batch accumulate — so concurrent
+  callers share model batches (the dynamic micro-batching win) and a
+  lone caller never waits for batch-mates;
 * when shadowing is on, stable lanes mirror each answered request to a
   shadow lane where the candidate's response is compared and recorded,
   never returned;
@@ -47,6 +49,11 @@ _BREAKER_STATE = {"closed": 0, "half_open": 1, "open": 2}
 class GatewayConfig:
     """Batching, telemetry, and failure-domain knobs for one gateway.
 
+    ``max_wait_s`` is how long a partial batch may linger for batch-mates.
+    The default, 0, is work-conserving: a free lane consumer dispatches
+    whatever is queued (up to ``max_batch_size``) and batches fill by
+    queueing behind a busy one.  Raise it only for a replica whose fixed
+    per-batch cost is large next to the wait (docs/serving.md).
     ``max_queue_depth`` bounds each lane's queue — beyond it, submissions
     shed with :class:`~repro.errors.ServeOverloadError` instead of
     buffering until every answer is a timeout (``None`` = unbounded).
@@ -55,7 +62,7 @@ class GatewayConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_s: float = 0.005
+    max_wait_s: float = 0.0
     telemetry_capacity: int = 4096
     payload_sample_every: int = 8
     payload_capacity: int = 512
@@ -557,33 +564,45 @@ class ServingGateway:
         responses: list[dict],
         batch_size: int,
     ) -> None:
-        """Answer served requests: mirror, telemetry, futures, metrics."""
+        """Answer served requests: mirror, telemetry, futures, metrics.
+
+        The telemetry, rollout and in-flight locks are taken once per
+        batch, in that order around the futures: a caller that holds its
+        response can already read the request in the telemetry ring, and
+        ``drain()`` cannot return before every future is settled.
+        """
         now = time.monotonic()
         served_by = lane.replica.served_by()
+        dtype = lane.replica.endpoint.dtype_name
+        shadow = lane.role == "shadow"
         if lane.role == "stable":
             self._mirror_to_shadow(lane.tier, items, responses)
-        for item, response in zip(items, responses):
-            self.telemetry.record(
+        self.telemetry.record_many(
+            [
                 RequestEvent(
                     at=now,
                     tier=lane.tier,
                     role=lane.role,
                     latency_s=now - item.enqueued_at,
                     batch_size=batch_size,
-                    dtype=lane.replica.endpoint.dtype_name,
+                    dtype=dtype,
                     trace_id=item.future.trace_id,
                     worker=served_by,
-                ),
-                payload=item.payload if lane.role != "shadow" else None,
-            )
-            if lane.role == "shadow":
+                )
+                for item in items
+            ],
+            None if shadow else [item.payload for item in items],
+        )
+        if shadow:
+            for item, response in zip(items, responses):
                 self.rollout.record_shadow(
                     item.request_id, item.payload, item.context, response
                 )
-            else:
-                self.rollout.note_served(lane.role)
+        else:
+            self.rollout.note_served(lane.role, len(items))
+        for item, response in zip(items, responses):
             item.future.set_result(response)
-            self._track(-1)
+        self._track(-len(items))
         if self._registry.enabled:
             # Per-batch metric flush: one counter bump and one locked
             # histogram pass instead of two labelled ops per request.

@@ -9,8 +9,9 @@ equivalents are dependency-free and share one routing table:
   loop: non-blocking intake, keep-alive connections, thousands of idle
   clients without thousands of threads.  ``POST /predict`` bridges the
   gateway's :class:`~repro.serve.batcher.PendingResponse` futures into
-  the loop (``on_done`` → ``call_soon_threadsafe``), so slow forwards
-  never block the accept path, and :meth:`AsyncGatewayServer.stop` drains
+  the loop (``on_done`` → a per-POST countdown → one
+  ``call_soon_threadsafe``), so slow forwards never block the accept
+  path, and :meth:`AsyncGatewayServer.stop` drains
   gracefully: stop intake first, wait for in-flight requests, then stop
   the loop.
 
@@ -325,11 +326,12 @@ class AsyncGatewayServer:
     one multiplexes every connection on one loop (running on a background
     thread, so the caller's API matches :class:`GatewayHTTPServer`).
     ``POST /predict`` submits through the gateway's existing micro-batcher
-    and *suspends* the coroutine until the lane worker settles the future
-    — ``PendingResponse.on_done`` hops the result back into the loop with
-    ``call_soon_threadsafe`` — so a slow forward pass never blocks accept
-    or other connections.  Connections are keep-alive by default
-    (HTTP/1.1 semantics; ``Connection: close`` honored).
+    and *suspends* the coroutine until the lane workers have settled every
+    future of the POST — the last ``PendingResponse.on_done`` to fire hops
+    back into the loop with one ``call_soon_threadsafe`` — so a slow
+    forward pass never blocks accept or other connections.  Connections
+    are keep-alive by default (HTTP/1.1 semantics; ``Connection: close``
+    honored).
 
     :meth:`stop` is a graceful drain: close the listener (stop intake),
     wait for accepted requests to be answered (``gateway.drain``), then
@@ -537,46 +539,63 @@ class AsyncGatewayServer:
                 {},
             )
         payloads, kwargs, single = _parse_predict(parsed)
-        loop = asyncio.get_running_loop()
         futures = [
             self.gateway.submit_async(p, **kwargs) for p in payloads
         ]  # validation raises here, before anything queues
-        waiters = [self._bridge(loop, f) for f in futures]
-        try:
-            results = await asyncio.wait_for(
-                asyncio.gather(*waiters),
-                timeout=self.gateway.config.request_timeout_s,
-            )
-        except asyncio.TimeoutError:
-            raise ServeTimeout(
-                "request not answered within "
-                f"{self.gateway.config.request_timeout_s}s"
-            ) from None
+        await self._settled(futures)
+        # In order, like the threaded front: the first failed item's
+        # exception is the POST's (mapped by _dispatch).
+        results = [f.result(timeout=0) for f in futures]
         headers = {}
         if single and futures[0].trace_id is not None:
             headers["X-Trace-Id"] = futures[0].trace_id
         payload = results[0] if single else results
         return 200, _JSON, _json_bytes(payload), headers
 
-    @staticmethod
-    def _bridge(loop, pending) -> "asyncio.Future":
-        """An asyncio future settled when the gateway future settles."""
-        afut = loop.create_future()
+    async def _settled(self, futures) -> None:
+        """Suspend until every gateway future of one POST is settled.
 
-        def _settle(p=pending, afut=afut) -> None:
-            if afut.cancelled():
-                return
-            try:
-                afut.set_result(p.result(timeout=0))
-            except BaseException as exc:  # noqa: BLE001 - relayed, not lost
-                afut.set_exception(exc)
+        One countdown latch per POST: lane workers decrement it from
+        ``on_done`` and only the last one hops into the loop, so a
+        64-payload POST costs one ``call_soon_threadsafe`` (one self-pipe
+        write, one loop wake-up) and one asyncio future, not 64.  A POST
+        not settled within ``request_timeout_s`` raises
+        :class:`~repro.errors.ServeTimeout` (HTTP 504).
+        """
+        if not futures:
+            return
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        timeout_s = self.gateway.config.request_timeout_s
+        lock = threading.Lock()
+        remaining = len(futures)
 
-        def _hop(p) -> None:
-            # on_done fires on a lane worker thread: hop into the loop.
-            try:
-                loop.call_soon_threadsafe(_settle)
-            except RuntimeError:
-                pass  # loop already closed (shutdown race); waiter is gone
+        def _wake() -> None:
+            if not waiter.done():
+                waiter.set_result(None)
 
-        pending.on_done(_hop)
-        return afut
+        def _expire() -> None:
+            if not waiter.done():
+                waiter.set_exception(
+                    ServeTimeout(f"request not answered within {timeout_s}s")
+                )
+
+        def _count_down(_pending) -> None:
+            # Fires on a lane worker thread (or here, if already settled).
+            nonlocal remaining
+            with lock:
+                remaining -= 1
+                last = remaining == 0
+            if last:
+                try:
+                    loop.call_soon_threadsafe(_wake)
+                except RuntimeError:
+                    pass  # loop already closed (shutdown race); waiter is gone
+
+        timer = loop.call_later(timeout_s, _expire)
+        try:
+            for future in futures:
+                future.on_done(_count_down)
+            await waiter
+        finally:
+            timer.cancel()

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
 import numpy as np
@@ -429,23 +430,28 @@ class WorkerReplicaPool(ReplicaPool):
         The in-process pool probes each tier once; here one probe would
         leave N-1 cold workers (lazy model state, cold page cache) to
         surprise the first real requests, so warmup quiesces the team and
-        fans each tier's batch out to all slots.
+        fans each tier's batch out to all slots — concurrently, one thread
+        per leased slot (pipes and arenas are per slot), since a slot's
+        first forward is several times a warm one.  A tier's estimate is
+        the mean per-slot time.
         """
         payloads = list(payloads)
         estimates: dict[str, float] = {}
         with self._team.all_slots(timeout=self.reply_timeout_s) as slots:
-            for tier in self.tier_order:
-                replica = self.replica(tier, STABLE)
-                _, batch = replica.endpoint.encode_requests(payloads)
-                total = 0.0
-                for slot in slots:
-                    started = time.perf_counter()
-                    self._forward_on_slot(slot, tier, STABLE, batch)
-                    total += time.perf_counter() - started
-                mean = total / len(slots)
-                with replica.lock:
-                    replica._note_served(len(payloads) * len(slots), mean)
-                estimates[tier] = mean
+            with ThreadPoolExecutor(max_workers=len(slots)) as probes:
+                for tier in self.tier_order:
+                    replica = self.replica(tier, STABLE)
+                    _, batch = replica.endpoint.encode_requests(payloads)
+
+                    def probe(slot: int, tier=tier, batch=batch) -> float:
+                        started = time.perf_counter()
+                        self._forward_on_slot(slot, tier, STABLE, batch)
+                        return time.perf_counter() - started
+
+                    mean = sum(probes.map(probe, slots)) / len(slots)
+                    with replica.lock:
+                        replica._note_served(len(payloads) * len(slots), mean)
+                    estimates[tier] = mean
         return estimates
 
     def worker_stats(self) -> list[dict]:

@@ -134,12 +134,13 @@ class RolloutController:
         bucket = int.from_bytes(digest[:4], "big") / 2**32
         return "canary" if bucket < self.canary_fraction else "stable"
 
-    def note_served(self, role: str) -> None:
+    def note_served(self, role: str, n: int = 1) -> None:
+        """Count ``n`` requests answered by ``role`` (one batch, one lock)."""
         with self._lock:
             if role == "canary":
-                self._canary_served += 1
+                self._canary_served += n
             else:
-                self._stable_served += 1
+                self._stable_served += n
 
     # ------------------------------------------------------------------
     # Shadow accounting

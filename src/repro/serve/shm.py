@@ -24,6 +24,7 @@ a stopped pool leaves nothing behind in ``/dev/shm``.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,11 @@ NAME_PREFIX = "repro-serve"
 _ALIGN = 64
 
 _FIELD_SEP = "\x1f"  # joins structured keys ("payload<SEP>field")
+
+# Held while an attach has tracker registration switched off, and while
+# an owner creates a segment, so a creation on another thread of the
+# same process can never slip through unregistered.
+_TRACKER_LOCK = threading.Lock()
 
 _BATCH_FIELDS = ("ids", "mask", "member_ids", "spans", "member_mask", "features")
 
@@ -100,17 +106,23 @@ def read_arrays(
 def _untracked_attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without resource-tracker ownership.
 
-    CPython's resource tracker registers every ``SharedMemory`` — even
-    attach-only handles — and would unlink (or warn about) segments this
-    process never owned.  Readers unregister immediately: the creating
-    process is the sole unlinker.
+    CPython before 3.13 registers every ``SharedMemory`` with the
+    resource tracker — even attach-only handles — which would unlink (or
+    warn about) segments this process never owned.  Registering and
+    taking it back is not free either: a worker forked before the
+    gateway's tracker exists launches a tracker *process* of its own for
+    that one message — an interpreter spawned per worker in the middle
+    of warm-up, and one more to tear down at stop.  So registration is
+    switched off for the length of the attach (what 3.13 spells
+    ``track=False``); the creating process is the sole unlinker.
     """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")  # noqa: SLF001
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-    return segment
+    with _TRACKER_LOCK:
+        register = resource_tracker.register
+        resource_tracker.register = lambda name, rtype: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 def _close_segment(segment: shared_memory.SharedMemory) -> None:
@@ -160,9 +172,10 @@ class ShmArena:
             size *= 2
         self._unlink_current()
         self._seq += 1
-        self._segment = shared_memory.SharedMemory(
-            name=f"{self._tag}-{self._seq}", create=True, size=size
-        )
+        with _TRACKER_LOCK:
+            self._segment = shared_memory.SharedMemory(
+                name=f"{self._tag}-{self._seq}", create=True, size=size
+            )
 
     def pack(self, arrays: Sequence[tuple[str, np.ndarray]]) -> dict:
         """Write an array set; returns the manifest for the control pipe."""

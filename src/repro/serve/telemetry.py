@@ -133,11 +133,27 @@ class TelemetryRing:
     # Recording
     # ------------------------------------------------------------------
     def record(self, event: RequestEvent, payload: dict | None = None) -> None:
+        self.record_many((event,), None if payload is None else (payload,))
+
+    def record_many(
+        self,
+        events: Sequence[RequestEvent],
+        payloads: Sequence[dict] | None = None,
+    ) -> None:
+        """Record one batch's events under a single lock acquisition.
+
+        ``payloads`` (one per event, or ``None`` to sample nothing) keeps
+        the every-Nth cadence of the lifetime event count, so a batch
+        samples exactly the payloads one-at-a-time recording would.
+        """
         with self._lock:
-            self._events.append(event)
-            self._recorded += 1
-            if payload is not None and self._recorded % self._sample_every == 0:
-                self._payloads.append(payload)
+            recorded = self._recorded
+            self._events.extend(events)
+            self._recorded = recorded + len(events)
+            if payloads is not None:
+                every = self._sample_every
+                # Event i is the (recorded + i + 1)-th; sample multiples.
+                self._payloads.extend(payloads[(-recorded - 1) % every :: every])
 
     def record_rollout(self, action: str, **detail) -> RolloutEvent:
         """Record a rollout lifecycle action (promotion, shadow start, ...).

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import PendingResponse, QueuedRequest, RequestQueue
+from repro.serve import GatewayConfig, PendingResponse, QueuedRequest, RequestQueue
+
+DEFAULT_WAIT_S = GatewayConfig().max_wait_s
 
 
 def item(i: int) -> QueuedRequest:
@@ -100,6 +102,75 @@ class TestPopBatch:
         thread.join()
         # The late arrival completed the batch well before the deadline.
         assert [b.payload["n"] for b in batch] == [0, 1]
+
+    def test_default_wait_returns_a_lone_item_at_once(self):
+        queue = RequestQueue()
+        waits = []
+        for i in range(5):
+            queue.put(item(i))
+            start = time.monotonic()
+            batch = queue.pop_batch(max_size=32, max_wait_s=DEFAULT_WAIT_S)
+            waits.append(time.monotonic() - start)
+            assert [b.payload["n"] for b in batch] == [i]
+        # No linger for batch-mates: far below the old 5 ms deadline (the
+        # best of five, so a scheduler hiccup cannot fail the test).
+        assert min(waits) < 0.003
+
+    def test_default_wait_takes_a_backlog_as_one_full_batch(self):
+        # What accumulated behind a busy consumer leaves as a full batch.
+        queue = RequestQueue()
+        for i in range(40):
+            queue.put(item(i))
+        first = queue.pop_batch(max_size=32, max_wait_s=DEFAULT_WAIT_S)
+        second = queue.pop_batch(max_size=32, max_wait_s=DEFAULT_WAIT_S)
+        assert [b.payload["n"] for b in first] == list(range(32))
+        assert [b.payload["n"] for b in second] == list(range(32, 40))
+
+    def test_opt_in_linger_fills_until_the_deadline(self):
+        queue = RequestQueue()
+        queue.put(item(0))
+
+        def producer():
+            for i in (1, 2):
+                time.sleep(0.02)
+                queue.put(item(i))
+
+        thread = threading.Thread(target=producer)
+        thread.start()
+        start = time.monotonic()
+        batch = queue.pop_batch(max_size=8, max_wait_s=0.25)
+        elapsed = time.monotonic() - start
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        # Never full, so it stayed open for the whole wait and took both.
+        assert [b.payload["n"] for b in batch] == [0, 1, 2]
+        assert 0.2 <= elapsed < 2.0
+
+    def test_multi_consumer_pops_never_return_empty(self):
+        # Every put wakes every idle consumer; the ones that lose the race
+        # for the items must wait again, not hand back an empty batch.
+        queue = RequestQueue()
+        total, consumers = 200, 4
+        batches: list[list[QueuedRequest]] = []
+        lock = threading.Lock()
+
+        def consume():
+            while (batch := queue.pop_batch(4, DEFAULT_WAIT_S)) is not None:
+                with lock:
+                    batches.append(batch)
+
+        threads = [threading.Thread(target=consume) for _ in range(consumers)]
+        for thread in threads:
+            thread.start()
+        for i in range(total):
+            queue.put(item(i))
+        queue.close()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(batches)
+        popped = sorted(b.payload["n"] for batch in batches for b in batch)
+        assert popped == list(range(total))  # nothing lost, nothing twice
 
     def test_invalid_max_size(self):
         with pytest.raises(ServeError, match="max_size"):

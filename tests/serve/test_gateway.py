@@ -1,9 +1,12 @@
 """Integration tests for the serving gateway: batching, tiers, rollout."""
 
+import time
+
 import pytest
 
 from repro.api import Endpoint
 from repro.errors import DeploymentError, ServeError
+from repro.faults import FaultPlan, FaultRule, injected
 from repro.serve import GatewayConfig, ReplicaPool, ServingGateway
 
 
@@ -55,6 +58,79 @@ class TestServing:
             assert "Intent" in response
             [event] = gateway.telemetry.events()
             assert event.batch_size == 1
+
+    def test_default_config_serves_a_lone_request_without_lingering(
+        self, served, single_store
+    ):
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        pool = ReplicaPool.from_store(store, app.name)
+        with ServingGateway(pool) as gateway:
+            gateway.submit(payloads[0])  # lane thread up, model warm
+            for payload in payloads[1:6]:
+                gateway.submit(payload)
+            waits = [
+                e.latency_s - pool.replica("default").ewma_latency_s
+                for e in gateway.telemetry.events()[1:]
+            ]
+        # Enqueue-to-answer is the serve itself plus hand-offs — nowhere
+        # near a 5 ms batch deadline on top (best of five).
+        assert min(waits) < 0.003
+
+    def test_backlog_behind_a_busy_lane_leaves_as_full_batches(
+        self, served, single_store
+    ):
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        # The first batch stalls in the replica; everything submitted
+        # meanwhile must accumulate and leave as full batches, unprompted
+        # by any linger.
+        stall = FaultPlan(
+            name="busy-lane",
+            seed=0,
+            rules=(
+                FaultRule(
+                    point="replica.serve", kind="latency", latency_s=0.2, max_fires=1
+                ),
+            ),
+        )
+        with injected(stall), make_gateway(
+            store, max_batch_size=4, max_wait_s=0.0
+        ) as gateway:
+            first = gateway.submit_async(payloads[0])
+            time.sleep(0.05)  # the lane has popped it and is stalled
+            futures = [gateway.submit_async(p) for p in payloads[1:9]]
+            for future in [first, *futures]:
+                future.result(timeout=30)
+            sizes = [e.batch_size for e in gateway.telemetry.events()]
+        assert sizes == [1] + [4] * 8
+
+    def test_telemetry_is_visible_as_soon_as_a_response_returns(
+        self, served, single_store
+    ):
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        with make_gateway(store, max_batch_size=8, max_wait_s=0.0) as gateway:
+            seen = []
+            futures = [gateway.submit_async(p) for p in payloads[:16]]
+            for n, future in enumerate(futures, start=1):
+                future.on_done(
+                    # Runs on the lane thread at the instant of settling.
+                    lambda _f: seen.append(
+                        (
+                            gateway.telemetry.recorded_total,
+                            gateway.rollout.status().stable_served,
+                        )
+                    )
+                )
+            for future in futures:
+                future.result(timeout=30)
+            gateway.drain(timeout=10)
+        # Whenever a caller holds response k, at least k requests are
+        # already in the ring and in the rollout counters.
+        assert len(seen) == 16
+        for k, (recorded, served_count) in enumerate(sorted(seen), start=1):
+            assert recorded >= k and served_count >= k
 
     def test_validation_fails_fast_in_caller(self, served, single_store):
         app, ds, run, payloads = served

@@ -34,6 +34,31 @@ class TestRing:
         assert len(samples) == 4
         assert samples[0] == {"tokens": ["t3"]}
 
+    @pytest.mark.parametrize("every", [1, 3, 8])
+    def test_record_many_equals_one_at_a_time(self, every):
+        kwargs = dict(capacity=32, payload_sample_every=every, payload_capacity=6)
+        one, many = TelemetryRing(**kwargs), TelemetryRing(**kwargs)
+        events = [event(i) for i in range(50)]
+        payloads = [{"tokens": [f"t{i}"]} for i in range(50)]
+        for e, p in zip(events, payloads):
+            one.record(e, payload=p)
+        # Uneven batches (an empty and a payload-less one among them) so
+        # the sampling cadence has to carry across batch boundaries.
+        start = 0
+        for size in (1, 7, 0, 2, 13, 5, 22):
+            many.record_many(events[start:start + size], payloads[start:start + size])
+            start += size
+        assert start == 50
+        assert many.events() == one.events()
+        assert many.recorded_total == one.recorded_total == 50
+        assert many.payload_samples() == one.payload_samples()
+        one.record(event(50))
+        many.record_many([event(50)], None)
+        one.record(event(51), payload={"tokens": ["last"]})
+        many.record_many([event(51)], [{"tokens": ["last"]}])
+        assert many.events() == one.events()
+        assert many.payload_samples() == one.payload_samples()
+
     def test_live_records_wrap_payloads(self):
         ring = TelemetryRing(payload_sample_every=1)
         ring.record(event(0), payload={"tokens": ["how", "tall"]})

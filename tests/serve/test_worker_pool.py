@@ -14,6 +14,11 @@ The :class:`~repro.serve.WorkerReplicaPool` contract under test:
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -40,6 +45,21 @@ def _shm_entries() -> set[str]:
     if not shm.is_dir():  # non-Linux: nothing to leak-check
         return set()
     return {p.name for p in shm.glob(f"{NAME_PREFIX}-*")}
+
+
+def _stat_fields(pid: int | str) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command: state, ppid, ...; None if gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process?  (An unreaped zombie has exited.)"""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 @pytest.fixture()
@@ -236,6 +256,95 @@ class TestLifecycle:
             Path(f"/proc/{pid}").is_dir() for pid in pids
         ), "worker processes outlived stop()"
 
+    def test_stop_does_not_sit_out_the_grace_period(self, pair_store, served):
+        # A forked worker is born holding copies of the parent-side pipe
+        # ends (its own, its earlier siblings'); unless it closes them,
+        # closing the parent's end delivers no EOF and every stop() waits
+        # out _STOP_GRACE_S (5 s) per worker before terminating it.
+        store, _ = pair_store
+        _, _, _, payloads = served
+        before = _shm_entries()
+        pool = WorkerReplicaPool.from_store(store, "factoid-qa", workers=3)
+        pool.warmup(payloads[:4])
+        pids = [w["pid"] for w in pool.worker_stats()]
+        started = time.monotonic()
+        pool.stop()
+        assert time.monotonic() - started < 1.0
+        assert not any(map(_running, pids))
+        assert _shm_entries() - before == set()
+
+    def test_respawned_worker_also_stops_promptly(self, pair_store, served):
+        # A replacement is forked while its siblings' channels are open.
+        store, _ = pair_store
+        _, _, _, payloads = served
+        crash = FaultPlan(
+            name="one-crash",
+            seed=0,
+            rules=(FaultRule(point="replica.serve", kind="crash", max_fires=1),),
+        )
+        with injected(crash):
+            pool = WorkerReplicaPool.from_store(store, "factoid-qa", workers=2)
+        try:
+            with pytest.raises(WorkerCrashError):
+                pool.replica(pool.tiers[0]).serve(payloads[:2])
+            pool.set_fault_plan(None)
+            pool.replica(pool.tiers[0]).serve(payloads[:2])
+            assert pool.restarts_total == 1
+        finally:
+            started = time.monotonic()
+            pool.stop()
+        assert time.monotonic() - started < 1.0
+
+    def test_workers_do_not_outlive_a_killed_parent(self, served, tmp_path):
+        # SIGKILL runs no teardown: only the EOF on their channel tells
+        # the workers their parent is gone.
+        _, _, run, payloads = served
+        run.artifact().save(tmp_path / "artifact")
+        (tmp_path / "payloads.json").write_text(json.dumps(payloads[:4]))
+        script = (
+            "import json, sys, time\n"
+            "from repro.api import Endpoint\n"
+            "from repro.serve import WorkerReplicaPool\n"
+            "endpoint = Endpoint.from_directory(sys.argv[1])\n"
+            "pool = WorkerReplicaPool.from_endpoint(endpoint, workers=3)\n"
+            "pool.warmup(json.load(open(sys.argv[2])))\n"
+            "print(json.dumps([w['pid'] for w in pool.worker_stats()]), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        before = _shm_entries()
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "artifact"),
+             str(tmp_path / "payloads.json")],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            pids = json.loads(parent.stdout.readline())
+            assert len(pids) == 3 and all(_running(pid) for pid in pids)
+            assert _shm_entries() - before, "the pool mapped no segments?"
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.02)
+            orphans = [pid for pid in pids if _running(pid)]
+            assert orphans == [], "workers outlived their killed parent"
+            # With every holder gone, multiprocessing's resource tracker
+            # sees its own EOF and unlinks what the parent could not.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and _shm_entries() - before:
+                time.sleep(0.05)
+            assert _shm_entries() - before == set()
+        finally:
+            parent.kill()
+            parent.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
     def test_warmup_probes_every_worker(self, served, worker_pool):
         _, _, _, payloads = served
         estimates = worker_pool.warmup(payloads[:4])
@@ -245,6 +354,45 @@ class TestLifecycle:
         assert all(s["batches"] >= len(worker_pool.tiers) for s in stats)
         for tier in worker_pool.tiers:
             assert worker_pool.replica(tier).ewma_latency_s is not None
+
+
+    def test_workers_launch_no_process_of_their_own(self, served, worker_pool):
+        # Attaching to the gateway's segments must not make each worker
+        # spawn a multiprocessing resource tracker (an interpreter per
+        # worker during warm-up, and one more to tear down at stop).
+        _, _, _, payloads = served
+        worker_pool.warmup(payloads[:4])
+        workers = {w["pid"] for w in worker_pool.worker_stats()}
+        children = [
+            entry.name
+            for entry in Path("/proc").iterdir()
+            if entry.name.isdigit()
+            and (fields := _stat_fields(entry.name)) is not None
+            and int(fields[1]) in workers
+        ]
+        assert children == []
+
+    def test_warmup_probes_the_slots_concurrently(self, served, worker_pool):
+        _, _, _, payloads = served
+        stall_s = 0.2
+        worker_pool.set_fault_plan(
+            FaultPlan(
+                name="slow-forward",
+                seed=0,
+                rules=(
+                    FaultRule(point="replica.serve", kind="latency", latency_s=stall_s),
+                ),
+            )
+        )
+        started = time.monotonic()
+        estimates = worker_pool.warmup(payloads[:4])
+        elapsed = time.monotonic() - started
+        tiers = len(worker_pool.tiers)
+        # Two slots stall side by side: one stall per tier, not one per
+        # (tier, slot) — and the estimate stays a single slot's time.
+        assert elapsed < tiers * stall_s * 1.75
+        for tier in worker_pool.tiers:
+            assert stall_s <= estimates[tier] < stall_s * 1.75
 
 
 class TestRolloutBroadcast:

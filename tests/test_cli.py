@@ -179,7 +179,7 @@ class TestTune:
 
 
 class TestServe:
-    def test_serve_artifact_until_deadline(self, project, capsys):
+    def _trained_artifact(self, project) -> str:
         artifact_dir = str(project["tmp"] / "serve-artifact")
         main(
             [
@@ -191,6 +191,10 @@ class TestServe:
                 "--size", "8",
             ]
         )
+        return artifact_dir
+
+    def test_serve_artifact_until_deadline(self, project, capsys):
+        artifact_dir = self._trained_artifact(project)
         capsys.readouterr()
         code = main(
             [
@@ -209,17 +213,7 @@ class TestServe:
 
     def test_serve_from_store(self, project, capsys):
         """The --store/--model path (what production rollout uses)."""
-        artifact_dir = str(project["tmp"] / "store-artifact")
-        main(
-            [
-                "train",
-                "--schema", project["schema"],
-                "--data", project["data"],
-                "--out", artifact_dir,
-                "--epochs", "1",
-                "--size", "8",
-            ]
-        )
+        artifact_dir = self._trained_artifact(project)
         from repro.deploy import ModelArtifact, ModelStore
 
         store = ModelStore(project["tmp"] / "store")
@@ -238,6 +232,85 @@ class TestServe:
         assert code == 0
         out = capsys.readouterr().out
         assert "serving default@" in out
+
+    def test_batching_flags_default_to_the_gateway_config(self):
+        from repro.cli import build_parser
+        from repro.serve import GatewayConfig
+
+        config = GatewayConfig()
+        assert config.max_wait_s == 0  # work-conserving unless opted out
+        autopilot = ["autopilot", "--store", "s", "--model", "m", "--data", "d.jsonl"]
+        for argv in (["serve"], autopilot):
+            args = build_parser().parse_args(argv)
+            assert args.max_wait_ms == config.max_wait_s * 1000.0
+            assert args.batch == config.max_batch_size
+
+    def test_sigterm_before_the_wait_loop_is_a_clean_stop(
+        self, project, capsys, monkeypatch
+    ):
+        """The signal lands while the server is still starting — before the
+        main thread is anywhere near its wait loop — and must still unwind
+        server, gateway and pool in order and exit 0."""
+        import os
+        import signal
+
+        from repro.serve import AsyncGatewayServer
+
+        artifact_dir = self._trained_artifact(project)
+        capsys.readouterr()
+        plain_start = AsyncGatewayServer.start
+        servers = []
+
+        def start_then_sigterm(self):
+            plain_start(self)
+            servers.append(self)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return self
+
+        monkeypatch.setattr(AsyncGatewayServer, "start", start_then_sigterm)
+        previous = signal.getsignal(signal.SIGTERM)
+        code = main(["serve", "--artifact", artifact_dir, "--port", "0"])
+        assert code == 0
+        assert signal.getsignal(signal.SIGTERM) is previous  # handler restored
+        out = capsys.readouterr().out
+        assert "serving" in out
+        assert "requests: 0" in out  # the final dashboard: it unwound in order
+        [server] = servers
+        assert server.gateway._stopped and server._thread is None
+
+    def test_sigterm_right_after_the_serving_line_exits_zero(self, project):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        artifact_dir = self._trained_artifact(project)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--artifact", artifact_dir, "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(sys.path),
+                "PYTHONUNBUFFERED": "1",
+            },
+        )
+        try:
+            lines = []
+            for line in child.stdout:
+                lines.append(line)
+                if line.startswith("serving "):
+                    child.send_signal(signal.SIGTERM)
+                    break
+            rest, _ = child.communicate(timeout=30)
+        finally:
+            child.kill()
+        output = "".join(lines) + rest
+        assert child.returncode == 0, output
+        assert "Traceback" not in output
+        assert "requests: 0" in output  # drained and rendered on the way out
 
     def test_serve_requires_a_model_source(self, capsys):
         code = main(["serve", "--port", "0"])
