@@ -76,9 +76,8 @@ def run_ablation(seed: int = 0) -> dict[str, list]:
     return rows
 
 
-def test_label_model_vs_majority(benchmark):
-    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    print_table("Label model vs majority vote", rows)
+def assert_ablation_shape(rows: dict[str, list]) -> None:
+    """The bench's shape targets (also run by the tier-1 smoke test)."""
     gains = dict(zip(rows["scenario"], rows["gain"]))
     # Shape 1: never meaningfully worse than majority vote.
     assert all(g >= -0.01 for g in gains.values()), gains
@@ -87,3 +86,9 @@ def test_label_model_vs_majority(benchmark):
     assert gains["one_expert_many_weak"] > 0.05, gains
     # Shape 3: EM recovers true source accuracies within a few points.
     assert all(m < 0.06 for m in rows["acc_recovery_mae"]), rows
+
+
+def test_label_model_vs_majority(benchmark):
+    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    print_table("Label model vs majority vote", rows)
+    assert_ablation_shape(rows)

@@ -47,6 +47,7 @@ from repro.supervision import (
     CombinedSupervision,
     class_weights_from_probs,
     combine_supervision,
+    observed_sources,
 )
 from repro.training import (
     QualityReport,
@@ -202,17 +203,15 @@ class Application:
         )
         targets: dict[str, TaskTargets] = {}
         combined_all: dict[str, CombinedSupervision] = {}
+        observed = observed_sources(records, [t.name for t in self.schema.tasks])
         for task in self.schema.tasks:
-            sources = set()
-            for record in records:
-                sources.update(record.sources_for(task.name))
-            exclude = [gold_source] if gold_source in sources else []
-            if sources == {gold_source}:
-                # Gold is the only supervision (e.g. tiny demo datasets):
-                # train on it rather than failing.
-                exclude = []
+            sources = observed[task.name]
+            if sources != [gold_source]:
+                # Gold trains only when it is the sole supervision (e.g.
+                # tiny demo datasets), rather than failing.
+                sources = [s for s in sources if s != gold_source]
             combined = combine_supervision(
-                records, self.schema, task.name, method=method, exclude_sources=exclude
+                records, self.schema, task.name, method=method, sources=sources
             )
             combined_all[task.name] = combined
             class_weights = None

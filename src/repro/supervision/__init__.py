@@ -17,6 +17,7 @@ from repro.supervision.label_matrix import (
     LabelMatrix,
     build_bitvector_matrices,
     build_label_matrix,
+    observed_sources,
 )
 from repro.supervision.majority import majority_vote, vote_confidence
 from repro.supervision.label_model import (
@@ -64,6 +65,7 @@ __all__ = [
     "LabelMatrix",
     "build_bitvector_matrices",
     "build_label_matrix",
+    "observed_sources",
     "majority_vote",
     "vote_confidence",
     "LabelModel",

@@ -17,6 +17,7 @@ from repro.core.schema_def import Schema
 from repro.data.record import Record
 from repro.errors import SupervisionError
 from repro.supervision.label_matrix import (
+    LabelMatrix,
     build_bitvector_matrices,
     build_label_matrix,
 )
@@ -73,83 +74,23 @@ def combine_supervision(
     payload = schema.payload(task.payload)
 
     if task.type == "bitvector":
-        return _combine_bitvector(
-            records, schema, task_name, method, sources, exclude_sources, label_model
+        matrices = build_bitvector_matrices(
+            records, schema, task_name, sources=sources, exclude_sources=exclude_sources
         )
-
-    matrix = build_label_matrix(
-        records, schema, task_name, sources=sources, exclude_sources=exclude_sources
-    )
-    probs, weights, accuracies = _fit(matrix, method, label_model)
-
-    n = len(records)
-    if task.type == "multiclass" and payload.type == "sequence":
-        length = payload.max_length or 0
-        k = task.num_classes
-        full_probs = np.zeros((n, length, k))
-        full_weights = np.zeros((n, length))
-        for row, (rec_idx, pos) in enumerate(matrix.item_index):
-            full_probs[rec_idx, pos] = probs[row]
-            full_weights[rec_idx, pos] = weights[row]
-        return CombinedSupervision(
-            task=task_name,
-            method=method,
-            probs=full_probs,
-            weights=full_weights,
-            source_accuracies=accuracies,
-        )
-
-    # Singleton multiclass and select are already one item per record.
-    return CombinedSupervision(
-        task=task_name,
-        method=method,
-        probs=probs,
-        weights=weights,
-        source_accuracies=accuracies,
-    )
-
-
-def _combine_bitvector(
-    records: Sequence[Record],
-    schema: Schema,
-    task_name: str,
-    method: str,
-    sources: Sequence[str] | None,
-    exclude_sources: Sequence[str],
-    label_model: LabelModel | None,
-) -> CombinedSupervision:
-    task = schema.task(task_name)
-    payload = schema.payload(task.payload)
-    matrices = build_bitvector_matrices(
-        records, schema, task_name, sources=sources, exclude_sources=exclude_sources
-    )
-    n = len(records)
-    k = task.num_classes
-    is_sequence = payload.type == "sequence"
-    length = payload.max_length or 0
-
-    if is_sequence:
-        probs = np.zeros((n, length, k))
-        weights = np.zeros((n, length))
+        item_index = matrices[task.classes[0]].item_index
+        probs, weights, accuracies = _fit_bitvector(matrices, method, label_model)
     else:
-        probs = np.zeros((n, k))
-        weights = np.zeros(n)
+        matrix = build_label_matrix(
+            records, schema, task_name, sources=sources, exclude_sources=exclude_sources
+        )
+        item_index = matrix.item_index
+        probs, weights, accuracies = _fit(matrix, method, label_model)
 
-    accuracies: dict[str, float] = {}
-    for c_idx, cls_name in enumerate(task.classes):
-        matrix = matrices[cls_name]
-        cls_probs, cls_weights, cls_acc = _fit(matrix, method, label_model)
-        # Column 1 of the binary posterior = P(class present).
-        for row, (rec_idx, pos) in enumerate(matrix.item_index):
-            if is_sequence:
-                probs[rec_idx, pos, c_idx] = cls_probs[row, 1]
-                weights[rec_idx, pos] = max(weights[rec_idx, pos], cls_weights[row])
-            else:
-                probs[rec_idx, c_idx] = cls_probs[row, 1]
-                weights[rec_idx] = max(weights[rec_idx], cls_weights[row])
-        for source, acc in cls_acc.items():
-            key = f"{source}[{cls_name}]"
-            accuracies[key] = acc
+    # Singleton and select tasks are already one item per record.
+    if payload.type == "sequence":
+        probs, weights = _to_positions(
+            item_index, probs, weights, len(records), payload.max_length or 0
+        )
     return CombinedSupervision(
         task=task_name,
         method=method,
@@ -157,6 +98,35 @@ def _combine_bitvector(
         weights=weights,
         source_accuracies=accuracies,
     )
+
+
+def _fit_bitvector(
+    matrices: dict[str, LabelMatrix], method: str, label_model: LabelModel | None
+) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Combine each class's binary matrix; every matrix has the same items."""
+    n_items = next(iter(matrices.values())).n_items
+    probs = np.zeros((n_items, len(matrices)))
+    weights = np.zeros(n_items)
+    accuracies: dict[str, float] = {}
+    for c_idx, (cls_name, matrix) in enumerate(matrices.items()):
+        cls_probs, cls_weights, cls_acc = _fit(matrix, method, label_model)
+        probs[:, c_idx] = cls_probs[:, 1]  # P(class present)
+        np.maximum(weights, cls_weights, out=weights)
+        for source, acc in cls_acc.items():
+            accuracies[f"{source}[{cls_name}]"] = acc
+    return probs, weights, accuracies
+
+
+def _to_positions(
+    item_index: np.ndarray, probs: np.ndarray, weights: np.ndarray, n: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter per-item rows to ``(n, length, ...)``; unowned positions stay 0."""
+    record, position = item_index[:, 0], item_index[:, 1]
+    full_probs = np.zeros((n, length, probs.shape[1]))
+    full_weights = np.zeros((n, length))
+    full_probs[record, position] = probs
+    full_weights[record, position] = weights
+    return full_probs, full_weights
 
 
 def _fit(matrix, method: str, label_model: LabelModel | None):

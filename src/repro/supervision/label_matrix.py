@@ -15,7 +15,9 @@ absent), combined independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Sequence
 
 import numpy as np
@@ -67,14 +69,15 @@ class LabelMatrix:
 
     def conflict(self) -> float:
         """Fraction of items where two non-abstain sources disagree."""
-        if self.n_items == 0:
+        if self.votes.size == 0:
             return 0.0
-        conflicts = 0
-        for row in self.votes:
-            present = row[row != ABSTAIN]
-            if len(present) >= 2 and len(set(present.tolist())) > 1:
-                conflicts += 1
-        return conflicts / self.n_items
+        # ABSTAIN is below every vote, so the row max is the largest vote;
+        # a row conflicts when its smallest vote differs from it.
+        top = self.votes.max(axis=1, keepdims=True)
+        low = np.where(self.votes == ABSTAIN, top, self.votes).min(
+            axis=1, keepdims=True
+        )
+        return np.count_nonzero(low != top) / self.n_items
 
 
 def build_label_matrix(
@@ -92,74 +95,40 @@ def build_label_matrix(
             "bitvector tasks expand per class; use build_bitvector_matrices"
         )
     source_list = _resolve_sources(records, task_name, sources, exclude_sources)
-    source_pos = {s: j for j, s in enumerate(source_list)}
-
-    if task.type == "multiclass" and payload.type == "sequence":
-        length = payload.max_length or 0
-        rows: list[np.ndarray] = []
-        index: list[tuple[int, int]] = []
-        for i, record in enumerate(records):
-            seq = record.payloads.get(payload.name) or []
-            n_pos = min(len(seq), length)
-            block = np.full((n_pos, len(source_list)), ABSTAIN, dtype=np.int64)
-            for source, labels in record.sources_for(task_name).items():
-                j = source_pos.get(source)
-                if j is None or labels is None:
-                    continue
-                for t in range(n_pos):
-                    if t < len(labels) and labels[t] is not None:
-                        block[t, j] = task.class_index(labels[t])
-            rows.append(block)
-            index.extend((i, t) for t in range(n_pos))
-        votes = (
-            np.concatenate(rows, axis=0)
-            if rows
-            else np.zeros((0, len(source_list)), dtype=np.int64)
-        )
-        return LabelMatrix(
-            votes=votes,
-            sources=source_list,
-            cardinality=task.num_classes,
-            item_index=np.array(index or np.zeros((0, 2)), dtype=np.int64).reshape(-1, 2),
-        )
+    layout = _ItemLayout(records, payload, task_name)
+    n_items = len(layout.item_index)
+    votes = np.full((n_items, len(source_list)), ABSTAIN, dtype=np.int64)
 
     if task.type == "multiclass":
-        votes = np.full((len(records), len(source_list)), ABSTAIN, dtype=np.int64)
-        for i, record in enumerate(records):
-            for source, label in record.sources_for(task_name).items():
-                j = source_pos.get(source)
-                if j is not None and label is not None:
-                    votes[i, j] = task.class_index(label)
-        index = np.stack(
-            [np.arange(len(records)), np.full(len(records), -1)], axis=1
-        ) if records else np.zeros((0, 2), dtype=np.int64)
-        return LabelMatrix(
-            votes=votes,
-            sources=source_list,
-            cardinality=task.num_classes,
-            item_index=np.asarray(index, dtype=np.int64),
-        )
-
-    # select
-    max_members = payload.max_members or 0
-    votes = np.full((len(records), len(source_list)), ABSTAIN, dtype=np.int64)
-    item_card = np.zeros(len(records), dtype=np.int64)
-    for i, record in enumerate(records):
-        members = record.payloads.get(payload.name) or []
-        item_card[i] = min(len(members), max_members)
-        for source, label in record.sources_for(task_name).items():
-            j = source_pos.get(source)
-            if j is not None and label is not None and 0 <= int(label) < max_members:
-                votes[i, j] = int(label)
-    index = np.stack(
-        [np.arange(len(records)), np.full(len(records), -1)], axis=1
-    ) if records else np.zeros((0, 2), dtype=np.int64)
+        cardinality, item_cardinality = task.num_classes, None
+        # A position a source skipped (None) is an abstain like any other.
+        codes = {c: y for y, c in enumerate(task.classes)}
+        codes[None] = ABSTAIN
+        for j, source in enumerate(source_list):
+            rows, labels = layout.labels_from(source)
+            try:
+                votes[rows, j] = list(map(codes.__getitem__, labels))
+            except (KeyError, TypeError):
+                for label in labels:  # name the offender as class_index does
+                    if label is not None:
+                        task.class_index(label)
+                raise
+    else:
+        # select: votes are candidate slots; a slot the payload cannot hold
+        # is no vote.
+        cardinality = payload.max_members or 0
+        item_cardinality = np.minimum(_lengths(records, payload.name), cardinality)
+        for j, source in enumerate(source_list):
+            rows, labels = layout.labels_from(source)
+            slots = np.array(list(map(int, labels)), dtype=np.int64)
+            in_range = (slots >= 0) & (slots < cardinality)
+            votes[rows[in_range], j] = slots[in_range]
     return LabelMatrix(
         votes=votes,
         sources=source_list,
-        cardinality=max_members,
-        item_index=np.asarray(index, dtype=np.int64),
-        item_cardinality=item_card,
+        cardinality=cardinality,
+        item_index=layout.item_index,
+        item_cardinality=item_cardinality,
     )
 
 
@@ -176,49 +145,110 @@ def build_bitvector_matrices(
     if task.type != "bitvector":
         raise SupervisionError(f"task {task_name!r} is not a bitvector task")
     source_list = _resolve_sources(records, task_name, sources, exclude_sources)
-    source_pos = {s: j for j, s in enumerate(source_list)}
-    is_sequence = payload.type == "sequence"
-    length = payload.max_length or 0
+    layout = _ItemLayout(records, payload, task_name)
+    codes = {c: y for y, c in enumerate(task.classes)}
 
-    index: list[tuple[int, int]] = []
-    per_class_rows: dict[str, list[np.ndarray]] = {c: [] for c in task.classes}
-    for i, record in enumerate(records):
-        if is_sequence:
-            seq = record.payloads.get(payload.name) or []
-            n_pos = min(len(seq), length)
+    # One (class, item, source) array; each class's matrix is a slab of it.
+    # A source that labeled an item votes 0 for every class, then 1 for the
+    # classes it named (names outside the schema are ignored).
+    votes = np.full(
+        (task.num_classes, len(layout.item_index), len(source_list)),
+        ABSTAIN,
+        dtype=np.int64,
+    )
+    for j, source in enumerate(source_list):
+        rows, named = layout.labels_from(source)
+        labeled = _is_given(named)
+        rows, named = rows[labeled], list(compress(named, labeled))
+        votes[:, rows, j] = 0
+        n_named = np.fromiter(map(len, named), np.int64, count=len(named))
+        owner = np.repeat(rows, n_named)
+        cls = np.fromiter(
+            map(codes.get, chain.from_iterable(named), repeat(-1)),
+            np.int64,
+            count=len(owner),
+        )
+        known = cls >= 0
+        votes[cls[known], owner[known], j] = 1
+    return {
+        c: LabelMatrix(
+            votes=votes[y],
+            sources=source_list,
+            cardinality=2,
+            item_index=layout.item_index,
+        )
+        for c, y in codes.items()
+    }
+
+
+class _ItemLayout:
+    """Which matrix rows each record owns for one task, computed once.
+
+    A sequence payload gives a record one row per position (up to the
+    payload's ``max_length``), anything else gives it one row; rows are
+    laid out record by record.  ``item_index`` is ``LabelMatrix.item_index``.
+    """
+
+    def __init__(self, records: Sequence[Record], payload, task_name: str) -> None:
+        n = len(records)
+        self.by_record = [r.tasks.get(task_name, {}) for r in records]
+        self.is_sequence = payload.type == "sequence"
+        if self.is_sequence:
+            lengths = _lengths(records, payload.name)
+            self.n_pos = np.minimum(lengths, payload.max_length or 0)
+            position = _run_offsets(self.n_pos)
         else:
-            n_pos = 1
-        blocks = {
-            c: np.full((n_pos, len(source_list)), ABSTAIN, dtype=np.int64)
-            for c in task.classes
-        }
-        for source, labels in record.sources_for(task_name).items():
-            j = source_pos.get(source)
-            if j is None or labels is None:
-                continue
-            positions = labels if is_sequence else [labels]
-            for t in range(n_pos):
-                if t >= len(positions) or positions[t] is None:
-                    continue
-                present = set(positions[t])
-                for c in task.classes:
-                    blocks[c][t, j] = 1 if c in present else 0
-        for c in task.classes:
-            per_class_rows[c].append(blocks[c])
-        index.extend((i, t if is_sequence else -1) for t in range(n_pos))
+            self.n_pos = np.ones(n, dtype=np.int64)
+            position = np.full(n, -1, dtype=np.int64)
+        self.starts = np.cumsum(self.n_pos) - self.n_pos
+        owner = np.repeat(np.arange(n, dtype=np.int64), self.n_pos)
+        self.item_index = np.stack([owner, position], axis=1)
 
-    item_index = np.array(index or np.zeros((0, 2)), dtype=np.int64).reshape(-1, 2)
-    out = {}
-    for c in task.classes:
-        votes = (
-            np.concatenate(per_class_rows[c], axis=0)
-            if per_class_rows[c]
-            else np.zeros((0, len(source_list)), dtype=np.int64)
-        )
-        out[c] = LabelMatrix(
-            votes=votes, sources=source_list, cardinality=2, item_index=item_index
-        )
-    return out
+    def labels_from(self, source: str) -> tuple[np.ndarray, list]:
+        """``(rows, labels)``: the rows ``source`` spoke to and what it said.
+
+        Records the source skipped contribute nothing; inside a sequence a
+        skipped position stays in as ``None``.
+        """
+        given = list(map(dict.get, self.by_record, repeat(source)))
+        spoke = _is_given(given)
+        recs = np.nonzero(spoke)[0]
+        given = list(compress(given, spoke))
+        if not self.is_sequence:
+            return recs, given
+        given = [labels[:p] for labels, p in zip(given, self.n_pos[recs].tolist())]
+        lens = np.fromiter(map(len, given), np.int64, count=len(given))
+        rows = np.repeat(self.starts[recs], lens) + _run_offsets(lens)
+        return rows, list(chain.from_iterable(given))
+
+
+def _run_offsets(lens: np.ndarray) -> np.ndarray:
+    """``0..len-1`` for each run of a ragged layout, runs back to back."""
+    first = np.cumsum(lens) - lens
+    return np.arange(lens.sum(), dtype=np.int64) - np.repeat(first, lens)
+
+
+def _is_given(labels: list) -> np.ndarray:
+    """Boolean mask of the entries that are not ``None``."""
+    return np.fromiter(map(is_not, labels, repeat(None)), bool, count=len(labels))
+
+
+def _lengths(records: Sequence[Record], payload_name: str) -> np.ndarray:
+    """Each record's payload length (0 when the payload is missing)."""
+    values = [r.payloads.get(payload_name) or () for r in records]
+    return np.fromiter(map(len, values), np.int64, count=len(values))
+
+
+def observed_sources(
+    records: Sequence[Record], task_names: Sequence[str]
+) -> dict[str, list[str]]:
+    """Per task, the sorted names of every source that labeled any record."""
+    seen: dict[str, set[str]] = {name: set() for name in task_names}
+    for record in records:
+        for task_name, by_source in record.tasks.items():
+            if task_name in seen:
+                seen[task_name].update(by_source)
+    return {name: sorted(found) for name, found in seen.items()}
 
 
 def _resolve_sources(
@@ -228,10 +258,7 @@ def _resolve_sources(
     exclude_sources: Sequence[str],
 ) -> list[str]:
     if sources is None:
-        seen: set[str] = set()
-        for record in records:
-            seen.update(record.sources_for(task_name))
-        sources = sorted(seen)
+        sources = observed_sources(records, [task_name])[task_name]
     excluded = set(exclude_sources)
     result = [s for s in sources if s not in excluded]
     if not result:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import SupervisionError
 from repro.supervision.label_matrix import ABSTAIN, LabelMatrix
+from repro.supervision.majority import majority_vote
 
 
 @dataclass
@@ -95,11 +96,24 @@ class LabelModel:
 
         valid_mask = self._valid_mask(matrix)  # (n, k) bool
         # Initialize from majority vote so EM starts near a sensible basin.
-        from repro.supervision.majority import majority_vote
-
         posterior = majority_vote(matrix)
         posterior = np.where(valid_mask, posterior, 0.0)
         posterior = self._renormalize(posterior, valid_mask)
+
+        # The votes never change, so what each source said is indexed once:
+        # the rows it voted on, whether each vote matches each class (the
+        # E-step's acc/err choice), and per class the rows voting for it
+        # (the M-step's hits).
+        silent: list[int] = []
+        spoken: list[tuple[int, np.ndarray, np.ndarray, list[np.ndarray]]] = []
+        classes = np.arange(k)
+        for j in range(m):
+            idx = np.nonzero(votes[:, j] != ABSTAIN)[0]
+            if not len(idx):
+                silent.append(j)
+                continue
+            match = votes[idx, j][:, None] == classes[None, :]
+            spoken.append((j, idx, match, [idx[match[:, y]] for y in range(k)]))
 
         # Class-conditional ("two-coin" for k=2) accuracies: acc[j, y] =
         # p(source j votes y | truth is y).  A single symmetric accuracy
@@ -110,23 +124,20 @@ class LabelModel:
         log_likelihood = -np.inf
         iterations = 0
 
+        # Every float reduction below keeps its exact form and order: the
+        # results are pinned bit for bit (docs/performance.md).
         for iterations in range(1, self.max_iterations + 1):
             # M-step -------------------------------------------------------
             prior = posterior.mean(axis=0)
             prior = np.clip(prior, 1e-8, None)
             prior = prior / prior.sum()
-            for j in range(m):
-                voted = votes[:, j] != ABSTAIN
-                if not voted.any():
-                    class_acc[j] = 0.5
-                    continue
-                idx = np.nonzero(voted)[0]
-                v = votes[idx, j]
-                post = posterior[idx]  # (n_voted, k)
-                mass_per_class = post.sum(axis=0)  # expected count of truth y
+            class_acc[silent] = 0.5
+            for j, idx, _, voters in spoken:
+                # expected count of truth y among the items j voted on
+                mass_per_class = posterior[idx].sum(axis=0)
                 hit = np.zeros(k)
                 for y in range(k):
-                    hit[y] = post[v == y, y].sum()
+                    hit[y] = posterior[voters[y], y].sum()
                 pooled = hit.sum() / max(mass_per_class.sum(), 1e-8)
                 class_acc[j] = (hit + self.shrinkage * pooled) / (
                     mass_per_class + self.shrinkage
@@ -135,21 +146,11 @@ class LabelModel:
 
             # E-step -------------------------------------------------------
             log_post = np.broadcast_to(np.log(prior), (n, k)).copy()
-            for j in range(m):
-                voted = votes[:, j] != ABSTAIN
-                if not voted.any():
-                    continue
-                idx = np.nonzero(voted)[0]
-                v = votes[idx, j]
+            for j, idx, match, _ in spoken:
                 log_acc = np.log(class_acc[j])  # (k,)
                 log_err = np.log((1.0 - class_acc[j]) / (k - 1))  # (k,)
-                # contribution[i, y] = log p(vote v_i | truth y)
-                contribution = np.broadcast_to(log_err, (len(idx), k)).copy()
-                match = v[:, None] == np.arange(k)[None, :]
-                contribution = np.where(
-                    match, np.broadcast_to(log_acc, (len(idx), k)), contribution
-                )
-                log_post[idx] += contribution
+                # [i, y] = log p(vote v_i | truth y)
+                log_post[idx] += np.where(match, log_acc, log_err)
             log_post = np.where(valid_mask, log_post, -np.inf)
             row_max = log_post.max(axis=1, keepdims=True)
             shifted = np.exp(log_post - row_max)
@@ -178,10 +179,8 @@ class LabelModel:
         n, k = matrix.n_items, matrix.cardinality
         if matrix.item_cardinality is None:
             return np.ones((n, k), dtype=bool)
-        mask = np.zeros((n, k), dtype=bool)
-        for i, card in enumerate(matrix.item_cardinality):
-            mask[i, : max(int(card), 1)] = True
-        return mask
+        card = np.maximum(np.asarray(matrix.item_cardinality, dtype=np.int64), 1)
+        return np.arange(k)[None, :] < card[:, None]
 
     @staticmethod
     def _renormalize(probs: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SupervisionError
 from repro.supervision.label_matrix import ABSTAIN, LabelMatrix
 
 
@@ -21,38 +22,34 @@ def majority_vote(matrix: LabelMatrix) -> np.ndarray:
     caller typically weights them to zero).
     """
     n, k = matrix.n_items, matrix.cardinality
-    probs = np.zeros((n, k))
-    for i in range(n):
-        row = matrix.votes[i]
-        present = row[row != ABSTAIN]
-        if len(present) == 0:
-            probs[i] = 1.0 / k
-            continue
-        counts = np.bincount(present, minlength=k).astype(float)
-        winners = counts == counts.max()
-        probs[i, winners] = 1.0 / winners.sum()
+    rows, cols = np.nonzero(matrix.votes != ABSTAIN)
+    cast = matrix.votes[rows, cols]
+    if cast.size and not (0 <= cast.min() and cast.max() < k):
+        raise SupervisionError(f"votes must be {ABSTAIN} (abstain) or in [0, {k})")
+    counts = np.bincount(rows * k + cast, minlength=n * k).reshape(n, k)
+    # Every class on the top count wins a share; an unvoted row is an
+    # all-zero count where every class ties, hence uniform.
+    winners = counts == counts.max(axis=1, keepdims=True)
+    probs = np.where(winners, 1.0 / winners.sum(axis=1, keepdims=True), 0.0)
     if matrix.item_cardinality is not None:
         probs = _restrict_to_valid(probs, matrix.item_cardinality)
     return probs
 
 
 def _restrict_to_valid(probs: np.ndarray, item_cardinality: np.ndarray) -> np.ndarray:
-    """Zero out invalid candidate slots and renormalize (select tasks)."""
-    out = probs.copy()
-    k = probs.shape[1]
-    for i, card in enumerate(item_cardinality):
-        card = int(card)
-        if card <= 0:
-            out[i] = 0.0
-            continue
-        if card < k:
-            out[i, card:] = 0.0
-        total = out[i].sum()
-        if total > 0:
-            out[i] /= total
-        else:
-            out[i, :card] = 1.0 / card
-    return out
+    """Zero out invalid candidate slots and renormalize (select tasks).
+
+    A row whose mass all sat on invalid slots falls back to uniform over
+    its valid ones; a row with no candidates at all stays zero.
+    """
+    card = np.asarray(item_cardinality, dtype=np.int64)[:, None]
+    valid = np.arange(probs.shape[1]) < card
+    out = np.where(valid, probs, 0.0)
+    totals = out.sum(axis=1, keepdims=True)
+    has_mass = totals > 0
+    return np.where(
+        has_mass, out / np.where(has_mass, totals, 1.0), valid / np.maximum(card, 1)
+    )
 
 
 def vote_confidence(matrix: LabelMatrix) -> np.ndarray:

@@ -54,7 +54,7 @@ def search_augmentation_policies(
     """Evaluate each policy by retraining with its augmented data.
 
     ``train_and_score(dataset) -> dev score`` is the caller's training
-    closure (typically wrapping ``Overton.train`` + dev evaluation) so the
+    closure (typically wrapping ``Application.fit`` + dev evaluation) so the
     search composes with any model configuration.
 
     Policies whose best setting beats the no-augmentation baseline by more
