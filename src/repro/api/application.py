@@ -88,6 +88,34 @@ class SupervisionPolicy:
         return cls(**spec)
 
 
+@dataclass
+class TrainingData:
+    """What training derives from (dataset, method) before any config is known.
+
+    Built once by :meth:`Application.prepare` and shared by every consumer
+    of one search — each trial, the serial loop, the winner's refit or
+    restore — so supervision is combined once per search, not once per
+    model.  Nothing here is written to after it is built.
+    """
+
+    train_records: list[Record]
+    dev_records: list[Record]
+    vocabs: dict
+    targets: dict[str, TaskTargets]
+    supervision: dict[str, CombinedSupervision]
+    train_fingerprint: str
+
+    def trained(self, model, history, config: ModelConfig) -> TrainedModel:
+        return TrainedModel(
+            model=model,
+            vocabs=self.vocabs,
+            history=history,
+            supervision=self.supervision,
+            config=config,
+            train_fingerprint=self.train_fingerprint,
+        )
+
+
 class Application:
     """One application = schema + slices + supervision policy + embeddings."""
 
@@ -241,6 +269,32 @@ class Application:
     # ------------------------------------------------------------------
     # Training (Figure 1: "Train & Tune Models")
     # ------------------------------------------------------------------
+    def prepare(self, dataset: Dataset, method: str | None = None) -> TrainingData:
+        """Everything ``fit`` needs that does not depend on the model config.
+
+        Splits, slice materialisation, vocabularies, combined supervision
+        and the train fingerprint are a pure function of (application,
+        dataset, method): a search computes them once and every model it
+        trains starts from the same object.
+        """
+        from repro.deploy.sync import data_fingerprint
+
+        train = dataset.split("train")
+        dev = dataset.split("dev")
+        if len(train) == 0:
+            raise TrainingError("dataset has no records tagged 'train'")
+        self.slices.materialize(dataset.records)
+        vocabs = dataset.build_vocabs()
+        targets, combined = self.combine(train.records, method=method)
+        return TrainingData(
+            train_records=train.records,
+            dev_records=dev.records,
+            vocabs=vocabs,
+            targets=targets,
+            supervision=combined,
+            train_fingerprint=data_fingerprint(train.records),
+        )
+
     def fit(
         self,
         dataset: Dataset,
@@ -248,41 +302,56 @@ class Application:
         method: str | None = None,
     ) -> Run:
         """Train one model on the dataset's train split; returns a Run."""
-        from repro.deploy.sync import data_fingerprint
+        return self.fit_prepared(self.prepare(dataset, method), config)
 
-        config = config or ModelConfig()
-        train = dataset.split("train")
-        dev = dataset.split("dev")
-        if len(train) == 0:
-            raise TrainingError("dataset has no records tagged 'train'")
-        self.slices.materialize(dataset.records)
-        vocabs = dataset.build_vocabs()
-        model = compile_model(
+    def _compile(self, data: TrainingData, config: ModelConfig):
+        return compile_model(
             self.schema,
             config,
-            vocabs,
+            data.vocabs,
             slice_names=self.slices.names,
             registry=self.registry,
             seed=config.trainer.seed or self.seed,
         )
-        targets, combined = self.combine(train.records, method=method)
-        trainer = Trainer(model, config.trainer)
-        history = trainer.fit(
-            train.records,
-            vocabs,
-            targets,
-            dev_records=dev.records if len(dev) else None,
+
+    def fit_prepared(
+        self, data: TrainingData, config: ModelConfig | None = None
+    ) -> Run:
+        """``fit`` from an already prepared data plane: compile, then train."""
+        config = config or ModelConfig()
+        model = self._compile(data, config)
+        history = Trainer(model, config.trainer).fit(
+            data.train_records,
+            data.vocabs,
+            data.targets,
+            dev_records=data.dev_records or None,
             gold_source=self.supervision.gold_source,
         )
-        trained = TrainedModel(
-            model=model,
-            vocabs=vocabs,
-            history=history,
-            supervision=combined,
-            config=config,
-            train_fingerprint=data_fingerprint(train.records),
+        return Run(application=self, trained=data.trained(model, history, config))
+
+    def restore(
+        self, data: TrainingData, config: ModelConfig, state: dict, history
+    ) -> TrainedModel:
+        """The model ``fit_prepared(data, config)`` trained, from its state dict.
+
+        Raises :class:`~repro.errors.DeploymentError` when ``state`` does
+        not fit the model ``config`` compiles to.
+        """
+        model = self._compile(data, config)
+        model.load_state_dict(state)
+        model.eval()
+        return data.trained(model, history, config)
+
+    def dev_score(self, data: TrainingData, trained: TrainedModel) -> float:
+        """Mean primary metric on the dev split: what a tuning trial scores."""
+        evals = evaluate(
+            trained.model,
+            data.dev_records,
+            self.schema,
+            trained.vocabs,
+            self.supervision.gold_source,
         )
-        return Run(application=self, trained=trained)
+        return mean_primary(evals)
 
     def tune(
         self,
@@ -304,8 +373,11 @@ class Application:
         candidates fan out through :mod:`repro.exec`: scores come back in
         the same order (training is deterministic, so they are the same
         scores), completed trials are skipped on resume when a cache
-        directory is given, and the winning config is re-trained locally
-        — also deterministic — to materialize the returned model.
+        directory is given, and the returned model is the winning config
+        re-trained locally — also deterministic — or, when the cache
+        already holds that model, restored from it
+        (:func:`repro.exec.winning_model`).  Either way supervision is
+        combined once per search (:meth:`prepare`), not once per trial.
         """
         dev = dataset.split("dev")
         if len(dev) == 0:
@@ -316,24 +388,24 @@ class Application:
         if executor is None and workers == 1 and cache_dir is None:
             return self._tune_serial(dataset, spec, strategy, num_trials, method)
 
+        from repro.exec import TuneContext, winning_model
+
         owns_executor = executor is None
         if executor is None:
             executor = self.tuning_executor(
                 dataset, workers=workers, cache_dir=cache_dir, method=method
             )
         else:
-            from repro.exec import TuneContext
-
             if workers != 1 or cache_dir is not None:
                 raise TrainingError(
                     "pass workers/cache_dir to tune(), or a pre-built executor "
                     "(from tuning_executor(...)), not both"
                 )
             # The executor's workers score trials against the context it
-            # was built with; the final refit must describe the same
+            # was built with; the returned model must describe the same
             # (data, supervision) or run.trained would not be the model
             # the scores describe.
-            context = getattr(executor, "_context", None)
+            context = executor.context
             if isinstance(context, TuneContext):
                 if context.dataset is not dataset:
                     raise TrainingError(
@@ -376,10 +448,10 @@ class Application:
         finally:
             if owns_executor:
                 executor.close()
-        # Re-train the winner in this process: training is deterministic
-        # given (config, data), so this reproduces the worker's model
-        # without shipping weights across process boundaries.
-        trained = self.fit(dataset, result.best_config, method=method).trained
+        if isinstance(executor.context, TuneContext):
+            trained = winning_model(executor, result.best_config, result.best_score)
+        else:  # a hand-built executor carries no data plane to train from
+            trained = self.fit(dataset, result.best_config, method=method).trained
         return Run(application=self, trained=trained, search=result)
 
     def _tune_serial(
@@ -391,21 +463,14 @@ class Application:
         method: str | None,
     ) -> Run:
         """The legacy in-process search loop, byte-for-byte reproducible."""
-        dev = dataset.split("dev")
+        data = self.prepare(dataset, method)
         best_trained: TrainedModel | None = None
         best_score = -np.inf
 
         def trial(config: ModelConfig) -> float:
             nonlocal best_trained, best_score
-            trained = self.fit(dataset, config, method=method).trained
-            evals = evaluate(
-                trained.model,
-                dev.records,
-                self.schema,
-                trained.vocabs,
-                self.supervision.gold_source,
-            )
-            score = mean_primary(evals)
+            trained = self.fit_prepared(data, config).trained
+            score = self.dev_score(data, trained)
             # First-strictly-greater matches the search strategies' own
             # best-trial selection, so best_trained tracks best_config.
             if best_trained is None or score > best_score:
@@ -424,7 +489,7 @@ class Application:
             # necessarily the globally best-scoring trial best_trained
             # tracked; re-train the recorded winner (deterministic) so
             # run.trained always matches run.search.best_config.
-            trained = self.fit(dataset, result.best_config, method=method).trained
+            trained = self.fit_prepared(data, result.best_config).trained
             return Run(application=self, trained=trained, search=result)
         else:
             raise TrainingError(f"unknown tuning strategy {strategy!r}")
@@ -459,11 +524,14 @@ class Application:
             tuning_namespace,
         )
 
-        # Predicates run here, once: membership is written onto the records
-        # as tags, so predicate-less worker clones see the same slices.
-        self.slices.materialize(dataset.records)
+        # Predicates run here, once (inside prepare): membership is written
+        # onto the records as tags, so predicate-less worker clones see the
+        # same slices.  Workers inherit the prepared plane with the context.
+        data = self.prepare(dataset, method)
         clone = self._picklable_clone()
-        context = TuneContext(application=clone, dataset=dataset, method=method)
+        context = TuneContext(
+            application=clone, dataset=dataset, data=data, method=method
+        )
         namespace = tuning_namespace(
             clone.to_spec(),
             data_fingerprint(dataset.records),

@@ -12,9 +12,11 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.api.run import Run
 from repro.data.dataset import Dataset
 from repro.data.record import Record
 from repro.errors import AutopilotError, DataError, SchemaError
+from repro.exec import winning_model
 from repro.monitoring.regression import compare_reports
 from repro.training.reports import QualityReport
 
@@ -90,10 +92,13 @@ def retrain_candidate(
     """Train the candidate through a cached :class:`TrialExecutor`.
 
     Returns ``(run, stats)`` where ``stats`` records executor counters
-    (cache hits, trials executed) and the winning score.  With neither
-    explicit candidates nor a tuning spec, the currently-deployed config
-    (``fallback_config``) is rescored and refit — the common
-    "same architecture, fresher data" heal.
+    (cache hits, trials executed), the winning score, and whether the
+    candidate model was ``"retrained"`` or ``"restored"`` from the trial
+    cache — a heal that re-elects a config on a retrain set the cache has
+    already seen returns without training.  With neither explicit
+    candidates nor a tuning spec, the currently-deployed config
+    (``fallback_config``) is rescored — the common "same architecture,
+    fresher data" heal.
     """
     executor = application.tuning_executor(
         dataset,
@@ -112,19 +117,18 @@ def retrain_candidate(
                 num_trials=plan.num_trials,
                 executor=executor,
             )
-            stats = executor.stats.to_dict()
-            stats["best_score"] = None  # tune() keeps scores internal
-            return run, stats
-        configs = list(plan.candidates) or [fallback_config]
-        outcomes = executor.evaluate(configs)
-        best = max(outcomes, key=lambda o: o.score)
-        run = application.fit(dataset, best.config)
-        stats = executor.stats.to_dict()
-        stats["best_score"] = best.score
-        stats["candidates"] = len(configs)
-        return run, stats
+            extra = {"best_score": None}  # tune() keeps scores internal
+        else:
+            configs = list(plan.candidates) or [fallback_config]
+            best = max(executor.evaluate(configs), key=lambda o: o.score)
+            trained = winning_model(executor, best.config, best.score)
+            run = Run(application=application, trained=trained)
+            extra = {"best_score": best.score, "candidates": len(configs)}
     finally:
         executor.close()
+    stats = executor.stats.to_dict()
+    stats["candidate"] = "restored" if executor.stats.restored else "retrained"
+    return run, {**stats, **extra}
 
 
 def stage_candidate(run, store, name: str):

@@ -129,7 +129,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         stats = executor.stats
         print(
             f"evaluated {run.search.num_trials} trials with {args.workers} "
-            f"worker(s): {stats.executed} trained, {stats.cache_hits} from cache"
+            f"worker(s): {stats.executed} trained, {stats.cache_hits} from cache; "
+            f"best model {'restored from cache' if stats.restored else 'retrained'}"
         )
     else:
         # Plain serial tuning: the legacy in-process path, which keeps the

@@ -1,14 +1,15 @@
 """repro.exec: the parallel experiment executor.
 
 Tuning trials and evaluation fan-outs are independent experiments; this
-package runs them across a process pool instead of one at a time:
+package runs them across worker processes instead of one at a time:
 
 - :class:`TrialExecutor` — dispatches picklable payloads to workers with
   deterministic per-trial seeds and gathers results in dispatch order
-  (``workers=1`` runs inline, no pool).
+  (``workers=1`` runs inline, no processes).
 - :class:`TrialCache` — a disk-backed record of finished trials keyed by
   a stable hash of (application spec, dataset fingerprint, config), so
-  re-runs and resumed searches skip completed work.
+  re-runs and resumed searches skip completed work — including, through
+  :func:`winning_model`, the training of the model a search returns.
 - :func:`coverage_report` — which blocks/values of a
   :class:`~repro.core.tuning_spec.TuningSpec` a search actually tried,
   and the best score per block.
@@ -16,8 +17,8 @@ package runs them across a process pool instead of one at a time:
   evaluations fanned out across workers.
 - :class:`WorkerProcess` / :class:`WorkerTeam` — *resident* duplex
   worker processes with lease/release dispatch and restart-on-crash,
-  the plumbing under process-parallel serving
-  (:class:`repro.serve.WorkerReplicaPool`).
+  the one process pool under both :class:`TrialExecutor` and
+  process-parallel serving (:class:`repro.serve.WorkerReplicaPool`).
 
 The search strategies in :mod:`repro.tuning` accept an executor in place
 of a trial function; ``Application.tune(..., workers=N)`` and the
@@ -34,7 +35,7 @@ from repro.exec.executor import (
     trial_seed,
 )
 from repro.exec.report import parallel_quality_report
-from repro.exec.trial import TuneContext, run_tuning_trial
+from repro.exec.trial import TuneContext, run_tuning_trial, winning_model
 from repro.exec.workers import (
     WorkerProcess,
     WorkerTeam,
@@ -62,4 +63,5 @@ __all__ = [
     "trial_key",
     "trial_seed",
     "tuning_namespace",
+    "winning_model",
 ]

@@ -8,6 +8,13 @@ file per completed trial under a directory the caller owns, keyed by a
 stable content hash, so resumed and repeated searches short-circuit
 straight to the recorded score.
 
+Beside a trial's score the cache can hold one *state*: named arrays plus
+a small JSON-able record, in ``<key>.state.npz``.  Tuning stores the
+elected model's weights and training history there
+(:func:`repro.exec.trial.winning_model`), so a repeated search returns
+its model without training it again.  One state per distinct winner is
+the only disk the cache adds.
+
 Writes are atomic (temp file + ``os.replace``) so a crash mid-``put`` can
 never leave a torn entry; unreadable entries are treated as misses.
 """
@@ -20,13 +27,19 @@ import json
 import logging
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.tuning_spec import ModelConfig
 from repro.obs import get_registry
 
 _log = logging.getLogger("repro.exec.cache")
+
+# The npz member holding a state's JSON record, beside its named arrays.
+_STATE_META = "__meta__"
 
 
 def trial_key(
@@ -181,16 +194,59 @@ class TrialCache:
             key=key, score=float(score), seed=seed, duration_s=duration_s,
             meta=dict(meta or {}),
         )
+        with self._replacing(self._path(key), "w") as handle:
+            json.dump(entry.to_dict(), handle)
+        return entry
+
+    @contextlib.contextmanager
+    def _replacing(self, path: Path, mode: str):
+        """Write a temp file in the cache directory, then rename it to ``path``."""
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry.to_dict(), handle)
-            os.replace(tmp, self._path(key))
+            with os.fdopen(fd, mode) as handle:
+                yield handle
+            os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
-        return entry
+
+    # ------------------------------------------------------------------
+    # States: named arrays + a JSON record, one file per key
+    # ------------------------------------------------------------------
+    def _state_path(self, key: str) -> Path:
+        return self.directory / f"{key}.state.npz"
+
+    def put_state(self, key: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
+        """Atomically record the state for ``key`` (replacing any other)."""
+        record = np.array(json.dumps(meta))
+        with self._replacing(self._state_path(key), "wb") as handle:
+            np.savez(handle, **arrays, **{_STATE_META: record})
+
+    def get_state(self, key: str) -> tuple[dict[str, np.ndarray], dict] | None:
+        """The ``(arrays, meta)`` stored for ``key``, or None.
+
+        No file is a plain miss — every entry written before states
+        existed, and every first search, has none.  A file that cannot be
+        read back is a corrupt miss, counted and warned like a corrupt
+        score entry.
+        """
+        path = self._state_path(key)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data[_STATE_META]))
+                arrays = {n: data[n] for n in data.files if n != _STATE_META}
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+            self._note_corrupt(path, f"{type(exc).__name__}: {exc}")
+            return None
+        return arrays, meta
+
+    def note_corrupt_state(self, key: str, reason: str) -> None:
+        """Count a state that read back but that its reader had to reject."""
+        self._note_corrupt(self._state_path(key), reason)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
@@ -199,9 +255,11 @@ class TrialCache:
         return self._path(key).exists()
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry and state; returns how many trials were removed."""
         removed = 0
         for path in self.directory.glob("*.json"):
             path.unlink(missing_ok=True)
             removed += 1
+        for path in self.directory.glob("*.state.npz"):
+            path.unlink(missing_ok=True)
         return removed

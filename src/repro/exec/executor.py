@@ -1,4 +1,4 @@
-"""The parallel experiment executor: trial fan-out across a process pool.
+"""The parallel experiment executor: trial fan-out across worker processes.
 
 The paper's tuning loop ("Overton searches over relatively limited large
 blocks", §4) is embarrassingly parallel — every candidate trains
@@ -11,60 +11,85 @@ regardless of which worker finished first, and a
 :class:`repro.exec.cache.TrialCache` short-circuits candidates that a
 previous run already scored.
 
-``workers=1`` never creates a pool: trials run inline in the calling
+``workers=1`` never starts a process: trials run inline in the calling
 process, in the same order, with the same seeds — the serial path is the
-parallel path with the pool removed, not a separate code path to drift.
+parallel path with the workers removed, not a separate code path to drift.
 
-The worker function and its context object are shipped once per worker via
-the pool initializer (free under the ``fork`` start method); only the
-per-trial payloads travel through the task queue, so the dataset is not
-re-pickled for every candidate.
+The workers are the repo's one process pool, a
+:class:`repro.exec.workers.WorkerTeam`: resident processes that inherit
+the trial function and its context at fork (nothing heavy is pickled; only
+the per-trial payloads travel through the pipes), fed by one dispatcher
+thread per slot doing lease → request → release.  A worker that dies
+mid-trial — killed, out of memory, ``os._exit`` — is a *failed trial*
+(:class:`~repro.errors.WorkerCrashError` travelling as data, subject to
+``retries`` / ``on_error``) and its slot gets a fresh process; workers
+never outlive their parent, even one that was SIGKILLed mid-search.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import multiprocessing
+import os
+import queue
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.tuning_spec import ModelConfig
 from repro.errors import ExecutionError, TuningError
 from repro.exec.cache import TrialCache, trial_key
+from repro.exec.workers import (
+    WorkerProcess,
+    WorkerTeam,
+    default_mp_context,
+    serve_connection,
+)
 from repro.faults import fault_point
 from repro.obs import get_registry, get_tracer
 
 # Chaos hook: fires per dispatched trial, inside the worker adapter (the
-# armed state is inherited by forked pool workers).  See repro.faults.
+# armed state is inherited by forked workers).  See repro.faults.
 _FP_TRIAL = fault_point("exec.trial")
 
 # A trial function: (context, config, seed, budget) -> score.  Must be a
-# module-level callable when workers > 1 (it is shipped to the pool).
+# module-level callable when workers > 1 under a non-fork start method.
 TrialFn = Callable[[Any, ModelConfig, int, "int | None"], float]
 
-# Worker-process state, installed once per worker by the pool initializer.
-_WORKER_FN: Callable | None = None
-_WORKER_CTX: Any = None
+# How often a busy worker checks that its parent is still there.  An idle
+# worker learns it from EOF on its pipe at once; one in the middle of a
+# trial is not reading the pipe, and a trial can run for minutes.
+_PARENT_POLL_S = 0.2
 
 
-def _init_worker(fn: Callable, context: Any) -> None:
-    global _WORKER_FN, _WORKER_CTX
-    _WORKER_FN = fn
-    _WORKER_CTX = context
-
-
-def _invoke(task: tuple[int, Any]) -> tuple[int, Any, float, str | None]:
-    """Run one payload in a worker; never raises (errors travel as data)."""
+def _invoke(
+    fn: Callable, context: Any, task: tuple[int, Any]
+) -> tuple[int, Any, float, str | None]:
+    """Run one payload; never raises (errors travel as data)."""
     index, payload = task
     start = time.perf_counter()
     try:
-        value = _WORKER_FN(_WORKER_CTX, payload)
+        value = fn(context, payload)
         return index, value, time.perf_counter() - start, None
     except Exception as exc:  # noqa: BLE001 - reported to the parent
         message = f"{type(exc).__name__}: {exc}"
         return index, None, time.perf_counter() - start, message
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _worker_main(conn, fn: Callable, context: Any) -> None:
+    """Entry point of one worker process: answer payloads until EOF."""
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+    serve_connection(conn, lambda task: _invoke(fn, context, task))
 
 
 def trial_seed(
@@ -115,7 +140,11 @@ class TrialOutcome:
 
 @dataclass
 class ExecutorStats:
-    """Counters for one executor's lifetime (cache behaviour, work done)."""
+    """Counters for one executor's lifetime (cache behaviour, work done).
+
+    ``restored`` counts elected models that came back from the cache
+    instead of being trained (:func:`repro.exec.trial.winning_model`).
+    """
 
     dispatched: int = 0
     executed: int = 0
@@ -123,18 +152,11 @@ class ExecutorStats:
     errors: int = 0
     retries: int = 0
     skipped: int = 0
+    restored: int = 0
     total_duration_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dispatched": self.dispatched,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "errors": self.errors,
-            "retries": self.retries,
-            "skipped": self.skipped,
-            "total_duration_s": self.total_duration_s,
-        }
+        return dataclasses.asdict(self)
 
 
 def _trial_adapter(context: tuple, task: TrialTask) -> float:
@@ -159,8 +181,51 @@ def _trial_adapter(context: tuple, task: TrialTask) -> float:
     return score
 
 
+def _fan_out(team: WorkerTeam, threads: int, tasks: list[tuple[int, Any]]) -> list:
+    """Run ``tasks`` on ``team``; one result per task, in task order.
+
+    Each dispatcher thread takes the next undispatched task, leases a
+    worker, waits for its reply and releases the slot — ``release``
+    replaces a worker that died, so the death of one costs one trial.
+    Nothing raises out of a dispatcher: whatever goes wrong between lease
+    and reply becomes that task's error, like any failure in the worker.
+    """
+    results: list = [None] * len(tasks)
+    pending: "queue.SimpleQueue[tuple[int, Any]]" = queue.SimpleQueue()
+    for task in tasks:
+        pending.put(task)
+
+    def dispatch() -> None:
+        while True:
+            try:
+                task = pending.get_nowait()
+            except queue.Empty:
+                return
+            index = task[0]
+            start = time.perf_counter()
+            try:
+                slot = team.lease()
+                try:
+                    results[index] = team.request(slot, task)
+                finally:
+                    team.release(slot)
+            except Exception as exc:  # noqa: BLE001 - reported as the trial's error
+                message = f"{type(exc).__name__}: {exc}"
+                results[index] = (index, None, time.perf_counter() - start, message)
+
+    dispatchers = [
+        threading.Thread(target=dispatch, name=f"trial-dispatch-{n}", daemon=True)
+        for n in range(threads)
+    ]
+    for thread in dispatchers:
+        thread.start()
+    for thread in dispatchers:
+        thread.join()
+    return results
+
+
 class TrialExecutor:
-    """Runs experiment payloads across a process pool, results in order."""
+    """Runs experiment payloads across worker processes, results in order."""
 
     def __init__(
         self,
@@ -187,7 +252,7 @@ class TrialExecutor:
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
         self._trial_fn = trial_fn
-        self._context = context
+        self.context = context
         self.workers = workers
         self.cache = cache
         self.namespace = namespace
@@ -219,51 +284,56 @@ class TrialExecutor:
             "repro_exec_worker_utilization",
             "Busy fraction of the worker pool over the last fan-out",
         )
-        if mp_start_method is None:
-            # fork inherits the worker context for free and keeps closures
-            # usable in tests; fall back to the platform default elsewhere.
-            methods = multiprocessing.get_all_start_methods()
-            mp_start_method = "fork" if "fork" in methods else methods[0]
-        self._mp_context = multiprocessing.get_context(mp_start_method)
+        # fork inherits the worker context for free and keeps closures
+        # usable in tests; the platform default is the fallback elsewhere.
+        self._mp_context = default_mp_context(mp_start_method)
         # One stable dispatch payload per executor, so repeated evaluate()
-        # calls (successive-halving rungs) reuse one pool and really do
-        # ship the context once per worker, not once per rung.
+        # calls (successive-halving rungs) reuse the same workers and really
+        # do ship the context once per worker, not once per rung.
         self._dispatch_context = (trial_fn, context, cache, namespace)
-        self._pool = None
-        # The (fn, context) the live pool was initialized with.  Kept as
-        # strong references and compared by identity: the reference keeps
-        # the context alive, so its id can never be recycled by a new one.
-        self._pool_init: tuple | None = None
-        self._pool_size = 0
+        self._team: WorkerTeam | None = None
+        # The (fn, context) the live team was forked with.  Kept as strong
+        # references and compared by identity: the reference keeps the
+        # context alive, so its id can never be recycled by a new one.
+        self._team_init: tuple | None = None
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self, fn: Callable, context: Any, size: int):
+    def _ensure_team(self, fn: Callable, context: Any, size: int) -> WorkerTeam:
         if (
-            self._pool is not None
-            and self._pool_init is not None
-            and self._pool_init[0] is fn
-            and self._pool_init[1] is context
-            and self._pool_size >= size
+            self._team is not None
+            and self._team_init[0] is fn
+            and self._team_init[1] is context
+            and self._team.size >= size
         ):
-            return self._pool
+            return self._team
         self.close()
-        self._pool = self._mp_context.Pool(
-            processes=size, initializer=_init_worker, initargs=(fn, context)
-        )
-        self._pool_init = (fn, context)
-        self._pool_size = size
-        return self._pool
+        self._team = WorkerTeam(
+            size,
+            lambda slot: WorkerProcess(
+                _worker_main,
+                args=(fn, context),
+                name=f"trial-worker-{slot}",
+                mp_context=self._mp_context,
+            ),
+            name="trial-workers",
+        ).start()
+        self._team_init = (fn, context)
+        return self._team
+
+    def worker_pids(self) -> list[int]:
+        """Pids of the live worker processes (empty inline or once closed)."""
+        if self._team is None:
+            return []
+        return [w["pid"] for w in self._team.stats() if w["alive"]]
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; a new one spawns on use)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_init = None
-            self._pool_size = 0
+        """Stop the worker processes (idempotent; new ones start on use)."""
+        if self._team is not None:
+            self._team.stop()
+            self._team = None
+            self._team_init = None
 
     def __enter__(self) -> "TrialExecutor":
         return self
@@ -288,8 +358,8 @@ class TrialExecutor:
 
         Failures in any task raise :class:`ExecutionError` carrying
         ``(index, message)`` pairs; with ``workers == 1`` everything runs
-        inline (closures welcome), otherwise ``fn`` and ``context`` ship to
-        the pool once and payloads stream through the task queue.
+        inline (closures welcome), otherwise ``fn`` and ``context`` reach
+        each worker once, at fork, and payloads stream through its pipe.
         """
         detailed = self._run_detailed(fn, payloads, context)
         failures = [(i, err) for i, _, _, err in detailed if err is not None]
@@ -312,16 +382,11 @@ class TrialExecutor:
         tasks = list(enumerate(payloads))
         started = time.perf_counter()
         if self.workers == 1:
-            _init_worker(fn, context)
-            try:
-                results = [_invoke(task) for task in tasks]
-            finally:
-                _init_worker(None, None)
+            results = [_invoke(fn, context, task) for task in tasks]
         else:
-            pool = self._ensure_pool(fn, context, min(self.workers, len(tasks)))
-            results = pool.map(_invoke, tasks, chunksize=1)
+            size = min(self.workers, len(tasks))
+            results = _fan_out(self._ensure_team(fn, context, size), size, tasks)
         wall_s = time.perf_counter() - started
-        results.sort(key=lambda item: item[0])
         self.stats.executed += len(results)
         busy_s = sum(r[2] for r in results)
         self.stats.total_duration_s += busy_s

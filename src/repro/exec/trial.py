@@ -1,30 +1,39 @@
-"""The tuning trial payload: train one candidate in a worker process.
+"""The tuning trial payload, and the model a finished search returns.
 
-One trial = fit the application on the train split with a concrete
-:class:`ModelConfig`, score the dev split with the gold source — exactly
-the closure :meth:`repro.api.Application.tune` used to run serially, made
-picklable.  The heavyweight state (application + dataset) travels once per
-worker as a :class:`TuneContext` via the pool initializer; the per-trial
-payload is just the candidate config.
+One trial = fit the application with a concrete :class:`ModelConfig` and
+score the dev split with the gold source — exactly the closure
+:meth:`repro.api.Application.tune` runs serially, made shippable.  The
+heavyweight state travels once per worker as a :class:`TuneContext`:
+the application, the dataset, and the data plane
+:meth:`~repro.api.Application.prepare` built from them in the parent
+(splits, vocabularies, combined supervision), so a trial costs a model
+compile, its training steps and one dev evaluation — never a second
+supervision combine.  The per-trial payload is just the candidate config.
 
-Training is fully deterministic given (config, data, seed), so a worker's
-score is bit-identical to the score the parent process would have
-computed, and the parent can re-train the winning config locally to
-materialize the best model without shipping model weights between
-processes.
+Training is fully deterministic given (config, data), so a worker's score
+is bit-identical to the score the parent process would have computed, and
+no model weights cross process boundaries: :func:`winning_model` re-trains
+the elected config in the parent from the same data plane — or, when the
+trial cache already holds that model's state from an earlier search,
+restores it and checks that it still earns the elected score.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.tuning_spec import ModelConfig
 from repro.data.dataset import Dataset
-from repro.training.evaluation import evaluate, mean_primary
+from repro.errors import DeploymentError
+from repro.exec.cache import trial_key
+from repro.training.trainer import EpochStats, TrainHistory
 
 if TYPE_CHECKING:  # circular: application.py imports this module's builder
-    from repro.api.application import Application
+    from repro.api.application import Application, TrainingData
+    from repro.api.run import TrainedModel
+    from repro.exec.executor import TrialExecutor
 
 
 @dataclass
@@ -33,6 +42,7 @@ class TuneContext:
 
     application: "Application"
     dataset: Dataset
+    data: "TrainingData"
     method: str | None = None
 
 
@@ -50,15 +60,51 @@ def run_tuning_trial(
     serial path never touched.  ``budget`` is already baked into
     ``config.trainer.epochs`` by the search strategy.
     """
-    app = context.application
-    dataset = context.dataset
-    trained = app.fit(dataset, config, method=context.method).trained
-    dev = dataset.split("dev")
-    evals = evaluate(
-        trained.model,
-        dev.records,
-        app.schema,
-        trained.vocabs,
-        app.supervision.gold_source,
-    )
-    return mean_primary(evals)
+    app, data = context.application, context.data
+    return app.dev_score(data, app.fit_prepared(data, config).trained)
+
+
+def winning_model(
+    executor: "TrialExecutor", config: ModelConfig, score: float
+) -> "TrainedModel":
+    """The trained model for the config a search elected with ``score``.
+
+    ``Application.fit`` is a pure function of the executor's namespace
+    (application, dataset, method) and the config, so that pair keys the
+    model.  With a cache, a state stored under that key by an earlier
+    search is restored instead of trained — accepted only if it loads
+    into the model ``config`` compiles to and re-scores on dev to exactly
+    ``score``; anything else is a corrupt miss.  Every miss trains the
+    config on the executor's data plane and (re)writes the entry.
+    ``executor.stats.restored`` counts the restores.
+    """
+    context: TuneContext = executor.context
+    app, data = context.application, context.data
+    cache = executor.cache
+    key = trial_key(executor.namespace, config)
+    stored = cache.get_state(key) if cache is not None else None
+    if stored is not None:
+        state, meta = stored
+        try:
+            trained = app.restore(data, config, state, _history(meta["history"]))
+            rescored = app.dev_score(data, trained)
+            if rescored == score:
+                executor.stats.restored += 1
+                return trained
+            reason = f"restored model scores {rescored!r} on dev, elected on {score!r}"
+        except (DeploymentError, KeyError, TypeError, ValueError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        cache.note_corrupt_state(key, reason)
+    trained = app.fit_prepared(data, config).trained
+    if cache is not None:
+        cache.put_state(
+            key,
+            trained.model.state_dict(),
+            {"history": dataclasses.asdict(trained.history)},
+        )
+    return trained
+
+
+def _history(spec: dict) -> TrainHistory:
+    epochs = [EpochStats(**epoch) for epoch in spec["epochs"]]
+    return TrainHistory(**{**spec, "epochs": epochs})

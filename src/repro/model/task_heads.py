@@ -19,6 +19,7 @@ from repro.slicing import SliceAwareHead, slice_loss
 from repro.tensor import (
     Tensor,
     binary_cross_entropy_with_logits,
+    no_grad,
     select_loss,
     softmax,
 )
@@ -71,7 +72,8 @@ class MulticlassTaskHead(Module):
         flat = rep.reshape(-1, self.rep_dim) if is_sequence else rep
         out = self.head(flat)
         logits = out.final_logits
-        probs = softmax(logits).data
+        with no_grad():  # only the array is kept; the loss reads the logits
+            probs = softmax(logits).data
         preds = probs.argmax(axis=-1)
         if is_sequence:
             b, l = original_shape[0], original_shape[1]

@@ -28,6 +28,7 @@ from repro.tensor import (
     binary_cross_entropy_with_logits,
     cross_entropy,
     log_softmax,
+    no_grad,
     softmax,
     stack,
 )
@@ -116,8 +117,9 @@ class SliceAwareHead(Module):
             expert_logit_list.append(logits)
             # Expert confidence: max log-probability (high when the expert
             # is decisive).  Detached — attention should not push experts
-            # toward overconfidence.
-            log_probs = log_softmax(logits, axis=-1)
+            # toward overconfidence, so the value is read off the tape.
+            with no_grad():
+                log_probs = log_softmax(logits, axis=-1)
             confidences.append(log_probs.data.max(axis=-1))
 
         indicator_logits = (

@@ -69,6 +69,9 @@ class TestEndToEndHeal:
         ]
         gate_entry = supervisor.journal.entries(kind="gate")[0]
         assert gate_entry["detail"]["passed"] is True
+        # The journal says how the candidate model came to be.
+        retrained = supervisor.journal.entries(kind="retrain_finished")[0]
+        assert retrained["detail"]["candidate"] == "retrained"
         status = supervisor.status()
         assert status["promotions"] == 1
         assert status["rejections"] == 0

@@ -1,0 +1,360 @@
+"""One training data plane per search: combine once, restore the winner.
+
+Three contracts:
+
+* whatever path produced it — a plain ``fit``, a cold search's refit, a
+  warm search's restore, at any worker count and for every strategy —
+  ``run.trained`` for one (application, dataset, config) is the same
+  object field for field;
+* a stored state that cannot be trusted (truncated, wrong shape, wrong
+  score) is a counted corrupt miss: the search refits, rewrites the
+  entry, and the next search restores again;
+* the counts the issue names repeat exactly on the inline
+  ``workers=1, cache_dir=...`` path: ``Application.combine`` runs once per
+  search however many trials it has, and a warm search runs no
+  ``Trainer.fit`` at all.
+"""
+
+import logging
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from repro.api import Application
+from repro.core import ModelConfig, PayloadConfig, TrainerConfig, TuningSpec
+from repro.exec import TrialCache, trial_key
+from repro.tensor import Tensor
+from repro.training import Trainer
+from repro.workloads import resolve_workload
+
+from tests.fixtures import mini_dataset
+from tests.helpers import child_pids, process_running, python_calls
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return mini_dataset(n=40, seed=0)
+
+
+def small_spec() -> TuningSpec:
+    return TuningSpec(
+        payload_options={"tokens": {"encoder": ["bow", "cnn"]}},
+        trainer_options={"epochs": [2]},
+    )
+
+
+def app_for(dataset) -> Application:
+    return Application(dataset.schema, name="plane-test")
+
+
+def assert_same_trained(ours, theirs) -> None:
+    """``TrainedModel`` equality, field for field, arrays bit for bit."""
+    state, expected = ours.model.state_dict(), theirs.model.state_dict()
+    assert list(state) == list(expected)
+    for name in state:
+        assert state[name].dtype == expected[name].dtype
+        assert np.array_equal(state[name], expected[name]), name
+    assert ours.model.training == theirs.model.training
+    assert ours.history == theirs.history
+    assert ours.config == theirs.config
+    assert ours.train_fingerprint == theirs.train_fingerprint
+    assert list(ours.vocabs) == list(theirs.vocabs)
+    for name, vocab in ours.vocabs.items():
+        assert vocab.to_dict() == theirs.vocabs[name].to_dict()
+    assert list(ours.supervision) == list(theirs.supervision)
+    for task, combined in ours.supervision.items():
+        other = theirs.supervision[task]
+        assert np.array_equal(combined.probs, other.probs)
+        assert np.array_equal(combined.weights, other.weights)
+        assert combined.source_accuracies == other.source_accuracies
+
+
+def outcome(search) -> list:
+    return [(t.score.hex(), t.config.to_json(), t.rung) for t in search.trials] + [
+        search.best_config.to_json(),
+        search.best_score.hex(),
+    ]
+
+
+class TestColdWarmPlainEquality:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("strategy", ["grid", "random", "halving"])
+    def test_cold_warm_and_plain_fit_agree(self, dataset, tmp_path, strategy, workers):
+        app = app_for(dataset)
+        kwargs = dict(strategy=strategy, num_trials=2)
+
+        cold_executor = app.tuning_executor(dataset, workers=workers, cache_dir=tmp_path)
+        with cold_executor:
+            cold = app.tune(dataset, small_spec(), executor=cold_executor, **kwargs)
+        assert cold_executor.stats.restored == 0
+
+        warm_executor = app.tuning_executor(dataset, workers=workers, cache_dir=tmp_path)
+        with warm_executor:
+            warm = app.tune(dataset, small_spec(), executor=warm_executor, **kwargs)
+        assert warm_executor.stats.executed == 0
+        assert warm_executor.stats.cache_hits == warm.search.num_trials
+        assert warm_executor.stats.restored == 1
+        assert warm_executor.cache.corrupt == 0
+
+        assert outcome(warm.search) == outcome(cold.search)
+        plain = app.fit(dataset, cold.search.best_config)
+        assert_same_trained(cold.trained, plain.trained)
+        assert_same_trained(warm.trained, plain.trained)
+        # ... and the serial search, which keeps its trial's own model.
+        serial = app.tune(dataset, small_spec(), **kwargs)
+        assert outcome(serial.search) == outcome(cold.search)
+        assert_same_trained(serial.trained, plain.trained)
+
+    def test_restored_model_predicts_like_the_refit(self, dataset, tmp_path):
+        app = app_for(dataset)
+        cold = app.tune(dataset, small_spec(), cache_dir=tmp_path)
+        warm = app.tune(dataset, small_spec(), cache_dir=tmp_path)
+        served, reference = warm.endpoint(), cold.endpoint()
+        inputs = {i.name for i in reference.signature.inputs}
+        payloads = [
+            {name: value for name, value in r.payloads.items() if name in inputs}
+            for r in dataset.split("test").records
+        ]
+        assert served.predict(payloads) == reference.predict(payloads)
+        rows = lambda run: [  # noqa: E731
+            (r.tag, r.task, r.n, r.metrics) for r in run.report(dataset).rows
+        ]
+        assert rows(warm) == rows(cold)
+
+    def test_no_cache_means_nothing_is_written_or_restored(self, dataset, tmp_path):
+        app = app_for(dataset)
+        with app.tuning_executor(dataset, workers=1) as executor:
+            run = app.tune(dataset, small_spec(), executor=executor)
+        assert executor.stats.restored == 0 and executor.cache is None
+        assert_same_trained(
+            run.trained, app.fit(dataset, run.search.best_config).trained
+        )
+
+
+class TestUntrustedState:
+    """Every way a stored state can be wrong ends in a refit and a rewrite."""
+
+    def _cold(self, app, dataset, cache_dir):
+        with app.tuning_executor(dataset, workers=1, cache_dir=cache_dir) as executor:
+            run = app.tune(dataset, small_spec(), executor=executor)
+        key = trial_key(executor.namespace, run.search.best_config)
+        return run, executor.cache._state_path(key)
+
+    def _warm(self, app, dataset, cache_dir):
+        executor = app.tuning_executor(dataset, workers=1, cache_dir=cache_dir)
+        with executor:
+            run = app.tune(dataset, small_spec(), executor=executor)
+        return run, executor
+
+    def _damage(self, kind, path, cache: TrialCache, key: str) -> None:
+        arrays, meta = cache.get_state(key)
+        if kind == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif kind == "garbage":
+            path.write_bytes(b"not an npz archive")
+        elif kind == "wrong_shape":
+            name = next(iter(arrays))
+            arrays[name] = np.zeros(arrays[name].shape + (2,))
+            cache.put_state(key, arrays, meta)
+        elif kind == "missing_parameter":
+            arrays.pop(next(iter(arrays)))
+            cache.put_state(key, arrays, meta)
+        elif kind == "wrong_score":
+            # Loads cleanly, but it is not the model the search elected.
+            cache.put_state(key, {k: v * 0.0 for k, v in arrays.items()}, meta)
+        elif kind == "no_history":
+            cache.put_state(key, arrays, {})
+        else:
+            raise AssertionError(kind)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["truncated", "garbage", "wrong_shape", "missing_parameter", "wrong_score",
+         "no_history"],
+    )
+    def test_bad_state_refits_and_rewrites(self, dataset, tmp_path, caplog, kind):
+        import repro.obs as obs
+
+        app = app_for(dataset)
+        cold, path = self._cold(app, dataset, tmp_path)
+        key = path.name.removesuffix(".state.npz")
+        self._damage(kind, path, TrialCache(tmp_path), key)
+
+        with obs.activated(), caplog.at_level(logging.WARNING, "repro.exec.cache"):
+            healed, executor = self._warm(app, dataset, tmp_path)
+            counted = obs.get_registry().get("repro_trial_cache_corrupt_total").value()
+        assert executor.stats.restored == 0
+        assert executor.stats.executed == 0  # the scores were still good
+        assert executor.cache.corrupt == 1 and counted == 1.0
+        warnings = [r for r in caplog.records if str(path) in r.getMessage()]
+        assert len(warnings) == 1
+        assert_same_trained(healed.trained, cold.trained)
+
+        # The refit rewrote the entry: the next search restores it.
+        again, executor = self._warm(app, dataset, tmp_path)
+        assert executor.stats.restored == 1 and executor.cache.corrupt == 0
+        assert_same_trained(again.trained, cold.trained)
+
+    def test_entry_from_before_states_existed_is_a_plain_miss(self, dataset, tmp_path):
+        app = app_for(dataset)
+        cold, path = self._cold(app, dataset, tmp_path)
+        path.unlink()  # scores only: what every earlier version wrote
+        healed, executor = self._warm(app, dataset, tmp_path)
+        assert executor.stats.restored == 0 and executor.cache.corrupt == 0
+        assert executor.stats.cache_hits == healed.search.num_trials
+        assert path.exists()
+        assert_same_trained(healed.trained, cold.trained)
+
+    def test_a_different_dataset_never_restores_this_state(self, dataset, tmp_path):
+        app = app_for(dataset)
+        self._cold(app, dataset, tmp_path)
+        other = mini_dataset(n=44, seed=3)
+        _, executor = self._warm(app_for(other), other, tmp_path)
+        assert executor.stats.restored == 0 and executor.stats.cache_hits == 0
+
+
+class TestCacheBookkeeping:
+    def test_len_counts_trials_and_clear_removes_states(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        cache.put("k1", 1.0)
+        cache.put("k2", 2.0)
+        cache.put_state("k1", {"w": np.arange(3.0)}, {"note": "x"})
+        assert len(cache) == 2
+        arrays, meta = cache.get_state("k1")
+        assert np.array_equal(arrays["w"], np.arange(3.0)) and meta == {"note": "x"}
+        assert cache.clear() == 2
+        assert len(cache) == 0 and cache.get_state("k1") is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_state_is_a_miss_not_corruption(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        cache.put("k1", 1.0)
+        assert cache.get_state("k1") is None
+        assert (cache.misses, cache.corrupt) == (1, 0)
+
+    def test_corrupt_state_warns_once_per_path(self, tmp_path, caplog):
+        cache = TrialCache(tmp_path)
+        cache._state_path("k1").write_bytes(b"PK\x03\x04 torn")
+        with caplog.at_level(logging.WARNING, "repro.exec.cache"):
+            assert cache.get_state("k1") is None
+            assert cache.get_state("k1") is None
+        assert cache.corrupt == 2
+        assert len(caplog.records) == 1
+
+    def test_a_failed_state_write_leaves_no_temp_file(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.put_state("k1", {"w": np.arange(3.0)}, {"bad": object()})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRepeatableCounts:
+    """The issue's counts, on the inline path: same code, no fork."""
+
+    SPEC = TuningSpec(
+        payload_options={
+            "tokens": {"encoder": ["bow", "cnn", "gru", "lstm"], "size": [8, 12]}
+        },
+        trainer_options={"epochs": [1]},
+    )
+
+    def _counts(self, app, dataset, cache_dir) -> tuple[int, int]:
+        def tune():
+            app.tune(dataset, self.SPEC, workers=1, cache_dir=cache_dir)
+
+        return (
+            python_calls(tune, of=Application.combine),
+            python_calls(tune, of=Trainer.fit),
+        )
+
+    def test_combine_runs_once_per_search_and_warm_trains_nothing(
+        self, dataset, tmp_path
+    ):
+        app = app_for(dataset)
+        assert self.SPEC.size() == 8
+        cold_dirs = iter(tmp_path / f"cold-{n}" for n in range(2))
+        combines = python_calls(
+            lambda: app.tune(dataset, self.SPEC, workers=1, cache_dir=next(cold_dirs)),
+            of=Application.combine,
+        )
+        fits = python_calls(
+            lambda: app.tune(dataset, self.SPEC, workers=1, cache_dir=next(cold_dirs)),
+            of=Trainer.fit,
+        )
+        assert (combines, fits) == (1, 9)  # the parent made 9 combines
+        warm = tmp_path / "cold-0"
+        assert self._counts(app, dataset, warm) == (1, 0)  # the parent: (1, 1)
+        assert self._counts(app, dataset, warm) == (1, 0)
+
+    def test_serial_search_combines_once_too(self, dataset):
+        app = app_for(dataset)
+        combines = python_calls(
+            lambda: app.tune(dataset, self.SPEC), of=Application.combine
+        )
+        assert combines == 1
+
+    def test_tape_nodes_per_fit_are_pinned(self):
+        """bow-24 on synth-medium@800, 3 epochs: the `fit` workload's short op.
+
+        12 018 at the parent; the two head forwards that only read ``.data``
+        now run under ``no_grad`` and record nothing.
+        """
+        built = resolve_workload("synth-medium", scale=800, seed=1)
+        config = ModelConfig(
+            payloads={"tokens": PayloadConfig(encoder="bow", size=24)},
+            trainer=TrainerConfig(epochs=3, lr=0.05),
+        )
+        fit = lambda: built.application.fit(built.dataset, config)  # noqa: E731
+        nodes = python_calls(fit, of=Tensor._make)
+        assert nodes == python_calls(fit, of=Tensor._make), "the count must repeat"
+        assert nodes == 10_578
+
+
+class TestParentDeath:
+    def test_no_worker_outlives_a_sigkilled_repro_tune(self, tmp_path):
+        """SIGKILL runs no teardown, and a worker mid-trial reads no pipe."""
+        built = resolve_workload("synth-medium", scale=600, seed=3)
+        built.dataset.schema.save(tmp_path / "schema.json")
+        built.dataset.save(tmp_path / "data.jsonl")
+        (tmp_path / "app.json").write_text(
+            '{"name": "killed", "schema": "schema.json"}'
+        )
+        (tmp_path / "spec.json").write_text(
+            '{"payloads": {"tokens": {"encoder": ["lstm", "gru"], "size": [64, 96]}},'
+            ' "trainer": {"epochs": [30]}}'
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "tune", "--app", str(tmp_path / "app.json"),
+             "--data", str(tmp_path / "data.jsonl"), "--spec", str(tmp_path / "spec.json"),
+             "--workers", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and len(workers) < 2:
+                assert parent.poll() is None, "repro tune exited before it fanned out"
+                time.sleep(0.05)
+                workers = child_pids({parent.pid})
+            assert len(workers) == 2
+            time.sleep(0.3)  # let both get into a trial
+            assert all(map(process_running, workers))
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and any(map(process_running, workers)):
+                time.sleep(0.02)
+            assert [pid for pid in workers if process_running(pid)] == []
+        finally:
+            parent.kill()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

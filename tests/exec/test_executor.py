@@ -1,5 +1,6 @@
 """Tests for the parallel trial executor: ordering, seeds, failures."""
 
+import os
 import time
 
 import pytest
@@ -8,6 +9,8 @@ from repro.core import ModelConfig, PayloadConfig, TuningSpec
 from repro.errors import ExecutionError, TuningError
 from repro.exec import TrialExecutor, trial_seed
 from repro.tuning import grid_search
+
+from tests.helpers import process_running
 
 
 def spec_4() -> TuningSpec:
@@ -34,6 +37,23 @@ def failing_trial(context, config, seed, budget):
     if config.for_payload("tokens").encoder == "lstm":
         raise ValueError("lstm exploded")
     return 0.5
+
+
+def die_once_trial(marker, config, seed, budget):
+    """The first worker to get here dies on the spot; every later call scores."""
+    try:
+        with open(marker, "x"):
+            pass
+    except FileExistsError:
+        return score_trial(None, config, seed, budget)
+    os._exit(7)
+
+
+def die_on_lstm_16_trial(context, config, seed, budget):
+    p = config.for_payload("tokens")
+    if (p.encoder, p.size) == ("lstm", 16):
+        os._exit(7)
+    return score_trial(context, config, seed, budget)
 
 
 def echo_seed(context, config, seed, budget):
@@ -121,6 +141,67 @@ class TestFailures:
         assert "odd payload 1" in excinfo.value.failures[0][1]
 
 
+class TestWorkerDeath:
+    """A worker that dies mid-trial is a failed trial, never a hung fan-out."""
+
+    def test_dead_worker_is_retried_on_a_fresh_one(self, tmp_path):
+        executor = TrialExecutor(
+            die_once_trial, context=str(tmp_path / "died"), workers=2,
+            retries=1, retry_backoff_s=0.0,
+        )
+        configs = spec_4().expand()
+        with executor:
+            outcomes = executor.evaluate(configs)
+            assert [o.score for o in outcomes] == [
+                score_trial(None, c, 0, None) for c in configs
+            ]
+            assert executor.stats.retries == 1 and executor.stats.errors == 0
+            assert len(executor.worker_pids()) == 2  # the dead slot was refilled
+
+    def test_dead_worker_without_retries_skips_only_its_trial(self):
+        executor = TrialExecutor(die_on_lstm_16_trial, workers=2, on_error="skip")
+        configs = spec_4().expand()
+        with executor:
+            outcomes = executor.evaluate(configs)
+        dead = [o for o in outcomes if o.skipped]
+        assert [(o.index, o.score) for o in dead] == [(3, float("-inf"))]
+        assert "WorkerCrashError" in dead[0].error
+        assert [o.score for o in outcomes[:3]] == [
+            score_trial(None, c, 0, None) for c in configs[:3]
+        ]
+
+    def test_dead_worker_raises_by_default_naming_the_config(self):
+        with TrialExecutor(die_on_lstm_16_trial, workers=2) as executor:
+            with pytest.raises(TuningError, match="WorkerCrashError") as excinfo:
+                executor.evaluate(spec_4().expand())
+        assert '"lstm"' in str(excinfo.value)
+
+    def test_injected_crash_in_a_worker_process_is_retried_away(self):
+        from repro.faults import FaultPlan, FaultRule, injected
+
+        storm = FaultPlan(
+            name="crash-trial-0",
+            rules=(
+                FaultRule(
+                    point="exec.trial", kind="crash", match=(("trial", "0"),),
+                    max_fires=1,
+                ),
+            ),
+        )
+        configs = spec_4().expand()
+        # Armed before the fork: each worker inherits the plan with its own
+        # fire count, so trial 0 can crash once per worker it lands on.
+        with injected(storm):
+            with TrialExecutor(
+                score_trial, workers=2, retries=2, retry_backoff_s=0.0
+            ) as executor:
+                outcomes = executor.evaluate(configs)
+        assert [o.score for o in outcomes] == [
+            score_trial(None, c, 0, None) for c in configs
+        ]
+        assert executor.stats.retries in (1, 2) and executor.stats.errors == 0
+
+
 class TestExecutorBasics:
     def test_invalid_workers(self):
         with pytest.raises(TuningError):
@@ -157,20 +238,29 @@ class TestExecutorBasics:
     def test_pool_is_reused_across_evaluate_calls(self):
         executor = TrialExecutor(score_trial, workers=2)
         configs = spec_4().expand()
+        assert executor.worker_pids() == []  # nothing forks until there is work
         executor.evaluate(configs)
-        first_pool = executor._pool
-        assert first_pool is not None
+        pids = executor.worker_pids()
+        assert len(pids) == 2 and all(map(process_running, pids))
         executor.evaluate(configs, budget=2)  # e.g. the next halving rung
-        assert executor._pool is first_pool
+        assert executor.worker_pids() == pids
         executor.close()
-        assert executor._pool is None
+        assert executor.worker_pids() == []
+        assert not any(map(process_running, pids))
 
     def test_close_is_idempotent_and_context_manager_closes(self):
         with TrialExecutor(score_trial, workers=2) as executor:
             executor.evaluate(spec_4().expand())
-            assert executor._pool is not None
-        assert executor._pool is None
+            pids = executor.worker_pids()
+            assert len(pids) == 2
+        assert not any(map(process_running, pids))
         executor.close()  # no-op
+        # A closed executor starts fresh workers on its next use.
+        assert [o.score for o in executor.evaluate(spec_4().expand())] == [
+            score_trial(None, c, 0, None) for c in spec_4().expand()
+        ]
+        assert set(executor.worker_pids()).isdisjoint(pids)
+        executor.close()
 
     def test_empty_candidates_raise(self):
         from repro.tuning.search import _evaluate_all

@@ -1,6 +1,6 @@
-"""Shared test utilities: numerical gradient checking.
+"""Shared test utilities: gradient checking, call counting, process liveness.
 
-Both helpers accept a ``dtype`` so the gradcheck suites can run under the
+Both gradient helpers accept a ``dtype`` so the gradcheck suites can run under the
 float32 policy too: the function under test is evaluated inside
 ``dtype_policy(dtype)``, and float32 runs use a larger finite-difference
 step (single-precision losses only carry ~7 significant digits, so a 1e-6
@@ -9,6 +9,8 @@ step is below the noise floor) with correspondingly relaxed tolerances.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -85,3 +87,52 @@ def check_grad(
     assert t.grad.dtype == np.dtype(dtype), t.grad.dtype
     num = numerical_grad(fn, x, eps=_EPS[dtype], dtype=dtype)
     np.testing.assert_allclose(t.grad, num, atol=atol, rtol=rtol)
+
+
+def python_calls(fn: Callable, *args, of: Callable | None = None) -> int:
+    """Python-level function calls made while ``fn(*args)`` runs.
+
+    A count, not a clock: under ``sys.setprofile`` it repeats exactly on
+    any host, so a guard built on it needs no noise margin.  ``of``
+    narrows the count to calls of that one function (or method).
+    """
+    code = getattr(of, "__code__", None)
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        if event == "call" and (code is None or frame.f_code is code):
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def proc_stat_fields(pid: int | str) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command: state, ppid, ...; None if gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def process_running(pid: int) -> bool:
+    """Is ``pid`` a live process?  (An unreaped zombie has exited.)"""
+    fields = proc_stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def child_pids(parents: set[int]) -> list[int]:
+    """Pids of every process whose parent is one of ``parents``."""
+    return [
+        int(entry.name)
+        for entry in Path("/proc").iterdir()
+        if entry.name.isdigit()
+        and (fields := proc_stat_fields(entry.name)) is not None
+        and int(fields[1]) in parents
+    ]

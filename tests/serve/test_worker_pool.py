@@ -37,6 +37,7 @@ from repro.serve import (
 )
 from repro.serve.shm import NAME_PREFIX, SegmentCache, ShmArena
 
+from tests.helpers import child_pids, process_running as _running
 from tests.serve.conftest import request_payloads
 
 
@@ -45,21 +46,6 @@ def _shm_entries() -> set[str]:
     if not shm.is_dir():  # non-Linux: nothing to leak-check
         return set()
     return {p.name for p in shm.glob(f"{NAME_PREFIX}-*")}
-
-
-def _stat_fields(pid: int | str) -> list[str] | None:
-    """``/proc/<pid>/stat`` after the command: state, ppid, ...; None if gone."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    return stat.rsplit(")", 1)[1].split()
-
-
-def _running(pid: int) -> bool:
-    """Is ``pid`` a live process?  (An unreaped zombie has exited.)"""
-    fields = _stat_fields(pid)
-    return fields is not None and fields[0] != "Z"
 
 
 @pytest.fixture()
@@ -363,14 +349,7 @@ class TestLifecycle:
         _, _, _, payloads = served
         worker_pool.warmup(payloads[:4])
         workers = {w["pid"] for w in worker_pool.worker_stats()}
-        children = [
-            entry.name
-            for entry in Path("/proc").iterdir()
-            if entry.name.isdigit()
-            and (fields := _stat_fields(entry.name)) is not None
-            and int(fields[1]) in workers
-        ]
-        assert children == []
+        assert child_pids(workers) == []
 
     def test_warmup_probes_the_slots_concurrently(self, served, worker_pool):
         _, _, _, payloads = served

@@ -12,28 +12,12 @@ The application under test declares no slices: slice membership calls
 and is not part of the supervision path guarded here.
 """
 
-import sys
-
 import pytest
 
 from repro.api import Application
 from repro.workloads import resolve_workload
 
-
-def python_calls(fn) -> int:
-    calls = 0
-
-    def on_event(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(on_event)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
+from tests.helpers import python_calls
 
 
 @pytest.mark.parametrize("method", ["majority", "label_model"])

@@ -12,7 +12,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from bench_pairs import compare, render
+import json
+
+import bench_pairs
+import pytest
+from bench_pairs import compare, parse_workloads, render
 
 LATENCY = {"name": "short_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
 RATE = {"name": "long_items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
@@ -59,3 +63,76 @@ def test_layer_metrics_hold_no_bound_and_render_as_a_table():
     table = render([row]).splitlines()
     assert len(table) == 3 and table[2].count("|") == table[0].count("|")
     assert "| - | better |" in table[2]
+
+
+SPEC = {
+    "run_seconds": 20,
+    "workloads": [{"name": "serve_light"}, {"name": "fit"}, {"name": "tune"}],
+    "end_to_end": [LATENCY, RATE],
+    "per_layer": [],
+}
+
+
+def test_workload_lists_and_all_resolve_against_the_spec():
+    assert parse_workloads("fit", SPEC) == ["fit"]
+    assert parse_workloads("tune, fit", SPEC) == ["tune", "fit"]
+    assert parse_workloads("all", SPEC) == ["serve_light", "fit", "tune"]
+    for bad in ("fit,nope", "", ","):
+        with pytest.raises(SystemExit, match="unknown workload"):
+            parse_workloads(bad, SPEC)
+
+
+def test_one_invocation_prints_a_table_per_workload(tmp_path, monkeypatch, capsys):
+    """Sides still alternate within each workload; each gets its own verdict."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, checkout.name, seed))
+        # The change halves tune's latency and leaves fit alone.
+        faster = workload == "tune" and checkout.name == "change"
+        latency = (3.5 if faster else 7.0) + 0.01 * (seed % 3)
+        return {
+            "correct": True, "failed": 0,
+            "metrics": {"short_p50_ms": {"value": latency},
+                        "long_items_per_s": {"value": 100.0}},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    code = bench_pairs.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"),
+         "--workload", "fit,tune", "--pairs", "10", "--seed", "40"]
+    )
+    assert code == 0
+    assert [c[0] for c in calls] == ["fit"] * 20 + ["tune"] * 20
+    per_workload = [c[1:] for c in calls[:20]]
+    assert per_workload == [c[1:] for c in calls[20:]]
+    assert per_workload[:4] == [
+        ("parent", 40), ("change", 40), ("change", 41), ("parent", 41)
+    ]
+    out = capsys.readouterr().out
+    fit_table, tune_table = out.split("## fit:")[1].split("## tune:")
+    assert "| short_p50_ms |" in fit_table and "| unresolved |" in fit_table
+    assert "| yes | better |" not in fit_table
+    assert "10/0 of 10 | yes | better |" in tune_table
+
+
+def test_more_failed_runs_on_the_change_fail_the_invocation(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        broken = workload == "tune" and checkout.name == "change" and seed == 1
+        return {
+            "correct": not broken, "failed": int(broken),
+            "metrics": {"short_p50_ms": {"value": 7.0},
+                        "long_items_per_s": {"value": 100.0}},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "2", "--seed", "0"]
+    assert bench_pairs.main(argv + ["--workload", "fit"]) == 0
+    assert bench_pairs.main(argv + ["--workload", "fit,tune"]) == 1

@@ -144,10 +144,10 @@ class TestTune:
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "2 trained, 0 from cache" in first
+        assert "2 trained, 0 from cache; best model retrained" in first
         assert main(argv) == 0
         second = capsys.readouterr().out
-        assert "0 trained, 2 from cache" in second
+        assert "0 trained, 2 from cache; best model restored from cache" in second
         # Same search, same winner, trials skipped the second time.
         assert first.splitlines()[1] == second.splitlines()[1]
 

@@ -4,6 +4,10 @@
     python tools/bench_pairs.py <parent-checkout> <change-checkout> \\
         --workload serve_light --pairs 10 --seed 1000
 
+``--workload`` also takes a comma-separated list, or ``all`` for every
+workload ``BENCHMARK.json`` declares: the workloads run one after another,
+each with its own pairs, and each prints its own verdict table.
+
 This host drifts 15-30% between a fast and a slow regime over minutes, so
 two medians taken apart prove nothing.  This tool runs
 ``benchmarks/e2e/run.py`` in each checkout back to back, pair by pair,
@@ -106,29 +110,28 @@ def render(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1000, help="first pair's seed")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    args = parser.parse_args()
+def parse_workloads(arg: str, spec: dict) -> list[str]:
+    """``a,b`` or ``all`` as workload names, each checked against the spec."""
+    declared = [w["name"] for w in spec["workloads"]]
+    names = declared if arg == "all" else [n.strip() for n in arg.split(",") if n.strip()]
+    unknown = [n for n in names if n not in declared]
+    if unknown or not names:
+        raise SystemExit(f"unknown workload(s) {unknown}; BENCHMARK.json declares {declared}")
+    return names
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or float(spec["run_seconds"])
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+def run_pairs(
+    sides: dict[str, Path], workload: str, metrics: list[dict],
+    pairs: int, first_seed: int, seconds: float, trace: int,
+) -> tuple[list[dict], dict[str, int]]:
+    """One workload's alternating pairs: its verdict rows and failed runs per side."""
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     failed = {side: 0 for side in sides}
-    for pair in range(args.pairs):
-        seed = args.seed + pair
+    for pair in range(pairs):
+        seed = first_seed + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, seconds, args.trace)
+            result = run_once(sides[side], workload, seed, seconds, trace)
             failed[side] += int(not result["correct"])
             for m in metrics:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
@@ -137,20 +140,48 @@ def main() -> int:
                 for m in metrics
             )
             print(
-                f"# pair {pair} seed {seed} {side:6s} failed={result['failed']} {shown}",
+                f"# {workload} pair {pair} seed {seed} {side:6s} "
+                f"failed={result['failed']} {shown}",
                 flush=True,
             )
     rows = [
         compare(m, values["parent"][m["name"]], values["change"][m["name"]])
         for m in metrics
     ]
-    print(f"\n## {args.workload}: {args.pairs} alternating pairs, seeds "
-          f"{args.seed}-{args.seed + args.pairs - 1}, {seconds:g} s, trace {args.trace}")
-    print(render(rows))
+    return rows, failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True,
+                        help="one name, a comma-separated list, or 'all'")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1000, help="first pair's seed")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds or float(spec["run_seconds"])
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    worse = False
+    for workload in parse_workloads(args.workload, spec):
+        rows, failed = run_pairs(
+            sides, workload, metrics, args.pairs, args.seed, seconds, args.trace
+        )
+        print(f"\n## {workload}: {args.pairs} alternating pairs, seeds "
+              f"{args.seed}-{args.seed + args.pairs - 1}, {seconds:g} s, trace {args.trace}")
+        print(render(rows))
+        print(f"# runs with failures: parent {failed['parent']}, change {failed['change']}\n",
+              flush=True)
+        worse = worse or failed["change"] > failed["parent"]
     if args.pairs < 10:
         print("# fewer than ten pairs: the rule asks for ten, read the verdicts as a hint")
-    print(f"# runs with failures: parent {failed['parent']}, change {failed['change']}")
-    return 1 if failed["change"] > failed["parent"] else 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
