@@ -80,13 +80,12 @@ class Module:
         by the next backward pass.  (Optimizers re-align their own moment
         buffers lazily on the next ``step()``.)
         """
-        from repro.tensor.backend import active_backend, resolve_dtype
+        from repro.tensor.backend import resolve_dtype
 
-        backend = active_backend()
         resolved = resolve_dtype(dtype)
         for p in self.parameters():
             if p.data.dtype != resolved:
-                p.data = backend.cast(p.data, resolved)
+                p.data = p.data.astype(resolved)
                 p.grad = None
                 p._grad_buffer = None
         return self

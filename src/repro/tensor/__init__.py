@@ -6,16 +6,9 @@ compiler has something real to target in an offline environment.
 """
 
 from repro.tensor.backend import (
-    Backend,
-    NumpyBackend,
-    active_backend,
-    available_backends,
     default_dtype,
     dtype_policy,
-    get_backend,
-    register_backend,
     resolve_dtype,
-    set_active_backend,
     set_default_dtype,
     supported_dtypes,
 )
@@ -49,16 +42,9 @@ from repro.tensor.functional import (
 )
 
 __all__ = [
-    "Backend",
-    "NumpyBackend",
-    "active_backend",
-    "available_backends",
     "default_dtype",
     "dtype_policy",
-    "get_backend",
-    "register_backend",
     "resolve_dtype",
-    "set_active_backend",
     "set_default_dtype",
     "supported_dtypes",
     "Tensor",

@@ -1,31 +1,21 @@
-"""The pluggable array backend and the thread-local dtype policy.
+"""The thread-local dtype policy of the compute stack.
 
-Every array allocation and coercion in the compute stack routes through
-this module, which owns the two numerical decisions the rest of the system
-must never hard-code:
-
-* **which array library computes** — a :class:`Backend` wraps an
-  array-namespace (``xp``) plus the allocation/coercion primitives the
-  tensor layer calls.  Backends live in a registry; :class:`NumpyBackend`
-  is the default and, today, the only implementation, but the seam is what
-  the ROADMAP's "multi-backend" direction grows through: an alternate
-  backend only has to return array-likes that speak numpy's operator
-  protocol (``+``, ``@``, ``.sum``, fancy indexing, ...), which is exactly
-  what the autodiff ops consume.
-* **which float dtype numbers default to** — a **thread-local dtype
-  policy** replacing the old global ``_FLOAT = np.float64`` constant and
-  the ``dtype=np.float64`` literals that were scattered through
-  ``tensor/``, ``data/``, ``nn/``, and ``model/``.  The paper's premise is
-  that the schema compiler owns every numerical decision; the policy is
-  how that ownership reaches the array layer: the compiler stamps
-  ``ModelConfig.dtype`` into the model, the model scopes its forward/loss
-  in :func:`dtype_policy`, and serving can trade precision for throughput
-  (``Endpoint(..., dtype="float32")``) without touching application code.
+Every float allocation and coercion in ``tensor/``, ``data/``, ``nn/`` and
+``model/`` asks this module which float dtype numbers default to, instead
+of hard-coding ``np.float64``.  The paper's premise is that the schema
+compiler owns every numerical decision; the policy is how that ownership
+reaches the array layer: the compiler stamps ``ModelConfig.dtype`` into
+the model, the model scopes its forward/loss in :func:`dtype_policy`, and
+serving can trade precision for throughput
+(``Endpoint(..., dtype="float32")``) without touching application code.
 
 The policy is thread-local so a float32 serving lane and a float64
 training loop coexist in one process, exactly like the ``no_grad`` flag.
 The process-wide default stays ``float64``, so code that never touches the
-policy is bit-identical to the pre-backend stack.
+policy is bit-identical to the pre-policy stack.
+
+The arrays themselves are plain numpy: call sites allocate with
+``np.zeros(shape, dtype=default_dtype())`` and friends.
 
 Usage::
 
@@ -82,110 +72,6 @@ def resolve_dtype(spec) -> np.dtype:
         raise ValueError(
             f"unsupported dtype {name!r}; supported: {supported_dtypes()}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# Backends
-# ----------------------------------------------------------------------
-class Backend:
-    """The array-provider contract the tensor layer allocates through.
-
-    A backend supplies an array namespace (``xp``) and the small set of
-    allocation/coercion primitives the autodiff engine calls directly.
-    Returned arrays must implement numpy's operator protocol — the ops in
-    :mod:`repro.tensor` apply ``+``/``@``/reductions/fancy indexing to
-    them without knowing which backend produced them.  Subclasses override
-    the primitives (and ``xp``) for their array library.
-    """
-
-    name: str = "abstract"
-    #: The array-function namespace (``numpy`` for the default backend).
-    xp = np
-
-    def asarray(self, value, dtype=None):
-        """Coerce ``value`` to this backend's array type in ``dtype``."""
-        raise NotImplementedError
-
-    def cast(self, array, dtype):
-        """Return ``array`` viewed/converted to ``dtype`` (no-copy if same)."""
-        raise NotImplementedError
-
-    def zeros(self, shape, dtype=None):
-        raise NotImplementedError
-
-    def ones(self, shape, dtype=None):
-        raise NotImplementedError
-
-    def full(self, shape, fill_value, dtype=None):
-        raise NotImplementedError
-
-
-class NumpyBackend(Backend):
-    """The default backend: plain numpy arrays in the policy dtype."""
-
-    name = "numpy"
-    xp = np
-
-    def asarray(self, value, dtype=None):
-        """``np.asarray`` honoring the dtype policy (no copy when aligned)."""
-        return np.asarray(value, dtype=resolve_dtype(dtype))
-
-    def cast(self, array, dtype):
-        """``astype`` with ``copy=False`` so same-dtype casts are free."""
-        return array.astype(resolve_dtype(dtype), copy=False)
-
-    def zeros(self, shape, dtype=None):
-        return np.zeros(shape, dtype=resolve_dtype(dtype))
-
-    def ones(self, shape, dtype=None):
-        return np.ones(shape, dtype=resolve_dtype(dtype))
-
-    def full(self, shape, fill_value, dtype=None):
-        return np.full(shape, fill_value, dtype=resolve_dtype(dtype))
-
-
-_REGISTRY: dict[str, Backend] = {}
-_ACTIVE_NAME = NumpyBackend.name
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Add a backend to the registry (idempotent by name); returns it."""
-    if not backend.name or backend.name == "abstract":
-        raise ValueError("backend must define a concrete name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a registered backend by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"no backend named {name!r}; registered: {available_backends()}"
-        ) from None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of every registered backend."""
-    return tuple(sorted(_REGISTRY))
-
-
-def set_active_backend(name: str) -> str:
-    """Select the process-wide active backend; returns the previous name."""
-    global _ACTIVE_NAME
-    get_backend(name)  # validate before switching
-    previous = _ACTIVE_NAME
-    _ACTIVE_NAME = name
-    return previous
-
-
-def active_backend() -> Backend:
-    """The backend the tensor layer currently allocates through."""
-    return _REGISTRY[_ACTIVE_NAME]
-
-
-register_backend(NumpyBackend())
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor.backend import active_backend, default_dtype
+from repro.tensor.backend import default_dtype
 from repro.tensor.sparse import SparseRowGrad
 from repro.tensor.tensor import Array, Tensor, is_grad_enabled
 
@@ -151,14 +151,13 @@ def pad_sequences(arrays: Sequence[np.ndarray], pad_value: float = 0.0) -> tuple
     fancy-index assignment of the concatenated values, instead of a python
     loop over rows.
     """
-    backend = active_backend()
     dtype = default_dtype()
     if not arrays:
-        return backend.zeros((0, 0), dtype), backend.zeros((0, 0), dtype)
+        return np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype)
     lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
     max_len = int(lengths.max())
     valid = np.arange(max_len) < lengths[:, None]
-    padded = backend.full((len(arrays), max_len), pad_value, dtype)
+    padded = np.full((len(arrays), max_len), pad_value, dtype=dtype)
     if lengths.sum():
         padded[valid] = np.concatenate([np.asarray(a, dtype=dtype) for a in arrays])
     return padded, valid.astype(dtype)

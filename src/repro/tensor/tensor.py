@@ -12,6 +12,9 @@ The design follows the classic "tape" formulation:
   ``grad``, and — when produced by an op — a list of ``(parent, vjp)`` pairs
   where ``vjp`` maps the output gradient to the parent's gradient
   contribution (a vector-Jacobian product);
+* a primitive whose inputs share one backward computation (a whole
+  recurrent layer) records a single *joint* vjp returning every input's
+  gradient at once (:meth:`Tensor._make_joint`);
 * :meth:`Tensor.backward` topologically sorts the DAG and accumulates
   gradients.
 
@@ -35,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import GradientError, ShapeError
-from repro.tensor.backend import active_backend, default_dtype
+from repro.tensor.backend import default_dtype
 
 Array = np.ndarray
 
@@ -119,7 +122,7 @@ def _as_array(value: "Tensor | Array | float | int | Sequence") -> Array:
         if value.dtype != dtype:
             return value.astype(dtype)
         return value
-    return active_backend().asarray(value, dtype)
+    return np.asarray(value, dtype=dtype)
 
 
 def logistic(data: Array) -> Array:
@@ -155,6 +158,17 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is made only of ints, slices, ``Ellipsis`` and ``None``.
+
+    Such an index selects every element at most once, so its scatter is a
+    plain in-place add; integer and boolean arrays can repeat an element and
+    need ``np.add.at`` (27-62 us a call against ~2 us).
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(i is None or i is Ellipsis or type(i) in (int, slice) for i in items)
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff.
 
@@ -168,12 +182,15 @@ class Tensor:
         by users (e.g. parameters) set this; intermediate tensors inherit it
         from their parents.
     parents:
-        Internal — ``(tensor, vjp)`` pairs recorded by ops.
+        Internal — ``(tensor, vjp)`` pairs recorded by ops (``(tensor,
+        index)`` pairs on a joint node, see :meth:`_make_joint`).
     op:
         Internal — short op name, for debugging and graph dumps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_op", "_grad_buffer")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_joint", "_op", "_grad_buffer"
+    )
 
     def __init__(
         self,
@@ -186,6 +203,7 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = parents or []
+        self._joint: Callable[[Array], Sequence[Array]] | None = None
         self._op = op
         self._grad_buffer: Array | None = None
 
@@ -246,6 +264,7 @@ class Tensor:
         t.grad = None
         t.requires_grad = False
         t._parents = _NO_PARENTS
+        t._joint = None
         t._op = op
         t._grad_buffer = None
         return t
@@ -268,6 +287,26 @@ class Tensor:
             return Tensor(data, op=op)
         kept = [(p, fn) for p, fn in parents if p.requires_grad]
         return Tensor(data, requires_grad=bool(kept), parents=kept, op=op)
+
+    @staticmethod
+    def _make_joint(
+        data: Array,
+        inputs: Sequence["Tensor"],
+        vjp: Callable[[Array], Sequence[Array]],
+        op: str,
+    ) -> "Tensor":
+        """Create the output of a primitive whose inputs share one backward.
+
+        ``vjp`` maps the output gradient to one gradient per input, in
+        ``inputs`` order.  :meth:`backward` calls it exactly once per node
+        and hands each input that requires grad its share — for primitives
+        (a whole recurrent layer) whose input gradients fall out of a single
+        reverse loop and would be recomputed by per-parent vjps.
+        """
+        out = Tensor._make(data, list(zip(inputs, range(len(inputs)))), op)
+        if out._parents:
+            out._joint = vjp
+        return out
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -313,8 +352,11 @@ class Tensor:
                 # Leaf: write into .grad (accumulating only when asked).
                 self._write_leaf_grad(node, node_grad, accumulate)
                 continue
+            # A joint node computes every share at once; its pairs hold the
+            # input's index into them where the others hold a vjp.
+            shares = node._joint(node_grad) if node._joint is not None else None
             for parent, vjp in node._parents:
-                contribution = vjp(node_grad)
+                contribution = vjp(node_grad) if shares is None else shares[vjp]
                 existing = grads.get(id(parent))
                 if existing is None:
                     grads[id(parent)] = contribution
@@ -564,7 +606,10 @@ class Tensor:
 
         def grad_fn(g: Array) -> Array:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, g)
+            if _is_basic_index(index):
+                grad[index] += g
+            else:
+                np.add.at(grad, index, g)
             return grad
 
         return Tensor._make(np.asarray(out), [(self, grad_fn)], "index")
@@ -681,8 +726,8 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(active_backend().zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=requires_grad)
 
 
 def ones(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(active_backend().ones(shape), requires_grad=requires_grad)
+    return Tensor(np.ones(shape, dtype=default_dtype()), requires_grad=requires_grad)

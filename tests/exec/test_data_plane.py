@@ -298,21 +298,28 @@ class TestRepeatableCounts:
         )
         assert combines == 1
 
-    def test_tape_nodes_per_fit_are_pinned(self):
-        """bow-24 on synth-medium@800, 3 epochs: the `fit` workload's short op.
-
-        12 018 at the parent; the two head forwards that only read ``.data``
-        now run under ``no_grad`` and record nothing.
-        """
+    @staticmethod
+    def _tape_nodes_per_fit(encoder: str, size: int) -> int:
+        """synth-medium@800, 3 epochs (45 steps): the `fit` workload's ops."""
         built = resolve_workload("synth-medium", scale=800, seed=1)
         config = ModelConfig(
-            payloads={"tokens": PayloadConfig(encoder="bow", size=24)},
+            payloads={"tokens": PayloadConfig(encoder=encoder, size=size)},
             trainer=TrainerConfig(epochs=3, lr=0.05),
         )
         fit = lambda: built.application.fit(built.dataset, config)  # noqa: E731
         nodes = python_calls(fit, of=Tensor._make)
         assert nodes == python_calls(fit, of=Tensor._make), "the count must repeat"
-        assert nodes == 10_578
+        return nodes
+
+    def test_tape_nodes_per_fit_are_pinned(self):
+        """bow-24, the short op: 12 018 before PR 21 ran the two head forwards
+        that only read ``.data`` under ``no_grad``."""
+        assert self._tape_nodes_per_fit("bow", 24) == 10_578
+
+    def test_a_recurrent_layer_is_one_tape_node(self):
+        """LSTM-64, the long op: 19 623 (436 a step, 201 of them the
+        recurrence) before PR 22 made the layer one node — 236 a step."""
+        assert self._tape_nodes_per_fit("lstm", 64) == 10_623
 
 
 class TestParentDeath:

@@ -22,7 +22,7 @@ from repro.nn import (
     TransformerEncoder,
     make_pooling,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 def rng():
@@ -151,6 +151,19 @@ class TestRecurrent:
         mask = np.array([[1.0, 0.0, 0.0]])
         out = gru(x, mask)
         np.testing.assert_allclose(out.data[0, 0], out.data[0, 1])
+
+    @pytest.mark.parametrize("cls", [LSTM, GRU, BiLSTM])
+    def test_zero_length_sequence_is_empty_on_both_paths(self, cls):
+        layer = cls(3, 4, rng())
+        x = Tensor(np.zeros((2, 0, 3)), requires_grad=True)
+        taped = layer(x)
+        with no_grad():
+            tape_free = layer(x)
+        assert taped.shape == tape_free.shape == (2, 0, 4)
+        taped.backward(np.zeros((2, 0, 4)))
+        assert x.grad.shape == (2, 0, 3)
+        for param in layer.parameters():
+            assert param.grad.shape == param.shape and not param.grad.any()
 
     def test_bilstm_shape_and_parity(self):
         bi = BiLSTM(3, 6, rng())

@@ -1,7 +1,7 @@
-"""The backend registry and the thread-local dtype policy.
+"""The thread-local dtype policy.
 
 Covers the contract every other layer leans on: policy scoping/restoration
-(including across threads), backend registration/selection, dtype-preserving
+(including across threads), policy-driven allocation, dtype-preserving
 op outputs, and the backward-pass coercions that used to pin gradients to
 float64 regardless of the tensor's own storage.
 """
@@ -11,26 +11,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.nn import Linear
 from repro.tensor import (
-    NumpyBackend,
     Tensor,
-    active_backend,
-    available_backends,
     default_dtype,
     dtype_policy,
     dropout_mask,
     gather_rows,
-    get_backend,
     ones,
     pad_sequences,
-    register_backend,
     resolve_dtype,
-    set_active_backend,
     set_default_dtype,
     supported_dtypes,
     zeros,
 )
-from repro.tensor.backend import Backend
 
 
 F32 = np.dtype("float32")
@@ -97,51 +91,6 @@ class TestPolicyScoping:
         assert seen["worker"] == F64
 
 
-class TestBackendRegistry:
-    def test_numpy_backend_registered_and_active(self):
-        assert "numpy" in available_backends()
-        assert isinstance(active_backend(), NumpyBackend)
-        assert get_backend("numpy").xp is np
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            get_backend("torch")
-        with pytest.raises(KeyError):
-            set_active_backend("torch")
-
-    def test_register_and_activate_custom_backend(self):
-        class Traced(NumpyBackend):
-            name = "traced"
-            calls = 0
-
-            def asarray(self, value, dtype=None):
-                Traced.calls += 1
-                return super().asarray(value, dtype)
-
-        register_backend(Traced())
-        previous = set_active_backend("traced")
-        try:
-            t = Tensor([1.0, 2.0])
-            assert Traced.calls >= 1
-            assert t.data.dtype == F64
-        finally:
-            set_active_backend(previous)
-
-    def test_abstract_backend_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend(Backend())
-
-    def test_allocation_primitives_honor_policy(self):
-        b = active_backend()
-        with dtype_policy("float32"):
-            assert b.zeros((2,)).dtype == F32
-            assert b.ones((2,)).dtype == F32
-            assert b.full((2,), 3.0).dtype == F32
-            assert b.asarray([1, 2]).dtype == F32
-        assert b.zeros((2,)).dtype == F64
-        assert b.cast(np.zeros(2), "float32").dtype == F32
-
-
 class TestTensorDtype:
     def test_construction_follows_policy(self):
         with dtype_policy("float32"):
@@ -149,6 +98,16 @@ class TestTensorDtype:
             assert zeros(3).dtype == F32
             assert ones(3).dtype == F32
         assert Tensor([1.0, 2.0]).dtype == F64
+
+    def test_allocation_honors_policy(self):
+        with dtype_policy("float32"):
+            padded, mask = pad_sequences([np.arange(2), np.arange(3)], pad_value=3.0)
+            assert padded.dtype == F32 and mask.dtype == F32
+            assert [a.dtype for a in pad_sequences([])] == [F32, F32]
+            assert Tensor([1, 2]).dtype == F32
+        assert pad_sequences([np.arange(2)])[0].dtype == F64
+        layer = Linear(2, 2, np.random.default_rng(0))
+        assert layer.to_dtype("float32").weight.dtype == F32
 
     def test_existing_tensors_keep_their_dtype(self):
         with dtype_policy("float32"):

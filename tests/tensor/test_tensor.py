@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GradientError, ShapeError
-from repro.tensor import Tensor, tensor, zeros, ones
+from repro.tensor import Tensor, no_grad, tensor, zeros, ones
 
 from tests.helpers import check_grad
 
@@ -96,6 +96,59 @@ class TestBackwardBasics:
             y = y + 0.001
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+
+class TestJointNode:
+    """``Tensor._make_joint``: several inputs, one backward."""
+
+    @staticmethod
+    def scaled_product(a: Tensor, b: Tensor, calls: list) -> Tensor:
+        def vjp(g):
+            calls.append(g)
+            return g * b.data * 3.0, g * a.data * 3.0
+
+        return Tensor._make_joint(a.data * b.data * 3.0, (a, b), vjp, "scaled_product")
+
+    def test_one_vjp_call_serves_every_input(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([5.0, 7.0], requires_grad=True)
+        calls = []
+        out = self.scaled_product(a, b, calls)
+        (out * 2.0).sum().backward()
+        assert len(calls) == 1
+        np.testing.assert_allclose(a.grad, [30.0, 42.0])
+        np.testing.assert_allclose(b.grad, [6.0, 12.0])
+
+    def test_shares_join_the_other_consumers_of_an_input(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([5.0, 7.0], requires_grad=True)
+        (self.scaled_product(a, b, []) + a * a).sum().backward()
+        np.testing.assert_allclose(a.grad, [17.0, 25.0])
+
+    def test_inputs_without_grad_get_no_share(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([5.0, 7.0])
+        out = self.scaled_product(a, b, [])
+        assert [p for p, _ in out._parents] == [a]
+        out.sum().backward()
+        np.testing.assert_allclose(a.grad, [15.0, 21.0])
+        assert b.grad is None
+
+    def test_nothing_is_recorded_without_a_tape(self):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0], requires_grad=True)
+        with no_grad():
+            free = self.scaled_product(a, b, [])
+        frozen = self.scaled_product(a.detach(), b.detach(), [])
+        for out in (free, frozen):
+            assert not out.requires_grad and not out._parents and out._joint is None
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(15)
+        other = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        check_grad(
+            lambda t: self.scaled_product(t, other, []).sum(), rng.normal(size=(2, 3))
+        )
 
 
 class TestArithmeticGradients:
@@ -214,6 +267,53 @@ class TestShapeOps:
         t = Tensor([1.0, 2.0], requires_grad=True)
         t[np.array([0, 0, 1])].sum().backward()
         np.testing.assert_allclose(t.grad, [2.0, 1.0])
+
+    BASIC_INDICES = [
+        1,
+        np.int64(0),
+        slice(1, None),
+        (slice(None), 2),
+        (slice(None), slice(0, 3, 2), 1),
+        (Ellipsis, 1),
+        (None, 1, Ellipsis),
+        (slice(None, None, -1), None, 0),
+    ]
+
+    @pytest.mark.parametrize("index", BASIC_INDICES, ids=repr)
+    def test_basic_index_grad_equals_add_at(self, index):
+        """Ints / slices / Ellipsis / None scatter in place: ``np.add.at``'s bits."""
+        rng = np.random.default_rng(13)
+        t = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        out = t[index]
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros_like(t.data)
+        np.add.at(expected, index, g)
+        assert np.array_equal(t.grad, expected)
+        check_grad(lambda u: (u[index] ** 2).sum(), rng.normal(size=(3, 4, 5)))
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.array([0, 2, 0, 0]),
+            (slice(None), np.array([1, 1, 3])),
+            (np.array([0, 0]), np.array([1, 1])),
+            [2, 2],
+            np.array([True, False, True]),
+            (1, np.array([3, 3])),
+        ],
+        ids=repr,
+    )
+    def test_fancy_index_still_accumulates_repeats(self, index):
+        rng = np.random.default_rng(14)
+        t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        out = t[index]
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros_like(t.data)
+        np.add.at(expected, index, g)
+        assert np.array_equal(t.grad, expected)
+        check_grad(lambda u: (u[index] ** 2).sum(), rng.normal(size=(3, 4)))
 
     def test_expand_squeeze(self):
         t = Tensor(np.ones((3,)), requires_grad=True)
