@@ -18,9 +18,8 @@ and substantially improves both overall and hard-slice accuracy.
 
 from __future__ import annotations
 
-from repro.core.overton import Overton
+from repro.api import Application, Endpoint
 from repro.data.tags import slice_tag
-from repro.deploy import Predictor
 from repro.workloads import (
     FactoidGenerator,
     HARD_DISAMBIGUATION_SLICE,
@@ -32,10 +31,10 @@ from repro.workloads import (
 from benchmarks.conftest import print_table, small_model_config
 
 
-def _accuracy(predictor: Predictor, records) -> float:
+def _accuracy(endpoint: Endpoint, records) -> float:
     correct = 0
     for record in records:
-        response = predictor.predict_one(
+        response = endpoint.predict_one(
             {
                 "tokens": record.payloads["tokens"],
                 "entities": record.payloads["entities"],
@@ -47,13 +46,13 @@ def _accuracy(predictor: Predictor, records) -> float:
     return correct / max(len(records), 1)
 
 
-def _violation_rate(predictor: Predictor, records, constraints) -> float:
+def _violation_rate(endpoint: Endpoint, records, constraints) -> float:
     distributions = []
     contexts = []
     for record in records:
-        # Reuse the predictor's model outputs via its public API by
+        # Reuse the endpoint's model outputs via its public API by
         # rebuilding distributions from scores.
-        response = predictor.predict_one(
+        response = endpoint.predict_one(
             {
                 "tokens": record.payloads["tokens"],
                 "entities": record.payloads["entities"],
@@ -61,7 +60,7 @@ def _violation_rate(predictor: Predictor, records, constraints) -> float:
         )
         import numpy as np
 
-        intent_classes = predictor.signature.output("Intent").classes
+        intent_classes = endpoint.signature.output("Intent").classes
         intent_probs = np.array(
             [response["Intent"]["scores"][c] for c in intent_classes]
         )
@@ -81,16 +80,16 @@ def run_constraints(seed: int = 13) -> dict[str, list]:
     for record in dataset.records:
         record.tasks.get("IntentArg", {}).pop("lf_compatible", None)
 
-    overton = Overton(dataset.schema)
-    trained = overton.train(dataset, small_model_config(size=24, epochs=10))
-    artifact = overton.build_artifact(trained)
+    app = Application(dataset.schema)
+    trained = app.fit(dataset, small_model_config(size=24, epochs=10)).trained
+    artifact = app.build_artifact(trained)
 
     test = dataset.split("test")
     hard = test.with_tag(slice_tag(HARD_DISAMBIGUATION_SLICE))
     constraints = factoid_constraints(weight=20.0)
 
-    plain = Predictor(artifact)
-    constrained = Predictor(artifact, constraints=constraints)
+    plain = Endpoint(artifact)
+    constrained = Endpoint(artifact, constraints=constraints)
 
     violation = _violation_rate(plain, test.records, constraints)
     rows = {

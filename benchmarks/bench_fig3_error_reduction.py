@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import HeuristicPipeline, evaluate_pipeline
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.slicing import SliceSet, SliceSpec
 from repro.workloads import (
     HARD_DISAMBIGUATION_SLICE,
@@ -70,9 +70,9 @@ def run_fig3(seed: int = 0) -> dict[str, list]:
         slices = SliceSet(
             [SliceSpec(name=HARD_DISAMBIGUATION_SLICE), SliceSpec(name=NUTRITION_SLICE)]
         )
-        overton = Overton(dataset.schema, slices=slices)
-        trained = overton.train(dataset, spec.model_config())
-        evals = overton.evaluate(trained, dataset, tag="test")
+        app = Application(dataset.schema, slices=slices)
+        trained = app.fit(dataset, spec.model_config()).trained
+        evals = app.evaluate(trained, dataset, tag="test")
         overton_error = _overton_error(evals)
 
         pipeline = HeuristicPipeline(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.workloads import FactoidGenerator, WorkloadConfig, apply_standard_weak_supervision
 
 from benchmarks.conftest import print_table, small_model_config
@@ -65,10 +65,10 @@ def run_fig4a(seed: int = 0) -> dict[str, list]:
         merged = Dataset(
             pool.schema, train_subset.records + test.records, validate=False
         )
-        overton = Overton(pool.schema)
+        app = Application(pool.schema)
         config = small_model_config(size=24, epochs=8)
-        trained = overton.train(merged, config)
-        evals = overton.evaluate(trained, merged, tag="test")
+        trained = app.fit(merged, config).trained
+        evals = app.evaluate(trained, merged, tag="test")
         rows["scale"].append(f"{scale}x")
         rows["n_train"].append(n)
         for granularity, (task, metric) in TASKS.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.core.tuning_spec import ModelConfig, PayloadConfig, TrainerConfig
 from repro.data import Dataset
 from repro.model.embeddings_registry import EmbeddingRegistry
@@ -82,9 +82,9 @@ def run_fig4b(seed: int = 0) -> dict[str, list]:
         )
         scores = {}
         for label, embedding in (("with", product.name), ("without", "learned")):
-            overton = Overton(pool.schema, registry=registry)
-            trained = overton.train(merged, _config(embedding))
-            evals = overton.evaluate(trained, merged, tag="test")
+            app = Application(pool.schema, registry=registry)
+            trained = app.fit(merged, _config(embedding)).trained
+            evals = app.evaluate(trained, merged, tag="test")
             scores[label] = {
                 g: evals[task].metrics[metric] for g, (task, metric) in TASKS.items()
             }

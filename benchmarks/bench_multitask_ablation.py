@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import train_single_task_system
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.workloads import (
     FactoidGenerator,
     WorkloadConfig,
@@ -40,9 +40,9 @@ def run_ablation(seeds=(0, 1, 2)) -> dict[str, list]:
         test = dataset.split("test")
 
         config = small_model_config(size=24, epochs=10)
-        overton = Overton(dataset.schema)
-        trained = overton.train(dataset, config)
-        multitask = overton.evaluate(trained, dataset, tag="test")
+        app = Application(dataset.schema)
+        trained = app.fit(dataset, config).trained
+        multitask = app.evaluate(trained, dataset, tag="test")
 
         system = train_single_task_system(dataset, config, method="majority", seed=seed)
         single = system.evaluate(test.records)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.core.tuning_spec import ModelConfig, PayloadConfig, TrainerConfig
 from repro.data.tags import slice_tag
 from repro.slicing import SliceSet, SliceSpec
@@ -71,12 +71,12 @@ def run_part_a(seeds=(0, 1, 2)) -> dict[str, list]:
             ("without", SliceSet()),
             ("with", SliceSet([SliceSpec(name=SIZE_QUERY_SLICE)])),
         ):
-            overton = Overton(dataset.schema, slices=slices)
-            trained = overton.train(dataset, _bottleneck_config(seed=seed))
+            app = Application(dataset.schema, slices=slices)
+            trained = app.fit(dataset, _bottleneck_config(seed=seed)).trained
             slice_evals = evaluate(
                 trained.model, slice_eval.records, dataset.schema, trained.vocabs, "gold"
             )
-            overall = overton.evaluate(trained, dataset, tag="test")
+            overall = app.evaluate(trained, dataset, tag="test")
             results[label]["slice"].append(slice_evals["Intent"].metrics["f1"])
             results[label]["overall"].append(overall["Intent"].metrics["accuracy"])
 
@@ -111,7 +111,7 @@ def run_part_b(seed: int = 0) -> dict[str, list]:
     for with_fix in (False, True):
         dataset = build(with_fix)
         slices = SliceSet([SliceSpec(name=HARD_DISAMBIGUATION_SLICE)])
-        overton = Overton(dataset.schema, slices=slices)
+        app = Application(dataset.schema, slices=slices)
         config = ModelConfig(
             payloads={
                 "tokens": PayloadConfig(encoder="bow", size=24),
@@ -120,13 +120,13 @@ def run_part_b(seed: int = 0) -> dict[str, list]:
             },
             trainer=TrainerConfig(epochs=10, batch_size=32, lr=0.05, seed=seed),
         )
-        trained = overton.train(dataset, config)
+        trained = app.fit(dataset, config).trained
         test = dataset.split("test")
         hard = test.with_tag(slice_tag(HARD_DISAMBIGUATION_SLICE))
         hard_evals = evaluate(
             trained.model, hard.records, dataset.schema, trained.vocabs, "gold"
         )
-        overall = overton.evaluate(trained, dataset, tag="test")
+        overall = app.evaluate(trained, dataset, tag="test")
         rows["variant"].append("after_slice_fix" if with_fix else "before")
         rows["hard_slice_arg_acc"].append(
             round(hard_evals["IntentArg"].metrics["accuracy"], 4)

@@ -33,7 +33,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.overton import Overton
+from repro.api import Application
 from repro.core.tuning_spec import TuningSpec
 from repro.exec import TrialCache, TrialExecutor
 from benchmarks.conftest import bench_workload, print_table
@@ -74,12 +74,12 @@ def _latency_bound_trial(context, config, seed, budget) -> float:
 
 def run_search(seed: int = 0) -> dict[str, list]:
     dataset = _dataset(seed)
-    overton = Overton(dataset.schema)
+    app = Application(dataset.schema)
 
-    _, grid_result = overton.tune(dataset, _spec(), strategy="grid")
-    _, random_result = overton.tune(
+    grid_result = app.tune(dataset, _spec(), strategy="grid").search
+    random_result = app.tune(
         dataset, _spec(), strategy="random", num_trials=3
-    )
+    ).search
 
     rows: dict[str, list] = {
         "encoder": [],
@@ -153,7 +153,6 @@ def run_parallel_speedup(tmp_dir: Path) -> dict:
 
 
 def run_serial_fidelity() -> dict:
-    from repro.api import Application
     import tempfile
 
     dataset = _dataset(seed=1, n=160)

@@ -32,14 +32,7 @@ Deploying through a :class:`ModelStore` gives versioned serving::
     run.deploy(store)                           # push under the app's name
     endpoint = Endpoint.from_store(store, app.name)   # follows latest
     pinned = Endpoint.from_store(store, app.name, version="abc123")
-
-The pre-1.1 facades (``Overton``, ``TrainedModel``, ``Predictor``) remain
-importable from this module but emit :class:`DeprecationWarning`; see
-CHANGES.md for the migration table.
 """
-
-import importlib
-import warnings
 
 from repro.api import Application, Endpoint, Run, SupervisionPolicy
 from repro.core import (
@@ -62,15 +55,6 @@ from repro.supervision import (
 
 __version__ = "1.1.0"
 
-# Legacy names kept importable with a deprecation warning: the module path
-# that still owns the real object, plus the repro.api replacement to name
-# in the warning.
-_DEPRECATED_ALIASES = {
-    "Overton": ("repro.core.overton", "repro.api.Application"),
-    "TrainedModel": ("repro.api.run", "repro.api.Run"),
-    "Predictor": ("repro.deploy.predictor", "repro.api.Endpoint"),
-}
-
 __all__ = [
     "Application",
     "SupervisionPolicy",
@@ -82,13 +66,10 @@ __all__ = [
     "ServingSignature",
     "TrainerConfig",
     "TuningSpec",
-    "Overton",
-    "TrainedModel",
     "Dataset",
     "Record",
     "ModelArtifact",
     "ModelStore",
-    "Predictor",
     "SliceSet",
     "SliceSpec",
     "LabelModel",
@@ -97,20 +78,3 @@ __all__ = [
     "labeling_function",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        module_path, replacement = _DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"'repro.{name}' is deprecated; use '{replacement}' instead "
-            f"(see the migration note in CHANGES.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_path), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(__all__)

@@ -11,8 +11,8 @@ One declarative surface for the paper's whole loop (Figure 1):
   payloads, micro-batched ``predict()``, version pinning against a
   :class:`repro.deploy.ModelStore`.
 
-The legacy ``Overton`` and ``Predictor`` facades are thin shims over these
-classes and remain importable (with deprecation warnings) from ``repro``.
+``TrainedModel`` is the record a :class:`Run` carries: the trained model
+plus everything needed to evaluate and deploy it (``run.trained``).
 """
 
 from repro.api.application import Application, SupervisionPolicy

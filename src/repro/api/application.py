@@ -19,8 +19,7 @@ re-plumbed per workload::
 
 ``app.fit(dataset)`` / ``app.tune(dataset, spec)`` return a
 :class:`repro.api.run.Run`; serving goes through
-:class:`repro.api.endpoint.Endpoint`.  The legacy ``Overton`` facade is a
-thin shim over this class.
+:class:`repro.api.endpoint.Endpoint`.
 """
 
 from __future__ import annotations

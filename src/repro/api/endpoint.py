@@ -17,7 +17,9 @@ session concerns:
   its model name and version; unpinned endpoints can ``refresh()`` to the
   store's latest version without the caller re-wiring anything.
 
-The legacy ``repro.deploy.Predictor`` is a thin shim over this class.
+``Endpoint(artifact, strict=False, micro_batch_size=None)`` is the
+permissive single-batch session: missing signature inputs are allowed and
+each ``predict()`` call runs as one model batch.
 """
 
 from __future__ import annotations

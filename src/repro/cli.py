@@ -207,7 +207,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         AsyncGatewayServer,
         GatewayConfig,
-        GatewayHTTPServer,
         ReplicaPool,
         ServingGateway,
         WorkerReplicaPool,
@@ -260,7 +259,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     elif args.shadow:
         gateway.set_shadow(args.shadow)
 
-    server_cls = GatewayHTTPServer if args.http == "threaded" else AsyncGatewayServer
     # SIGTERM sets a flag the wait loop polls, so the context managers
     # unwind in order: stop intake (server), drain lanes (gateway), join
     # workers (pool) — a rolling restart loses no accepted request.  A
@@ -277,7 +275,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError:  # not the main thread (embedded use)
         pass
     try:
-        with pool, gateway, server_cls(
+        with pool, gateway, AsyncGatewayServer(
             gateway, host=args.host, port=args.port
         ) as server:
             versions = ", ".join(
@@ -286,7 +284,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             print(f"serving {versions} on {server.url}")
             if args.workers > 0:
-                print(f"workers: {args.workers} processes ({args.http} front-end)")
+                print(f"workers: {args.workers} processes")
             print(
                 "routes: POST /predict   "
                 "GET /healthz /telemetry /dashboard /metrics /trace/<id>"
@@ -319,8 +317,8 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
 
     from repro.autopilot import DecisionJournal, HealPolicy, Supervisor
     from repro.serve import (
+        AsyncGatewayServer,
         GatewayConfig,
-        GatewayHTTPServer,
         ReplicaPool,
         ServingGateway,
     )
@@ -367,7 +365,7 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
             return 0
         server = None
         if args.port >= 0:
-            server = GatewayHTTPServer(
+            server = AsyncGatewayServer(
                 gateway, host=args.host, port=args.port, autopilot=supervisor
             ).start()
             print(f"serving {args.model} on {server.url}")
@@ -613,12 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes for the forward pass (0 = in-process serving)",
-    )
-    p.add_argument(
-        "--http",
-        default="async",
-        choices=["async", "threaded"],
-        help="HTTP front-end: asyncio event loop or thread-per-connection",
     )
     p.add_argument(
         "--warmup",

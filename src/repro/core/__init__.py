@@ -1,7 +1,6 @@
-"""Overton's core abstractions: schema, signature, tuning spec, facade.
+"""Overton's core abstractions: schema, signature, tuning spec, constraints.
 
-The facade (:class:`repro.core.overton.Overton`) is imported lazily to keep
-schema-only uses light; ``from repro.core import Overton`` still works.
+The application lifecycle built on them lives in :mod:`repro.api`.
 """
 
 from repro.core.payloads import PAYLOAD_TYPES, PayloadSpec
@@ -39,18 +38,9 @@ __all__ = [
     "PayloadConfig",
     "TrainerConfig",
     "TuningSpec",
-    "Overton",
     "Constraint",
     "ConstraintError",
     "ConstraintSet",
     "JointDecodeResult",
     "intent_argument_compatibility",
 ]
-
-
-def __getattr__(name: str):
-    if name == "Overton":
-        from repro.core.overton import Overton
-
-        return Overton
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,13 +2,13 @@
 
 from repro.deploy.artifact import ModelArtifact
 from repro.deploy.store import ModelStore, StoredVersion
-from repro.deploy.predictor import Predictor, predictions_match
 from repro.deploy.sync import (
     SyncCheck,
     SyncedPush,
     check_pair,
     data_fingerprint,
     fetch_pair,
+    predictions_match,
     push_pair,
 )
 from repro.deploy.versioning import VersionLog, VersionRecord
@@ -25,7 +25,6 @@ __all__ = [
     "ModelArtifact",
     "ModelStore",
     "StoredVersion",
-    "Predictor",
     "predictions_match",
     "SyncCheck",
     "SyncedPush",

@@ -2,8 +2,9 @@
 
 "A benefit of this compilation approach is that Overton can use standard
 toolkits ... to meet service-level agreements (Profilers)" and "the small
-model must meet SLA requirements" (§2.4).  The profiler measures a
-predictor's request latency distribution and gates deployment on an SLA.
+model must meet SLA requirements" (§2.4).  The profiler measures an
+:class:`~repro.api.Endpoint`'s request latency distribution and gates
+deployment on an SLA.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.deploy.predictor import Predictor
+from repro.api.endpoint import Endpoint
 from repro.errors import DeploymentError
 from repro.obs import get_tracer
 
@@ -65,7 +66,7 @@ class SLA:
 
 
 def profile_predictor(
-    predictor: Predictor,
+    endpoint: Endpoint,
     payloads: Sequence[dict],
     warmup: int = 3,
 ) -> LatencyProfile:
@@ -80,14 +81,14 @@ def profile_predictor(
     if not payloads:
         raise DeploymentError("profiling requires at least one request payload")
     for payload in payloads[: min(warmup, len(payloads))]:
-        predictor.predict_one(payload)
+        endpoint.predict_one(payload)
     tracer = get_tracer()
     latencies = []
     with tracer.span("profile.run", root=True, n_requests=len(payloads)) as run:
         start_all = time.perf_counter()
         for i, payload in enumerate(payloads):
             start = time.perf_counter()
-            predictor.predict_one(payload)
+            endpoint.predict_one(payload)
             end = time.perf_counter()
             latencies.append(end - start)
             tracer.record(
@@ -106,11 +107,11 @@ def profile_predictor(
 
 
 def sla_gate(
-    predictor: Predictor,
+    endpoint: Endpoint,
     payloads: Sequence[dict],
     sla: SLA,
 ) -> tuple[bool, LatencyProfile, list[str]]:
     """Profile and check in one call; returns (passed, profile, violations)."""
-    profile = profile_predictor(predictor, payloads)
+    profile = profile_predictor(endpoint, payloads)
     violations = sla.check(profile)
     return (not violations, profile, violations)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro.api.endpoint import Endpoint
 from repro.data.record import Record
 from repro.deploy.artifact import ModelArtifact
-from repro.deploy.predictor import Predictor, predictions_match
 from repro.deploy.store import ModelStore, StoredVersion
 from repro.errors import DeploymentError
 
@@ -96,8 +96,9 @@ def check_pair(
         problems.append("'large' model has fewer parameters than 'small'")
     agreement = None
     if probe_payloads:
-        large_preds = Predictor(large).predict(list(probe_payloads))
-        small_preds = Predictor(small).predict(list(probe_payloads))
+        permissive = {"strict": False, "micro_batch_size": None}
+        large_preds = Endpoint(large, **permissive).predict(list(probe_payloads))
+        small_preds = Endpoint(small, **permissive).predict(list(probe_payloads))
         tasks = [o.name for o in large.signature.outputs]
         agreement = predictions_match(large_preds, small_preds, tasks)
         if agreement < min_agreement:
@@ -105,3 +106,22 @@ def check_pair(
                 f"prediction agreement {agreement:.2f} below {min_agreement:.2f}"
             )
     return SyncCheck(in_sync=not problems, agreement=agreement, problems=problems)
+
+
+def predictions_match(
+    a: list[dict[str, Any]], b: list[dict[str, Any]], tasks: Sequence[str]
+) -> float:
+    """Agreement rate between two endpoints' hard outputs (for model sync)."""
+    if len(a) != len(b):
+        raise DeploymentError("prediction lists differ in length")
+    if not a:
+        return 1.0
+    agree = 0
+    total = 0
+    for ra, rb in zip(a, b):
+        for task in tasks:
+            va, vb = ra.get(task, {}), rb.get(task, {})
+            key = "label" if "label" in va else ("index" if "index" in va else "labels")
+            agree += int(va.get(key) == vb.get(key))
+            total += 1
+    return agree / max(total, 1)

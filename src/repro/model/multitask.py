@@ -214,8 +214,8 @@ class MultitaskModel(Module):
 
         Runs under :func:`repro.tensor.no_grad`, so no vjp closures are
         recorded anywhere in the forward graph — every serving caller
-        (``Endpoint``, ``Predictor``, the gateway's replica lanes) and the
-        evaluation harness inherit the fast path through this method.
+        (``Endpoint``, the gateway's replica lanes) and the evaluation
+        harness inherit the fast path through this method.
         """
         was_training = self.training
         self.eval()

@@ -17,14 +17,14 @@ models evolve (§1), operationalized:
 * :class:`WorkerReplicaPool` — process-parallel serving: N resident
   worker processes fed over shared-memory batch transport
   (``repro serve --workers N``, ``docs/serving.md``);
-* :class:`GatewayHTTPServer` / :class:`AsyncGatewayServer` — stdlib HTTP
-  fronts, threaded and asyncio (``repro serve``).
+* :class:`AsyncGatewayServer` — the stdlib asyncio HTTP front
+  (``repro serve``).
 """
 
 from repro.serve.batcher import PendingResponse, QueuedRequest, RequestQueue
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.gateway import GatewayConfig, ServingGateway
-from repro.serve.http import AsyncGatewayServer, GatewayHTTPServer
+from repro.serve.http import AsyncGatewayServer
 from repro.serve.pool_worker import WorkerReplica, WorkerReplicaPool
 from repro.serve.replica import Replica, ReplicaPool
 from repro.serve.shm import SegmentCache, ShmArena
@@ -45,7 +45,6 @@ from repro.serve.telemetry import (
 __all__ = [
     "ServingGateway",
     "GatewayConfig",
-    "GatewayHTTPServer",
     "AsyncGatewayServer",
     "WorkerReplicaPool",
     "WorkerReplica",

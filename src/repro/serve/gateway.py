@@ -284,17 +284,6 @@ class ServingGateway:
         )
         return future.result(timeout=self.config.request_timeout_s)
 
-    def submit_many(
-        self,
-        payloads: list[dict],
-        latency_budget: float | None = None,
-    ) -> list[dict]:
-        """Submit a list concurrently and gather responses in order."""
-        futures = [
-            self.submit_async(p, latency_budget=latency_budget) for p in payloads
-        ]
-        return [f.result(timeout=self.config.request_timeout_s) for f in futures]
-
     # ------------------------------------------------------------------
     # Rollout control
     # ------------------------------------------------------------------

@@ -1,19 +1,15 @@
-"""Stdlib-only HTTP fronts for the serving gateway.
+"""The stdlib-only HTTP front for the serving gateway.
 
 Production Overton sits behind the product's RPC fabric; the library
-equivalents are dependency-free and share one routing table:
-
-* :class:`GatewayHTTPServer` — ``http.server`` threaded front: one OS
-  thread per in-flight connection.  Simple, fine for demos and tests.
-* :class:`AsyncGatewayServer` — an ``asyncio`` front on a single event
-  loop: non-blocking intake, keep-alive connections, thousands of idle
-  clients without thousands of threads.  ``POST /predict`` bridges the
-  gateway's :class:`~repro.serve.batcher.PendingResponse` futures into
-  the loop (``on_done`` → a per-POST countdown → one
-  ``call_soon_threadsafe``), so slow forwards never block the accept
-  path, and :meth:`AsyncGatewayServer.stop` drains
-  gracefully: stop intake first, wait for in-flight requests, then stop
-  the loop.
+equivalent is dependency-free.  :class:`AsyncGatewayServer` is an
+``asyncio`` front on a single event loop: non-blocking intake, keep-alive
+connections, thousands of idle clients without thousands of threads.
+``POST /predict`` bridges the gateway's
+:class:`~repro.serve.batcher.PendingResponse` futures into the loop
+(``on_done`` → a per-POST countdown → one ``call_soon_threadsafe``), so
+slow forwards never block the accept path, and
+:meth:`AsyncGatewayServer.stop` drains gracefully: stop intake first,
+wait for in-flight requests, then stop the loop.
 
 Routes::
 
@@ -28,8 +24,9 @@ Routes::
     GET  /autopilot  the self-healing supervisor's status + recent journal
                      (404 unless the server was built with one)
 
-Client errors (malformed JSON, bad envelopes, unknown/missing payload
-fields) are 400 with ``{"error": ...}``; a shed request (queue full or
+Client errors (a malformed request line or ``Content-Length``, malformed
+JSON, bad envelopes, unknown/missing payload fields) are 400 with
+``{"error": ...}``; a shed request (queue full or
 every circuit open) is 503 with a ``Retry-After`` header; a request that
 was accepted but not answered within the gateway timeout is 504; a
 stopped gateway is 503; anything else — including a handler crash on any
@@ -45,7 +42,6 @@ import json
 import threading
 import time
 from http.client import responses as _HTTP_REASONS
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError, ServeError, ServeOverloadError, ServeTimeout
 from repro.obs import CONTENT_TYPE as _METRICS_CONTENT_TYPE
@@ -62,7 +58,7 @@ class _BadRequest(Exception):
 
 
 # ----------------------------------------------------------------------
-# Routing shared by both fronts
+# Routing
 # ----------------------------------------------------------------------
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj).encode("utf-8")
@@ -166,137 +162,6 @@ def _parse_predict(body) -> tuple[list, dict, bool]:
     return [body], {}, True
 
 
-class GatewayHTTPServer:
-    """Owns a ``ThreadingHTTPServer`` bound to a gateway.
-
-    ``port=0`` binds an ephemeral port (read it back from ``.port``).
-    The server runs on a background thread between :meth:`start` and
-    :meth:`stop`; the gateway's lifecycle stays the caller's.
-    """
-
-    def __init__(
-        self,
-        gateway: ServingGateway,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        autopilot=None,
-    ) -> None:
-        self.gateway = gateway
-        self.autopilot = autopilot
-        handler = _make_handler(gateway, autopilot)
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "GatewayHTTPServer":
-        if self._thread is not None:
-            raise ServeError("HTTP server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"serve-http-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=10)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "GatewayHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def _make_handler(
-    gateway: ServingGateway, autopilot=None
-) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        # Silence the default per-request stderr logging.
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass
-
-        def do_GET(self) -> None:  # noqa: N802 - http.server API
-            try:
-                code, ctype, data = _get_route(gateway, autopilot, self.path)
-            except Exception as exc:  # noqa: BLE001 - a 500, not a traceback
-                self._json(500, {"error": f"{type(exc).__name__}: {exc}"})
-            else:
-                self._respond(code, ctype, data)
-
-        def do_POST(self) -> None:  # noqa: N802 - http.server API
-            if self.path != "/predict":
-                self._json(404, {"error": f"unknown path {self.path!r}"})
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"null")
-            except (ValueError, json.JSONDecodeError) as exc:
-                self._json(400, {"error": f"bad request body: {exc}"})
-                return
-            try:
-                self._json(200, self._serve(body))
-            except Exception as exc:  # noqa: BLE001 - mapped, never a crash
-                code, obj, headers = _error_reply(exc)
-                self._json(code, obj, headers=headers or None)
-
-        def _serve(self, body):
-            payloads, kwargs, single = _parse_predict(body)
-            if single:
-                return self._submit_one(payloads[0], **kwargs)
-            return gateway.submit_many(payloads)
-
-        def _submit_one(self, payload, **kwargs):
-            """Submit a single payload, remembering its trace id (if any)
-            so the response can carry an ``X-Trace-Id`` header."""
-            future = gateway.submit_async(payload, **kwargs)
-            self._trace_id = future.trace_id
-            return future.result(timeout=gateway.config.request_timeout_s)
-
-        def _json(self, code: int, obj, headers: dict | None = None) -> None:
-            data = json.dumps(obj).encode("utf-8")
-            self._respond(code, "application/json", data, headers=headers)
-
-        def _text(self, code: int, text: str) -> None:
-            self._respond(code, "text/plain; charset=utf-8", text.encode("utf-8"))
-
-        def _respond(
-            self,
-            code: int,
-            content_type: str,
-            data: bytes,
-            headers: dict | None = None,
-        ) -> None:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            trace_id = getattr(self, "_trace_id", None)
-            if trace_id is not None:
-                self.send_header("X-Trace-Id", trace_id)
-            self.end_headers()
-            self.wfile.write(data)
-
-    return Handler
-
-
 # ----------------------------------------------------------------------
 # The asyncio front-end
 # ----------------------------------------------------------------------
@@ -322,9 +187,9 @@ def _render_http(
 class AsyncGatewayServer:
     """An asyncio HTTP front: non-blocking intake on a single event loop.
 
-    The threaded front burns one OS thread per in-flight connection; this
-    one multiplexes every connection on one loop (running on a background
-    thread, so the caller's API matches :class:`GatewayHTTPServer`).
+    Every connection is multiplexed on one loop, which runs on a
+    background thread between :meth:`start` and :meth:`stop`; ``port=0``
+    binds an ephemeral port (read it back from ``.port``).
     ``POST /predict`` submits through the gateway's existing micro-batcher
     and *suspends* the coroutine until the lane workers have settled every
     future of the POST — the last ``PendingResponse.on_done`` to fire hops
@@ -458,7 +323,14 @@ class AsyncGatewayServer:
         self._conn_tasks.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as exc:
+                    # The framing is unknown past a bad head: answer, close.
+                    data = _json_bytes({"error": str(exc)})
+                    writer.write(_render_http(400, _JSON, data, keep_alive=False))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, body, keep_alive = request
@@ -486,13 +358,17 @@ class AsyncGatewayServer:
 
     @staticmethod
     async def _read_request(reader):
-        """Parse one request; ``None`` on EOF or a malformed start line."""
+        """Parse one request; ``None`` on EOF or a blank start line.
+
+        A start line without exactly three parts, or a ``Content-Length``
+        that is not a non-negative integer, raises :class:`_BadRequest`.
+        """
         request_line = await reader.readline()
-        if not request_line:
+        parts = request_line.decode("latin-1").split()
+        if not parts:
             return None
-        parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            return None
+            raise _BadRequest(f"malformed request line {request_line!r}")
         method, path, version = parts
         headers: dict[str, str] = {}
         while True:
@@ -501,7 +377,13 @@ class AsyncGatewayServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadRequest(f"bad Content-Length {raw_length!r}")
         body = await reader.readexactly(length) if length else b""
         if version == "HTTP/1.0":
             keep_alive = headers.get("connection", "").lower() == "keep-alive"
@@ -543,8 +425,8 @@ class AsyncGatewayServer:
             self.gateway.submit_async(p, **kwargs) for p in payloads
         ]  # validation raises here, before anything queues
         await self._settled(futures)
-        # In order, like the threaded front: the first failed item's
-        # exception is the POST's (mapped by _dispatch).
+        # In order: the first failed item's exception is the POST's
+        # (mapped by _dispatch).
         results = [f.result(timeout=0) for f in futures]
         headers = {}
         if single and futures[0].trace_id is not None:

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.api import Application, Endpoint, Run, SupervisionPolicy
@@ -250,48 +249,11 @@ class TestEndpoint:
 
 
 class TestLegacyAliases:
-    def test_legacy_imports_work_and_warn(self):
+    def test_legacy_names_are_gone(self):
         import repro
+        import repro.api
 
-        with pytest.warns(DeprecationWarning, match="repro.api.Application"):
-            overton_cls = repro.Overton
-        with pytest.warns(DeprecationWarning, match="repro.api.Endpoint"):
-            predictor_cls = repro.Predictor
-        with pytest.warns(DeprecationWarning, match="repro.api.Run"):
-            trained_cls = repro.TrainedModel
-
-        from repro.core.overton import Overton, TrainedModel
-        from repro.deploy.predictor import Predictor
-
-        assert overton_cls is Overton
-        assert predictor_cls is Predictor
-        assert trained_cls is TrainedModel
-
-    def test_legacy_facade_matches_api_results(self):
-        import warnings
-
-        ds = mini_dataset(n=60, seed=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro
-
-            overton = repro.Overton(factoid_schema())
-        trained = overton.train(ds, fast_config(epochs=2))
-        app = Application(factoid_schema())
-        run = app.fit(ds, fast_config(epochs=2))
-        np.testing.assert_allclose(
-            [e.train_loss for e in trained.history.epochs],
-            [e.train_loss for e in run.history.epochs],
-        )
-
-    def test_predictor_is_permissive_endpoint(self, fitted):
-        app, ds, run = fitted
-        from repro.deploy.predictor import Predictor
-
-        predictor = Predictor(run.artifact())
-        assert isinstance(predictor, Endpoint)
-        # Legacy contract: missing inputs allowed, unknown still rejected.
-        response = predictor.predict_one({"tokens": ["how", "old", "is", "obama"]})
-        assert "Intent" in response
-        with pytest.raises(DeploymentError, match="unknown payloads"):
-            predictor.predict_one({"bogus": [1]})
+        for name in ("Overton", "Predictor", "TrainedModel"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+        assert repro.api.TrainedModel is not None

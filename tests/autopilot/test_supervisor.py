@@ -283,14 +283,14 @@ class TestSurfaces:
         import json
         from urllib.request import urlopen
 
-        from repro.serve import GatewayHTTPServer
+        from repro.serve import AsyncGatewayServer
 
         app, ds, run = ap_world
         store, gateway = ap_gateway
         supervisor = Supervisor(
             gateway, app, store, ds, lenient_policy(), dry_run=True
         )
-        with gateway, GatewayHTTPServer(gateway, autopilot=supervisor) as server:
+        with gateway, AsyncGatewayServer(gateway, autopilot=supervisor) as server:
             drive(gateway, ds, 0, 40, drifted=True)
             supervisor.step()
             body = json.loads(urlopen(f"{server.url}/autopilot").read())
@@ -305,11 +305,11 @@ class TestSurfaces:
         from urllib.error import HTTPError
         from urllib.request import urlopen
 
-        from repro.serve import GatewayHTTPServer
+        from repro.serve import AsyncGatewayServer
 
         app, ds, run = ap_world
         store, gateway = ap_gateway
-        with gateway, GatewayHTTPServer(gateway) as server:
+        with gateway, AsyncGatewayServer(gateway) as server:
             with pytest.raises(HTTPError) as excinfo:
                 urlopen(f"{server.url}/autopilot")
             assert excinfo.value.code == 404

@@ -1,11 +1,12 @@
-"""Tests for artifacts, the model store, and the predictor."""
+"""Tests for artifacts, the model store, and permissive endpoint serving."""
 
 import numpy as np
 import pytest
 
+from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.data import encode_inputs
-from repro.deploy import ModelArtifact, ModelStore, Predictor
+from repro.deploy import ModelArtifact, ModelStore
 from repro.errors import DeploymentError, StoreError
 from repro.model import compile_from_dataset
 
@@ -254,11 +255,16 @@ class TestAtomicIndex:
         assert store.latest_version("qa") == v1.version
 
 
+def permissive(artifact) -> Endpoint:
+    """Missing signature inputs allowed; each ``predict()`` is one batch."""
+    return Endpoint(artifact, strict=False, micro_batch_size=None)
+
+
 class TestPredictor:
     def test_serves_typed_responses(self):
         artifact, ds, *_ = make_artifact()
-        predictor = Predictor(artifact)
-        response = predictor.predict_one(
+        endpoint = permissive(artifact)
+        response = endpoint.predict_one(
             {
                 "tokens": ["how", "tall", "is", "paris"],
                 "entities": [{"id": "paris", "range": [3, 4]}],
@@ -272,23 +278,25 @@ class TestPredictor:
 
     def test_unknown_payload_rejected(self):
         artifact, *_ = make_artifact()
-        predictor = Predictor(artifact)
+        endpoint = permissive(artifact)
         with pytest.raises(DeploymentError, match="unknown payloads"):
-            predictor.predict_one({"bogus": [1]})
+            endpoint.predict_one({"bogus": [1]})
 
     def test_empty_batch(self):
         artifact, *_ = make_artifact()
-        assert Predictor(artifact).predict([]) == []
+        assert permissive(artifact).predict([]) == []
 
     def test_from_directory(self, tmp_path):
         artifact, *_ = make_artifact()
         artifact.save(tmp_path / "artifact")
-        predictor = Predictor.from_directory(tmp_path / "artifact")
-        response = predictor.predict_one({"tokens": ["how", "old", "is", "obama"]})
+        endpoint = Endpoint.from_directory(
+            tmp_path / "artifact", strict=False, micro_batch_size=None
+        )
+        response = endpoint.predict_one({"tokens": ["how", "old", "is", "obama"]})
         assert "Intent" in response
 
     def test_bitvector_response_shape(self):
         artifact, *_ = make_artifact()
-        response = Predictor(artifact).predict_one({"tokens": ["paris"]})
+        response = permissive(artifact).predict_one({"tokens": ["paris"]})
         assert isinstance(response["EntityType"]["labels"], list)
         assert len(response["EntityType"]["labels"]) == 1  # one token

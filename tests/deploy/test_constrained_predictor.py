@@ -1,16 +1,23 @@
-"""Tests for constrained decoding inside the Predictor."""
+"""Tests for constrained decoding inside the Endpoint."""
 
 import numpy as np
 import pytest
 
+from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
-from repro.deploy import ModelArtifact, Predictor
+from repro.deploy import ModelArtifact
 from repro.model import compile_from_dataset
 from repro.workloads import (
     FactoidGenerator,
     WorkloadConfig,
     factoid_constraints,
 )
+
+
+def permissive(artifact, constraints=None) -> Endpoint:
+    return Endpoint(
+        artifact, constraints=constraints, strict=False, micro_batch_size=None
+    )
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +40,7 @@ class TestConstrainedPredictor:
         from repro.workloads.gazetteer import GAZETTEER, INTENT_CATEGORY
 
         by_id = {e.id: e for e in GAZETTEER}
-        predictor = Predictor(artifact, constraints=factoid_constraints(weight=50.0))
+        endpoint = permissive(artifact, constraints=factoid_constraints(weight=50.0))
         payloads = [
             {
                 "tokens": ["what", "is", "the", "capital", "of", "georgia"],
@@ -50,15 +57,15 @@ class TestConstrainedPredictor:
                 ],
             },
         ]
-        for payload, response in zip(payloads, predictor.predict(payloads)):
+        for payload, response in zip(payloads, endpoint.predict(payloads)):
             intent = response["Intent"]["label"]
             index = response["IntentArg"]["index"]
             category = by_id[payload["entities"][index]["id"]].category
             assert category in INTENT_CATEGORY[intent]
 
     def test_without_constraints_unchanged(self, artifact):
-        plain = Predictor(artifact)
-        constrained = Predictor(artifact, constraints=factoid_constraints(weight=1e-9))
+        plain = permissive(artifact)
+        constrained = permissive(artifact, constraints=factoid_constraints(weight=1e-9))
         payload = {
             "tokens": ["how", "tall", "is", "everest"],
             "entities": [{"id": "Mount_Everest", "range": [3, 4]}],
@@ -73,8 +80,8 @@ class TestConstrainedPredictor:
     def test_empty_constraint_set_is_noop(self, artifact):
         from repro.core import ConstraintSet
 
-        predictor = Predictor(artifact, constraints=ConstraintSet())
-        response = predictor.predict_one(
+        endpoint = permissive(artifact, constraints=ConstraintSet())
+        response = endpoint.predict_one(
             {"tokens": ["how", "tall", "is", "everest"],
              "entities": [{"id": "Mount_Everest", "range": [3, 4]}]}
         )
@@ -82,8 +89,8 @@ class TestConstrainedPredictor:
 
     def test_sequence_tasks_never_constrained(self, artifact):
         """POS (sequence) output shape is unaffected by constrained decode."""
-        predictor = Predictor(artifact, constraints=factoid_constraints())
-        response = predictor.predict_one(
+        endpoint = permissive(artifact, constraints=factoid_constraints())
+        response = endpoint.predict_one(
             {"tokens": ["how", "tall", "is", "everest"],
              "entities": [{"id": "Mount_Everest", "range": [3, 4]}]}
         )

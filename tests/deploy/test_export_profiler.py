@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.deploy import (
     BACKENDS,
     ModelArtifact,
-    Predictor,
     SLA,
     build_program_graph,
     export_backend_skeleton,
@@ -125,7 +125,7 @@ def make_predictor():
         {"tokens": r.payloads["tokens"], "entities": r.payloads["entities"]}
         for r in ds.records[:10]
     ]
-    return Predictor(artifact), payloads
+    return Endpoint(artifact, strict=False, micro_batch_size=None), payloads
 
 
 class TestProfiler:

@@ -10,9 +10,9 @@ import pytest
 from repro.errors import ServeOverloadError
 from repro.faults import FaultPlan, FaultRule, injected, InjectedFault
 from repro.serve import (
+    AsyncGatewayServer,
     BreakerPolicy,
     GatewayConfig,
-    GatewayHTTPServer,
     ReplicaPool,
     ServingGateway,
 )
@@ -213,7 +213,7 @@ class TestHTTPStatusMapping:
         )
         down = storm(stable_error(max_fires=1))
         with injected(down), ServingGateway(pool, config) as gateway:
-            with GatewayHTTPServer(gateway, port=0) as http:
+            with AsyncGatewayServer(gateway, port=0) as http:
                 status, body, _ = post(http.url + "/predict", payloads[0])
                 assert status == 500  # the injected fault itself
                 status, body, headers = post(http.url + "/predict", payloads[1])
@@ -233,7 +233,7 @@ class TestHTTPStatusMapping:
         )
         slow = storm(stable_error(kind="latency", latency_s=0.3, max_fires=1))
         with injected(slow), ServingGateway(pool, config) as gateway:
-            with GatewayHTTPServer(gateway, port=0) as http:
+            with AsyncGatewayServer(gateway, port=0) as http:
                 status, body, _ = post(http.url + "/predict", payloads[0])
                 assert status == 504
                 assert "not answered" in body["error"] or "timed out" in body["error"]

@@ -2,14 +2,10 @@
 
 ``mini_dataset`` builds from a small parametric synth spec
 (:mod:`repro.workloads.synth`), so the fixture corpus exercises the same
-generator the benches and soak tests use.  Set ``REPRO_LEGACY_FIXTURES=1``
-(or pass ``legacy=True``) for the original hand-rolled records,
-byte-identical to the pre-synth fixture.
+generator the benches and soak tests use.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.core import Schema
 from repro.data import Record
@@ -78,72 +74,18 @@ def mini_spec(n: int = 60, seed: int = 0, weak_noise: float = 0.2):
     )
 
 
-def mini_dataset(
-    n: int = 60, seed: int = 0, weak_noise: float = 0.2, legacy: bool | None = None
-):
+def mini_dataset(n: int = 60, seed: int = 0, weak_noise: float = 0.2):
     """A small learnable dataset conforming to the factoid schema.
 
     Intent is determined by a keyword; entities are single-token spans; gold
     labels exist on every record (used for dev/test evaluation only), plus
-    two noisy weak sources for training.  Built from :func:`mini_spec` by
-    default; ``legacy=True`` (or ``REPRO_LEGACY_FIXTURES=1``) regenerates
-    the original hand-rolled records byte-for-byte.
+    two noisy weak sources for training.  Built from :func:`mini_spec`.
     """
-    if legacy is None:
-        legacy = os.environ.get("REPRO_LEGACY_FIXTURES", "") == "1"
-    if legacy:
-        return _legacy_mini_dataset(n, seed, weak_noise)
     from repro.data import Dataset
     from repro.workloads.synth import SynthGenerator
 
     generator = SynthGenerator(mini_spec(n, seed, weak_noise))
     return Dataset(factoid_schema(), list(generator.iter_records(n)))
-
-
-def _legacy_mini_dataset(n: int = 60, seed: int = 0, weak_noise: float = 0.2):
-    """The pre-synth hand-rolled fixture, kept byte-identical."""
-    import numpy as np
-
-    from repro.data import Dataset
-
-    rng = np.random.default_rng(seed)
-    intents = [
-        ("height", ["how", "tall", "is"]),
-        ("age", ["how", "old", "is"]),
-        ("population", ["population", "of"]),
-    ]
-    names = ["paris", "france", "everest", "obama", "tokyo", "nile"]
-    records = []
-    for i in range(n):
-        intent, prefix = intents[int(rng.integers(len(intents)))]
-        name = names[int(rng.integers(len(names)))]
-        tokens = prefix + [name]
-        pos = ["ADV"] * (len(tokens) - 1) + ["NOUN"]
-        span_start = len(tokens) - 1
-        entities = [{"id": name, "range": [span_start, span_start + 1]}]
-        record = Record.from_dict(
-            {
-                "payloads": {"tokens": tokens, "entities": entities},
-                "tasks": {
-                    "POS": {"gold": pos},
-                    "EntityType": {"gold": [[] for _ in tokens[:-1]] + [["location"]]},
-                    "Intent": {"gold": intent},
-                    "IntentArg": {"gold": 0},
-                },
-                "tags": [],
-            }
-        )
-        # Two weak sources with independent noise.
-        for source, noise in (("weak_a", weak_noise), ("weak_b", weak_noise * 1.5)):
-            if rng.random() < noise:
-                wrong = [x for x, _ in intents if x != intent]
-                record.add_label("Intent", source, wrong[int(rng.integers(len(wrong)))])
-            else:
-                record.add_label("Intent", source, intent)
-        split = "train" if i % 5 < 3 else ("dev" if i % 5 == 3 else "test")
-        record.add_tag(split)
-        records.append(record)
-    return Dataset(factoid_schema(), records)
 
 
 def sample_record() -> Record:

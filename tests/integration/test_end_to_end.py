@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro import (
+    Application,
     Dataset,
+    Endpoint,
     ModelConfig,
     ModelStore,
-    Overton,
     PayloadConfig,
-    Predictor,
     SliceSet,
     SliceSpec,
     TrainerConfig,
@@ -46,16 +46,16 @@ def workload():
 
 class TestTrainDeployServe:
     def test_full_loop_through_store(self, workload, tmp_path):
-        overton = Overton(workload.schema)
-        trained = overton.train(workload, fast_config())
+        app = Application(workload.schema)
+        trained = app.fit(workload, fast_config()).trained
         store = ModelStore(tmp_path / "store")
-        overton.deploy(trained, store, "qa")
+        app.deploy(trained, store, "qa")
 
-        predictor = Predictor(store.fetch("qa"))
+        endpoint = Endpoint(store.fetch("qa"), strict=False, micro_batch_size=None)
         test_records = workload.split("test").records[:20]
         correct = 0
         for record in test_records:
-            response = predictor.predict_one(
+            response = endpoint.predict_one(
                 {
                     "tokens": record.payloads["tokens"],
                     "entities": record.payloads["entities"],
@@ -70,17 +70,17 @@ class TestTrainDeployServe:
         """Serialize -> store -> fetch -> serve must be prediction-identical."""
         from repro.data import encode_inputs
 
-        overton = Overton(workload.schema)
-        trained = overton.train(workload, fast_config())
+        app = Application(workload.schema)
+        trained = app.fit(workload, fast_config()).trained
         store = ModelStore(tmp_path / "store")
-        overton.deploy(trained, store, "qa")
-        predictor = Predictor(store.fetch("qa"))
+        app.deploy(trained, store, "qa")
+        endpoint = Endpoint(store.fetch("qa"), strict=False, micro_batch_size=None)
 
         records = workload.split("test").records[:10]
         batch = encode_inputs(records, workload.schema, trained.vocabs)
         direct = trained.model.predict(batch)["Intent"].predictions
         served = [
-            predictor.predict_one(
+            endpoint.predict_one(
                 {"tokens": r.payloads["tokens"], "entities": r.payloads["entities"]}
             )["Intent"]["label"]
             for r in records
@@ -99,15 +99,15 @@ class TestEngineerLoop:
             record.tasks.get("IntentArg", {}).pop("lf_compatible", None)
 
         slices = SliceSet([SliceSpec(name=HARD_DISAMBIGUATION_SLICE)])
-        overton = Overton(dataset.schema, slices=slices)
+        app = Application(dataset.schema, slices=slices)
         tag = f"slice:{HARD_DISAMBIGUATION_SLICE}"
 
-        before_model = overton.train(dataset, fast_config(epochs=6))
-        before = overton.report(before_model, dataset, tags=["test", tag])
+        before_model = app.fit(dataset, fast_config(epochs=6)).trained
+        before = app.report(before_model, dataset, tags=["test", tag])
 
         compatibility_intent_arg_source(dataset.records)
-        after_model = overton.train(dataset, fast_config(epochs=6))
-        after = overton.report(after_model, dataset, tags=["test", tag])
+        after_model = app.fit(dataset, fast_config(epochs=6)).trained
+        after = app.report(after_model, dataset, tags=["test", tag])
 
         improvement = after.metric(tag, "IntentArg", "accuracy") - before.metric(
             tag, "IntentArg", "accuracy"
@@ -124,8 +124,8 @@ class TestEngineerLoop:
             return "capital" if "capital" in tokens else None
 
         LFApplier([lf]).apply(workload.records)
-        overton = Overton(workload.schema)
-        targets, combined = overton.combine(workload.records)
+        app = Application(workload.schema)
+        targets, combined = app.combine(workload.records)
         assert "lf_integration" in combined["Intent"].source_accuracies
         # A precise keyword heuristic should be rated highly.
         assert combined["Intent"].source_accuracies["lf_integration"] > 0.8
@@ -151,23 +151,23 @@ class TestSchemaSharing:
 
         for seed, locale in ((31, "en"), (32, "fr")):
             dataset = localized(seed, locale)
-            overton = Overton(schema)
-            trained = overton.train(dataset, fast_config(epochs=4))
-            evals = overton.evaluate(trained, dataset, tag="test")
+            app = Application(schema)
+            trained = app.fit(dataset, fast_config(epochs=4)).trained
+            evals = app.evaluate(trained, dataset, tag="test")
             assert evals["Intent"].metrics["accuracy"] > 0.5, locale
 
 
 class TestSyncAndVersioning:
     def test_pair_lifecycle(self, workload, tmp_path):
-        overton = Overton(workload.schema)
-        large = overton.train(workload, fast_config(size=32, epochs=4))
-        small = overton.train(workload, fast_config(size=8, epochs=4))
+        app = Application(workload.schema)
+        large = app.fit(workload, fast_config(size=32, epochs=4)).trained
+        small = app.fit(workload, fast_config(size=8, epochs=4)).trained
         store = ModelStore(tmp_path / "store")
         pushed = push_pair(
             store,
             "qa",
-            overton.build_artifact(large),
-            overton.build_artifact(small),
+            app.build_artifact(large),
+            app.build_artifact(small),
         )
         check = check_pair(store, "qa")
         assert check.in_sync

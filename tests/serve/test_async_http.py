@@ -1,6 +1,7 @@
 """Tests for the asyncio HTTP front: one completion hop per POST."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -31,6 +32,16 @@ def post(url: str, body) -> tuple[int, object, dict]:
             return response.status, json.loads(response.read()), dict(response.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers)
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes it."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def hard(responses: list[dict]) -> list[dict]:
@@ -198,3 +209,28 @@ class TestFailures:
         assert not client.is_alive()
         [(status, body, _)] = answers
         assert status == 200 and len(body) == 6
+
+
+class TestMalformedRequests:
+    """A request the front cannot frame is answered 400, then closed."""
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"POST /predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"HELLO\r\n\r\n",
+        ],
+        ids=["non-numeric-length", "negative-length", "one-part-request-line"],
+    )
+    def test_is_400_then_closed(self, front, request_head):
+        gateway, server, payloads = front
+        reply = raw_exchange(server, request_head)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request", reply
+        assert "Connection: close" in lines[1:]
+        assert "Content-Type: application/json" in lines[1:]
+        assert json.loads(body)["error"]
+        status, _, _ = post(server.url + "/predict", payloads[0])
+        assert status == 200  # the front keeps serving

@@ -1,4 +1,4 @@
-"""Tests for the stdlib HTTP front over the gateway."""
+"""Tests for the HTTP front over the gateway: routes and status mapping."""
 
 import json
 import urllib.error
@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve import GatewayConfig, GatewayHTTPServer, ReplicaPool, ServingGateway
+from repro.serve import AsyncGatewayServer, GatewayConfig, ReplicaPool, ServingGateway
 
 
 @pytest.fixture()
@@ -17,7 +17,7 @@ def server(served, single_store):
     gateway = ServingGateway(
         pool, GatewayConfig(max_batch_size=4, max_wait_s=0.02)
     )
-    with gateway, GatewayHTTPServer(gateway, port=0) as http:
+    with gateway, AsyncGatewayServer(gateway, port=0) as http:
         yield http, payloads
 
 
@@ -107,7 +107,7 @@ class TestServerFaults:
         store, *_ = single_store
         pool = ReplicaPool.from_store(store, app.name)
         gateway = ServingGateway(pool, GatewayConfig(max_batch_size=4))
-        with GatewayHTTPServer(gateway, port=0) as http:
+        with AsyncGatewayServer(gateway, port=0) as http:
             gateway.stop()  # the server outlives its gateway during shutdown
             status, body = post(http.url + "/predict", payloads[0])
             assert status == 503

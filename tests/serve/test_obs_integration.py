@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 import repro.obs as obs
-from repro.serve import GatewayConfig, GatewayHTTPServer, ReplicaPool, ServingGateway
+from repro.serve import AsyncGatewayServer, GatewayConfig, ReplicaPool, ServingGateway
 
 # The full causal chain one served request must leave behind.
 EXPECTED_SPANS = {
@@ -138,7 +138,7 @@ class TestTracePropagation:
 class TestHTTPExposition:
     def test_trace_endpoint_serves_the_acceptance_path(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), GatewayHTTPServer(gw, port=0) as http:
+        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
             future = gw.submit_async(payloads[0])
             future.result(timeout=30)
             gw.drain()
@@ -152,14 +152,15 @@ class TestHTTPExposition:
 
     def test_trace_endpoint_404s_unknown_ids(self, gateway):
         gw, _ = gateway
-        with GatewayHTTPServer(gw, port=0) as http:
+        with AsyncGatewayServer(gw, port=0) as http:
             status, body = get_json(f"{http.url}/trace/0xdeadbeef")
             assert status == 404 and "error" in body
 
     def test_metrics_endpoint_renders_per_tier_histograms(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), GatewayHTTPServer(gw, port=0) as http:
-            gw.submit_many(payloads[:4])
+        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
+            for future in [gw.submit_async(p) for p in payloads[:4]]:
+                future.result(timeout=30)
             gw.drain()
             with urllib.request.urlopen(
                 f"{http.url}/metrics", timeout=30
@@ -181,7 +182,7 @@ class TestHTTPExposition:
 
     def test_predict_response_carries_trace_header(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), GatewayHTTPServer(gw, port=0) as http:
+        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
             request = urllib.request.Request(
                 f"{http.url}/predict",
                 data=json.dumps(payloads[0]).encode("utf-8"),

@@ -7,7 +7,7 @@ The :class:`~repro.serve.WorkerReplicaPool` contract under test:
   numerical seam to hide behind) — in both dtypes;
 * a crashed worker surfaces as :class:`~repro.errors.WorkerCrashError`,
   feeds the tier's circuit breaker, and is respawned in its slot;
-* concurrent ``submit_many`` callers get their responses in order;
+* concurrent submitters get their responses in order;
 * ``drain()`` covers batches in flight inside worker processes;
 * a stopped pool leaves nothing behind in ``/dev/shm``.
 """
@@ -39,6 +39,12 @@ from repro.serve.shm import NAME_PREFIX, SegmentCache, ShmArena
 
 from tests.helpers import child_pids, process_running as _running
 from tests.serve.conftest import request_payloads
+
+
+def submit_all(gateway: ServingGateway, payloads: list[dict]) -> list[dict]:
+    """Submit every payload, then gather the responses in order."""
+    futures = [gateway.submit_async(p) for p in payloads]
+    return [f.result(timeout=gateway.config.request_timeout_s) for f in futures]
 
 
 def _shm_entries() -> set[str]:
@@ -91,7 +97,7 @@ class TestParity:
 
 
 class TestGatewayIntegration:
-    def test_submit_many_is_ordered_under_concurrency(
+    def test_concurrent_submitters_get_ordered_answers(
         self, pair_store, served, worker_pool
     ):
         store, _ = pair_store
@@ -107,7 +113,7 @@ class TestGatewayIntegration:
                 order = [
                     (offset + i) % len(payloads) for i in range(len(payloads))
                 ]
-                responses = gateway.submit_many([payloads[i] for i in order])
+                responses = submit_all(gateway, [payloads[i] for i in order])
                 for got_index, payload_index in enumerate(order):
                     if responses[got_index] != by_payload[payload_index]:
                         failures.append(
@@ -139,7 +145,7 @@ class TestGatewayIntegration:
         _, _, _, payloads = served
         config = GatewayConfig(max_batch_size=8, max_wait_s=0.002)
         with ServingGateway(worker_pool, config) as gateway:
-            gateway.submit_many(payloads[:6])
+            submit_all(gateway, payloads[:6])
             events = gateway.telemetry.events()
             assert events and all(e.worker in (0, 1) for e in events)
             stats = gateway.stats()
@@ -193,7 +199,7 @@ class TestCrashRecovery:
                     clear()
                     pool.set_fault_plan(None)
                     time.sleep(0.25)  # let open circuits reach half-open
-                    responses = gateway.submit_many(payloads[:6])
+                    responses = submit_all(gateway, payloads[:6])
                     assert len(responses) == 6
                     assert all(pool.worker_stats()[s]["alive"] for s in (0, 1))
 

@@ -88,13 +88,13 @@ class TestPolicySearch:
         assert len(augmented) == len(ds)
 
     def test_end_to_end_with_real_training(self):
-        """Smoke: the search composes with the real Overton training path."""
+        """Smoke: the search composes with the real training path."""
+        from repro.api import Application
         from repro.core import ModelConfig, PayloadConfig, TrainerConfig
-        from repro.core.overton import Overton
         from repro.training import mean_primary
 
         ds = mini_dataset(n=60, seed=7)
-        overton = Overton(ds.schema)
+        app = Application(ds.schema)
         config = ModelConfig(
             payloads={
                 "tokens": PayloadConfig(encoder="bow", size=8),
@@ -105,8 +105,8 @@ class TestPolicySearch:
         )
 
         def train_and_score(dataset):
-            trained = overton.train(dataset, config)
-            return mean_primary(overton.evaluate(trained, dataset, tag="dev"))
+            trained = app.fit(dataset, config).trained
+            return mean_primary(app.evaluate(trained, dataset, tag="dev"))
 
         result = search_augmentation_policies(
             ds, [token_dropout(rate=0.2)], train_and_score

@@ -312,6 +312,12 @@ class TestServe:
         assert "Traceback" not in output
         assert "requests: 0" in output  # drained and rendered on the way out
 
+    def test_threaded_http_front_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--artifact", "a", "--http", "threaded"])
+        assert excinfo.value.code == 2
+        assert "--http" in capsys.readouterr().err
+
     def test_serve_requires_a_model_source(self, capsys):
         code = main(["serve", "--port", "0"])
         assert code == 1
