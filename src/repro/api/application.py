@@ -25,7 +25,8 @@ re-plumbed per workload::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -93,25 +94,39 @@ class TrainingData:
 
     Built once by :meth:`Application.prepare` and shared by every consumer
     of one search — each trial, the serial loop, the winner's refit or
-    restore — so supervision is combined once per search, not once per
-    model.  Nothing here is written to after it is built.
+    restore.  Supervision is combined on first read and kept: at most once
+    per search, and only when something trains.  It holds no closure, so
+    it pickles before and after that read.
     """
 
     train_records: list[Record]
     dev_records: list[Record]
     vocabs: dict
-    targets: dict[str, TaskTargets]
-    supervision: dict[str, CombinedSupervision]
     train_fingerprint: str
+    application: "Application" = field(repr=False)
+    method: str | None = None
+
+    @cached_property
+    def combined(self) -> tuple[dict[str, TaskTargets], dict[str, CombinedSupervision]]:
+        """``application.combine(train_records, method)``, run on first read."""
+        return self.application.combine(self.train_records, method=self.method)
+
+    @property
+    def targets(self) -> dict[str, TaskTargets]:
+        return self.combined[0]
+
+    @property
+    def supervision(self) -> dict[str, CombinedSupervision]:
+        return self.combined[1]
 
     def trained(self, model, history, config: ModelConfig) -> TrainedModel:
         return TrainedModel(
             model=model,
             vocabs=self.vocabs,
             history=history,
-            supervision=self.supervision,
             config=config,
             train_fingerprint=self.train_fingerprint,
+            data=self,
         )
 
 
@@ -274,9 +289,15 @@ class Application:
         Splits, slice materialisation, vocabularies, combined supervision
         and the train fingerprint are a pure function of (application,
         dataset, method): a search computes them once and every model it
-        trains starts from the same object.
+        trains starts from the same object.  The supervision is combined on
+        first read (:class:`TrainingData`).
         """
-        from repro.deploy.sync import data_fingerprint
+        return self._prepare(dataset, method, whole=False)[0]
+
+    def _prepare(self, dataset: Dataset, method: str | None, whole: bool):
+        """``(prepare(...), data_fingerprint(dataset.records if whole else
+        train records))``, encoding each record once for both hashes."""
+        from repro.deploy.sync import data_fingerprints
 
         train = dataset.split("train")
         dev = dataset.split("dev")
@@ -284,15 +305,18 @@ class Application:
             raise TrainingError("dataset has no records tagged 'train'")
         self.slices.materialize(dataset.records)
         vocabs = dataset.build_vocabs()
-        targets, combined = self.combine(train.records, method=method)
-        return TrainingData(
+        hashed, train_fingerprint = data_fingerprints(
+            dataset.records if whole else train.records, train.records
+        )
+        data = TrainingData(
             train_records=train.records,
             dev_records=dev.records,
             vocabs=vocabs,
-            targets=targets,
-            supervision=combined,
-            train_fingerprint=data_fingerprint(train.records),
+            train_fingerprint=train_fingerprint,
+            application=self,
+            method=method,
         )
+        return data, hashed
 
     def fit(
         self,
@@ -376,7 +400,8 @@ class Application:
         re-trained locally — also deterministic — or, when the cache
         already holds that model, restored from it
         (:func:`repro.exec.winning_model`).  Either way supervision is
-        combined once per search (:meth:`prepare`), not once per trial.
+        combined at most once per search, and only when something trains
+        (:meth:`prepare`): a warm search never runs the label model.
         """
         dev = dataset.split("dev")
         if len(dev) == 0:
@@ -514,7 +539,6 @@ class Application:
         / ``on_error`` configure the executor's failure handling (see
         :meth:`repro.exec.TrialExecutor.evaluate`).
         """
-        from repro.deploy.sync import data_fingerprint
         from repro.exec import (
             TrialCache,
             TrialExecutor,
@@ -525,15 +549,15 @@ class Application:
 
         # Predicates run here, once (inside prepare): membership is written
         # onto the records as tags, so predicate-less worker clones see the
-        # same slices.  Workers inherit the prepared plane with the context.
-        data = self.prepare(dataset, method)
+        # same slices and combine the same supervision, so the plane holds
+        # the clone too.  Workers inherit the plane with the context.
+        data, fingerprint = self._prepare(dataset, method, whole=True)
         clone = self._picklable_clone()
-        context = TuneContext(
-            application=clone, dataset=dataset, data=data, method=method
-        )
+        data = replace(data, application=clone)
+        context = TuneContext(application=clone, dataset=dataset, data=data, method=method)
         namespace = tuning_namespace(
             clone.to_spec(),
-            data_fingerprint(dataset.records),
+            fingerprint,
             method=method,
             embeddings=[
                 (name, self.registry.get(name).dim, self.registry.get(name).version)
@@ -701,7 +725,6 @@ class Application:
             model=artifact.build_model(),
             vocabs=dict(artifact.vocabs),
             history=TrainHistory(),
-            supervision={},
             config=artifact.config,
             train_fingerprint=artifact.metadata.get("data_fingerprint", ""),
         )

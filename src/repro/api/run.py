@@ -36,7 +36,7 @@ from repro.training import (
 from repro.tuning import SearchResult, Trial
 
 if TYPE_CHECKING:  # avoid a circular import with application.py
-    from repro.api.application import Application
+    from repro.api.application import Application, TrainingData
     from repro.api.endpoint import Endpoint
     from repro.deploy.store import ModelStore, StoredVersion
 
@@ -51,9 +51,14 @@ class TrainedModel:
     model: MultitaskModel
     vocabs: dict[str, Vocab]
     history: TrainHistory
-    supervision: dict[str, CombinedSupervision]
     config: ModelConfig
     train_fingerprint: str
+    data: "TrainingData | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def supervision(self) -> dict[str, CombinedSupervision]:
+        """What the model trained on; ``{}`` if loaded from disk (no ``data``)."""
+        return self.data.supervision if self.data is not None else {}
 
 
 @dataclass
@@ -68,10 +73,16 @@ class Run:
 
     def __post_init__(self) -> None:
         if not self.supervision_summary:
-            self.supervision_summary = {
-                task: dict(combined.source_accuracies)
-                for task, combined in self.trained.supervision.items()
-            }
+            del self.supervision_summary  # derived on first read, if ever
+
+    def __getattr__(self, name: str):  # only for attributes not set
+        if name != "supervision_summary":
+            raise AttributeError(f"'Run' object has no attribute {name!r}")
+        self.supervision_summary = {
+            task: dict(combined.source_accuracies)
+            for task, combined in self.trained.supervision.items()
+        }
+        return self.supervision_summary
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -159,8 +170,7 @@ class Run:
             model=artifact.build_model(),
             vocabs=dict(artifact.vocabs),
             history=_history_from_dict(meta.get("history", {})),
-            supervision={},  # full probabilistic targets are not persisted
-            config=artifact.config,
+            config=artifact.config,  # no data: targets are not persisted
             train_fingerprint=meta.get("train_fingerprint", ""),
         )
         return cls(

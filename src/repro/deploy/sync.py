@@ -25,10 +25,20 @@ from repro.errors import DeploymentError
 
 def data_fingerprint(records: Sequence[Record]) -> str:
     """Stable hash of a training set, recorded on artifacts at train time."""
-    hasher = hashlib.sha256()
+    return data_fingerprints(records, ())[0]
+
+
+def data_fingerprints(records: Sequence[Record], subset: Sequence[Record]) -> tuple[str, str]:
+    """``data_fingerprint`` of ``records`` and of ``subset``, an in-order
+    selection of them such as a split, encoding each record once."""
+    chosen = {id(record) for record in subset}
+    whole, part = hashlib.sha256(), hashlib.sha256()
     for record in records:
-        hasher.update(record.to_json().encode())
-    return hasher.hexdigest()[:16]
+        encoded = record.to_json().encode()
+        whole.update(encoded)
+        if id(record) in chosen:
+            part.update(encoded)
+    return whole.hexdigest()[:16], part.hexdigest()[:16]
 
 
 @dataclass

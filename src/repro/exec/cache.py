@@ -255,11 +255,13 @@ class TrialCache:
         return self._path(key).exists()
 
     def clear(self) -> int:
-        """Delete every entry and state; returns how many trials were removed."""
+        """Delete every entry, state and orphaned temp file (a writer killed
+        before its rename leaves one); returns how many trials were removed."""
         removed = 0
         for path in self.directory.glob("*.json"):
             path.unlink(missing_ok=True)
             removed += 1
-        for path in self.directory.glob("*.state.npz"):
-            path.unlink(missing_ok=True)
+        for pattern in ("*.state.npz", "*.tmp"):
+            for path in self.directory.glob(pattern):
+                path.unlink(missing_ok=True)
         return removed

@@ -41,6 +41,7 @@ from typing import Any, Callable, Sequence
 from repro.core.tuning_spec import ModelConfig
 from repro.errors import ExecutionError, TuningError
 from repro.exec.cache import TrialCache, trial_key
+from repro.exec.trial import TuneContext
 from repro.exec.workers import (
     WorkerProcess,
     WorkerTeam,
@@ -457,6 +458,9 @@ class TrialExecutor:
             with get_tracer().span(
                 "exec.evaluate", trials=len(tasks), misses=len(misses)
             ):
+                if isinstance(self.context, TuneContext):
+                    # Combine supervision before any fork: workers inherit it.
+                    self.context.data.combined  # noqa: B018
                 detailed = self._run_detailed(
                     _trial_adapter, misses, self._dispatch_context
                 )

@@ -6,9 +6,11 @@ score the dev split with the gold source — exactly the closure
 heavyweight state travels once per worker as a :class:`TuneContext`:
 the application, the dataset, and the data plane
 :meth:`~repro.api.Application.prepare` built from them in the parent
-(splits, vocabularies, combined supervision), so a trial costs a model
-compile, its training steps and one dev evaluation — never a second
-supervision combine.  The per-trial payload is just the candidate config.
+(splits, vocabularies, and the supervision the executor combines in it
+before forking for the first cache miss), so a trial costs a model
+compile, its training steps and one dev evaluation.  Supervision is
+combined at most once per search, and only when something trains.  The
+per-trial payload is just the candidate config.
 
 Training is fully deterministic given (config, data), so a worker's score
 is bit-identical to the score the parent process would have computed, and

@@ -1,8 +1,8 @@
 """``retrain_candidate``: both branches go through restore-or-refit.
 
 A heal that re-elects a config on a retrain set the trial cache has
-already seen must return without training, and say so in the stats the
-supervisor journals under ``retrain_finished``.
+already seen must return without training or combining supervision, and
+say so in the stats the supervisor journals under ``retrain_finished``.
 """
 
 import pytest
@@ -35,22 +35,24 @@ def dataset():
 def test_second_heal_on_an_unchanged_set_restores(dataset, tmp_path, spec):
     app = Application(dataset.schema, name="heal-test")
     plan = RetrainPlan(spec=spec, cache_dir=str(tmp_path))
+    heals = []
 
-    first, stats = retrain_candidate(app, dataset, plan, INCUMBENT)
+    def heal():
+        heals.append(retrain_candidate(app, dataset, plan, INCUMBENT))
+
+    assert python_calls(heal, of=Application.combine) == 1
+    ((first, stats),) = heals
     assert stats["candidate"] == "retrained" and stats["restored"] == 0
     assert stats["executed"] > 0
 
-    fits = []
-
-    def heal_again():
-        fits.append(retrain_candidate(app, dataset, plan, INCUMBENT))
-
-    assert python_calls(heal_again, of=Trainer.fit) == 0
-    ((second, stats),) = fits
-    assert stats["candidate"] == "restored" and stats["restored"] == 1
-    assert stats["executed"] == 0 and stats["cache_hits"] > 0
-    assert second.application is app
-    assert_same_trained(second.trained, first.trained)
+    # Restored heals train nothing and combine nothing.
+    assert python_calls(heal, of=Trainer.fit) == 0
+    assert python_calls(heal, of=Application.combine) == 0
+    for second, stats in heals[1:]:
+        assert stats["candidate"] == "restored" and stats["restored"] == 1
+        assert stats["executed"] == 0 and stats["cache_hits"] > 0
+        assert second.application is app
+        assert_same_trained(second.trained, first.trained)
     if spec is None:
         assert stats["candidates"] == 1 and stats["best_score"] is not None
         assert second.config == INCUMBENT

@@ -9,24 +9,31 @@ Three contracts:
 * a stored state that cannot be trusted (truncated, wrong shape, wrong
   score) is a counted corrupt miss: the search refits, rewrites the
   entry, and the next search restores again;
-* the counts the issue names repeat exactly on the inline
-  ``workers=1, cache_dir=...`` path: ``Application.combine`` runs once per
-  search however many trials it has, and a warm search runs no
-  ``Trainer.fit`` at all.
+* the counts repeat exactly on the inline ``workers=1, cache_dir=...``
+  path: ``Application.combine`` runs once per cold search however many
+  trials it has and never in a warm one, a warm search runs no
+  ``Trainer.fit`` at all, and a search encodes each record once to
+  fingerprint it — across processes too, where the parent combines
+  before the fork and no worker combines again;
+* the supervision a warm search never computed is still there for a
+  caller that reads it, equal to a plain ``fit``'s.
 """
 
 import logging
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import Application
+from repro.api import Application, Run
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig, TuningSpec
+from repro.data.record import Record
 from repro.exec import TrialCache, trial_key
 from repro.tensor import Tensor
 from repro.training import Trainer
@@ -134,6 +141,96 @@ class TestColdWarmPlainEquality:
         assert_same_trained(
             run.trained, app.fit(dataset, run.search.best_config).trained
         )
+
+
+class TestLazySupervision:
+    """What a warm search never combined is there, unchanged, for a reader."""
+
+    def test_a_warm_run_reads_the_supervision_of_a_plain_fit(self, dataset, tmp_path):
+        app = app_for(dataset)
+        app.tune(dataset, small_spec(), cache_dir=tmp_path / "cache")
+        warm = app.tune(dataset, small_spec(), cache_dir=tmp_path / "cache")
+        plain = app.fit(dataset, warm.search.best_config)
+        # Nothing was combined until now: this first read pays for it.
+        read = lambda: warm.supervision_summary  # noqa: E731
+        assert python_calls(read, of=Application.combine) == 1
+        assert warm.supervision_summary == plain.supervision_summary
+        assert_same_trained(warm.trained, plain.trained)
+        loaded = Run.load(warm.save(tmp_path / "run"))
+        assert loaded.supervision_summary == plain.supervision_summary
+        assert loaded.trained.supervision == {}
+
+    def test_an_explicit_summary_is_kept(self, dataset):
+        plain = app_for(dataset).fit(dataset)
+        summary = {"Intent": {"weak": 0.5}}
+        run = Run(application=plain.application, trained=plain.trained,
+                  supervision_summary=summary)
+        assert run.supervision_summary == summary
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            run.nope  # noqa: B018
+
+    def test_training_data_pickles_before_and_after_its_first_read(self, dataset):
+        data = app_for(dataset).prepare(dataset)
+        before = pickle.loads(pickle.dumps(data))
+        targets, supervision = data.combined
+        after = pickle.loads(pickle.dumps(data))
+        for copy in (before, after):
+            assert copy.train_fingerprint == data.train_fingerprint
+            assert list(copy.targets) == list(targets)
+            for task, combined in supervision.items():
+                assert np.array_equal(copy.targets[task].probs, targets[task].probs)
+                assert np.array_equal(copy.supervision[task].weights, combined.weights)
+                assert (
+                    copy.supervision[task].source_accuracies
+                    == combined.source_accuracies
+                )
+
+    def test_a_search_context_pickles_with_predicate_slices(self):
+        from repro.slicing import SliceSet, SliceSpec
+
+        fresh = mini_dataset(n=40, seed=0)  # materializing tags its records
+        short = SliceSpec("short", predicate=lambda r: len(r.payloads["tokens"]) < 6)
+        app = Application(fresh.schema, name="plane-test", slices=SliceSet([short]))
+        with app.tuning_executor(fresh) as executor:
+            shipped = pickle.loads(pickle.dumps(executor.context))
+        assert shipped.data.application.slices.names == ["short"]
+        expected = app.prepare(fresh).targets
+        assert 0 < expected["Intent"].membership.sum() < 40
+        for task, target in shipped.data.targets.items():
+            assert np.array_equal(target.membership, expected[task].membership)
+            assert np.array_equal(target.probs, expected[task].probs)
+
+    def test_cache_keys_are_pinned(self):
+        """Either hash changing silently would orphan every trial cache."""
+        fresh = mini_dataset(n=40, seed=0)
+        with app_for(fresh).tuning_executor(fresh) as executor:
+            assert executor.namespace == "26c09e389c6ec45d60a3e7d55b905988"
+            assert executor.context.data.train_fingerprint == "843f838eeb111f83"
+
+
+class TestCombineAcrossProcesses:
+    def test_only_the_parent_combines_and_only_when_cold(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """Forked workers inherit the patched method and the log path."""
+        log = tmp_path / "combines.log"
+        combine = Application.combine
+
+        def logged(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return combine(self, *args, **kwargs)
+
+        monkeypatch.setattr(Application, "combine", logged)
+        app = app_for(dataset)
+        for pids, executed in (([str(os.getpid())], 2), ([], 0)):  # cold, warm
+            log.write_text("")
+            with app.tuning_executor(
+                dataset, workers=2, cache_dir=tmp_path / "cache"
+            ) as executor:
+                app.tune(dataset, small_spec(), executor=executor)
+            assert executor.stats.executed == executed
+            assert log.read_text().split() == pids
 
 
 class TestUntrustedState:
@@ -252,9 +349,18 @@ class TestCacheBookkeeping:
             cache.put_state("k1", {"w": np.arange(3.0)}, {"bad": object()})
         assert list(tmp_path.iterdir()) == []
 
+    def test_clear_removes_a_killed_writers_temp_file(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        cache.put("k1", 1.0)
+        fd, _ = tempfile.mkstemp(dir=tmp_path, suffix=".tmp")  # no rename came
+        os.close(fd)
+        assert len(cache) == 1
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRepeatableCounts:
-    """The issue's counts, on the inline path: same code, no fork."""
+    """Exact call counts on the inline path: same code, no fork."""
 
     SPEC = TuningSpec(
         payload_options={
@@ -262,34 +368,39 @@ class TestRepeatableCounts:
         },
         trainer_options={"epochs": [1]},
     )
+    COUNTED = (Application.combine, Trainer.fit, Record.to_json)
 
-    def _counts(self, app, dataset, cache_dir) -> tuple[int, int]:
+    def _counts(self, app, dataset, cache_dirs) -> tuple[int, ...]:
+        """(combines, fits, record encodings), each from one ``tune``."""
+
         def tune():
-            app.tune(dataset, self.SPEC, workers=1, cache_dir=cache_dir)
+            app.tune(dataset, self.SPEC, workers=1, cache_dir=next(cache_dirs))
 
-        return (
-            python_calls(tune, of=Application.combine),
-            python_calls(tune, of=Trainer.fit),
-        )
+        return tuple(python_calls(tune, of=fn) for fn in self.COUNTED)
 
     def test_combine_runs_once_per_search_and_warm_trains_nothing(
         self, dataset, tmp_path
     ):
+        """A warm search combines nothing either.  Before supervision was
+        combined on first use, it combined once, and every search encoded
+        the train records twice: ``records + train`` encodings."""
         app = app_for(dataset)
         assert self.SPEC.size() == 8
-        cold_dirs = iter(tmp_path / f"cold-{n}" for n in range(2))
-        combines = python_calls(
-            lambda: app.tune(dataset, self.SPEC, workers=1, cache_dir=next(cold_dirs)),
-            of=Application.combine,
+        records = len(dataset.records)
+        cold = iter(tmp_path / f"cold-{n}" for n in range(3))
+        assert self._counts(app, dataset, cold) == (1, 9, records)
+        warm = iter([tmp_path / "cold-0"] * 6)
+        assert self._counts(app, dataset, warm) == (0, 0, records)
+        assert self._counts(app, dataset, warm) == (0, 0, records)
+
+    def test_fit_encodes_train_records_only(self, dataset):
+        app = app_for(dataset)
+        config = ModelConfig(
+            payloads={"tokens": PayloadConfig(encoder="bow", size=8)},
+            trainer=TrainerConfig(epochs=1),
         )
-        fits = python_calls(
-            lambda: app.tune(dataset, self.SPEC, workers=1, cache_dir=next(cold_dirs)),
-            of=Trainer.fit,
-        )
-        assert (combines, fits) == (1, 9)  # the parent made 9 combines
-        warm = tmp_path / "cold-0"
-        assert self._counts(app, dataset, warm) == (1, 0)  # the parent: (1, 1)
-        assert self._counts(app, dataset, warm) == (1, 0)
+        fit = lambda: app.fit(dataset, config)  # noqa: E731
+        assert python_calls(fit, of=Record.to_json) == len(dataset.split("train"))
 
     def test_serial_search_combines_once_too(self, dataset):
         app = app_for(dataset)
