@@ -97,15 +97,14 @@ class MulticlassTaskHead(Module):
             if membership is not None:
                 # Record-level membership lifted to every position.
                 membership = np.repeat(membership, l, axis=0)
-        forward = output.extra["slice_forward"]
-        total = slice_loss(forward, probs, weights, membership, slice_weight)
-        if targets.class_weights is not None:
-            from repro.tensor import cross_entropy
-
-            total = total + cross_entropy(
-                forward.final_logits, probs, weights, targets.class_weights
-            )
-        return total
+        return slice_loss(
+            output.extra["slice_forward"],
+            probs,
+            weights,
+            membership,
+            slice_weight,
+            class_weights=targets.class_weights,
+        )
 
 
 class BitvectorTaskHead(Module):

@@ -77,8 +77,9 @@ class Module:
 
         Same-dtype casts are free; live gradients and parked gradient
         buffers are dropped so a stale-dtype buffer can never be revived
-        by the next backward pass.  (Optimizers re-align their own moment
-        buffers lazily on the next ``step()``.)
+        by the next backward pass.  (An optimizer sees the rebound data on
+        its next ``step()`` and adopts the parameters again, its state cast
+        to the new dtype.)
         """
         from repro.tensor.backend import resolve_dtype
 

@@ -6,11 +6,10 @@ import numpy as np
 
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
-from repro.tensor import SparseRowGrad
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction.
+    """Adam (Kingma & Ba, 2015) with bias correction, on flat state.
 
     With ``decoupled_weight_decay=True`` this is AdamW: decay is applied to
     the weights directly instead of the gradient.
@@ -20,8 +19,11 @@ class Adam(Optimizer):
     table (as Adam's math requires) but the gradient itself never
     materializes densely.  Coupled weight decay mixes ``p.data`` into the
     gradient, which is inherently dense, so that configuration falls back
-    to :meth:`~repro.tensor.SparseRowGrad.to_dense`.
+    to :meth:`~repro.tensor.SparseRowGrad.to_dense`.  The moments live in
+    the optimizer's flat buffer (see :class:`~repro.optim.Optimizer`).
     """
+
+    state_names = ("m", "v")
 
     def __init__(
         self,
@@ -40,45 +42,44 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled_weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            m, v = self._realigned_state(i, p, self._m, self._v)
-            grad = p.grad
-            if isinstance(grad, SparseRowGrad):
-                if self.weight_decay and not self.decoupled:
-                    grad = grad.to_dense()
-                else:
-                    sparse = grad.coalesce()
-                    m *= self.beta1
-                    m[sparse.indices] += (1.0 - self.beta1) * sparse.values
-                    v *= self.beta2
-                    v[sparse.indices] += (1.0 - self.beta2) * sparse.values**2
-                    update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                    if self.weight_decay and self.decoupled:
-                        update = update + self.weight_decay * p.data
-                    p.data = p.data - self.lr * update
-                    continue
-            if self.weight_decay and not self.decoupled:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+        self._bias = (1.0 - self.beta1**self._t, 1.0 - self.beta2**self._t)
+        super().step()
+
+    def _update(self, data, grad, m, v) -> None:
+        if self.weight_decay and not self.decoupled:
+            grad = grad + self.weight_decay * data
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        self._apply(data, m, v)
+
+    def _update_sparse(self, data, grad, m, v) -> None:
+        if self.weight_decay and not self.decoupled:
+            return self._update(data, grad.to_dense(), m, v)
+        sparse = grad.coalesce()
+        m *= self.beta1
+        m[sparse.indices] += (1.0 - self.beta1) * sparse.values
+        v *= self.beta2
+        v[sparse.indices] += (1.0 - self.beta2) * sparse.values**2
+        self._apply(data, m, v)
+
+    def _apply(self, data, m, v) -> None:
+        """``data -= lr * m_hat / (sqrt(v_hat) + eps)`` (+ decoupled decay)."""
+        bias1, bias2 = self._bias
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = m / bias1
+        update /= denom
+        if self.weight_decay and self.decoupled:
+            update += self.weight_decay * data
+        update *= self.lr
+        data -= update
 
 
 def AdamW(

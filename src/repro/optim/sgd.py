@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
-from repro.tensor import SparseRowGrad
 
 
 class SGD(Optimizer):
@@ -17,8 +14,11 @@ class SGD(Optimizer):
     decay is in place and only the touched rows receive new gradient, so no
     dense gradient is ever materialized.  Weight decay mixes ``p.data`` into
     the gradient and is inherently dense, so it falls back to
-    :meth:`~repro.tensor.SparseRowGrad.to_dense`.
+    :meth:`~repro.tensor.SparseRowGrad.to_dense`.  The velocity lives in
+    the optimizer's flat buffer (see :class:`~repro.optim.Optimizer`).
     """
+
+    state_names = ("velocity",)
 
     def __init__(
         self,
@@ -32,33 +32,23 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            (v,) = self._realigned_state(i, p, self._velocity)
-            grad = p.grad
-            if isinstance(grad, SparseRowGrad):
-                if self.weight_decay:
-                    grad = grad.to_dense()
-                elif self.momentum:
-                    sparse = grad.coalesce()
-                    v *= self.momentum
-                    v[sparse.indices] += sparse.values
-                    p.data -= self.lr * v
-                    continue
-                else:
-                    sparse = grad.coalesce()
-                    p.data[sparse.indices] -= self.lr * sparse.values
-                    continue
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = v
-            else:
-                update = grad
-            p.data = p.data - self.lr * update
+    def _update(self, data, grad, velocity) -> None:
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        if self.momentum:
+            velocity *= self.momentum
+            velocity += grad
+            grad = velocity
+        data -= self.lr * grad
+
+    def _update_sparse(self, data, grad, velocity) -> None:
+        if self.weight_decay:
+            return self._update(data, grad.to_dense(), velocity)
+        sparse = grad.coalesce()
+        if self.momentum:
+            velocity *= self.momentum
+            velocity[sparse.indices] += sparse.values
+            data -= self.lr * velocity
+        else:
+            data[sparse.indices] -= self.lr * sparse.values

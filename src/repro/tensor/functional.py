@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor.tensor import Array, Tensor
+from repro.tensor.tensor import Array, Tensor, _as_array, _unbroadcast
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -33,7 +33,7 @@ def cross_entropy(
     sample_weights: Array | None = None,
     class_weights: Array | None = None,
 ) -> Tensor:
-    """Mean cross-entropy for hard or soft targets.
+    """Mean cross-entropy for hard or soft targets, as one tape node.
 
     Parameters
     ----------
@@ -49,44 +49,60 @@ def cross_entropy(
         Optional per-class weights of shape ``(num_classes,)`` used for class
         rebalancing.
     """
-    targets = np.asarray(targets)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects 2-D logits, got {logits.shape}")
-    # Loss arithmetic follows the logits' storage dtype: float32 models get
-    # float32 losses without the targets silently upcasting the graph.
-    dtype = logits.data.dtype
-    n, num_classes = logits.shape
-    if targets.ndim == 1:
-        one_hot = np.zeros((n, num_classes), dtype=dtype)
-        one_hot[np.arange(n), targets.astype(np.int64)] = 1.0
-        target_probs = one_hot
-    elif targets.shape == (n, num_classes):
-        target_probs = targets.astype(dtype, copy=False)
-    else:
-        raise ShapeError(
-            f"targets shape {targets.shape} incompatible with logits {logits.shape}"
-        )
+    loss = CrossEntropy(logits.data, targets, sample_weights, class_weights)
+    return Tensor._make_joint(loss.value, [logits], lambda g: [loss.vjp(g)], "cross_entropy")
 
-    weights = np.ones(n, dtype=dtype)
-    if sample_weights is not None:
-        weights = weights * np.asarray(sample_weights, dtype=dtype)
-    if class_weights is not None:
-        cw = np.asarray(class_weights, dtype=dtype)
-        if cw.shape != (num_classes,):
+
+class CrossEntropy:
+    """:func:`cross_entropy` of a logits array: ``-(log_softmax(x) * w).sum()``
+    with ``w`` the targets times normalized example weights (``0 * sum(x)``
+    when every weight is zero), and for an upstream ``g`` the logits'
+    gradient, both in the float association of that expression op by op.
+    """
+
+    def __init__(self, logits, targets, sample_weights=None, class_weights=None) -> None:
+        targets = np.asarray(targets)
+        if logits.ndim != 2:
+            raise ShapeError(f"cross_entropy expects 2-D logits, got {logits.shape}")
+        # Loss arithmetic follows the logits' storage dtype: float32 models
+        # get float32 losses without the targets silently upcasting them.
+        dtype = logits.dtype
+        n, num_classes = self.shape = logits.shape
+        if targets.ndim == 1:
+            target_probs = np.zeros((n, num_classes), dtype=dtype)
+            target_probs[np.arange(n), targets.astype(np.int64)] = 1.0
+        elif targets.shape == (n, num_classes):
+            target_probs = targets.astype(dtype, copy=False)
+        else:
             raise ShapeError(
-                f"class_weights shape {cw.shape} != ({num_classes},)"
+                f"targets shape {targets.shape} incompatible with logits {logits.shape}"
             )
-        weights = weights * (target_probs @ cw)
-    total = weights.sum()
-    if total <= 0:
-        # All weights zero: the loss contributes nothing but must stay
-        # differentiable, so return 0 * sum(logits).
-        return (logits * 0.0).sum()
-    weights = weights / total
+        weights = np.ones(n, dtype=dtype)
+        if sample_weights is not None:
+            weights = weights * np.asarray(sample_weights, dtype=dtype)
+        if class_weights is not None:
+            cw = np.asarray(class_weights, dtype=dtype)
+            if cw.shape != (num_classes,):
+                raise ShapeError(f"class_weights shape {cw.shape} != ({num_classes},)")
+            weights = weights * (target_probs @ cw)
+        total = weights.sum()
+        if total <= 0:
+            self.weighted, self.zero = None, _as_array(0.0)
+            self.value = np.asarray((logits * self.zero).sum())
+            return
+        self.weighted = _as_array(target_probs * (weights / total)[:, None])
+        shifted = logits - _as_array(logits.max(axis=-1, keepdims=True))
+        self.exp = np.exp(shifted)
+        self.norm = self.exp.sum(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(self.norm)
+        self.value = -np.asarray((log_probs * self.weighted).sum())
 
-    log_probs = log_softmax(logits, axis=-1)
-    weighted_targets = Tensor(target_probs * weights[:, None])
-    return -(log_probs * weighted_targets).sum()
+    def vjp(self, g) -> Array:
+        if self.weighted is None:
+            return np.broadcast_to(g, self.shape) * self.zero
+        grad = np.broadcast_to(-g, self.shape) * self.weighted
+        d_norm = _unbroadcast(-grad, self.norm.shape) / self.norm
+        return grad + np.broadcast_to(d_norm, self.shape) * self.exp
 
 
 def binary_cross_entropy_with_logits(

@@ -298,7 +298,8 @@ class Tensor:
         """Create the output of a primitive whose inputs share one backward.
 
         ``vjp`` maps the output gradient to one gradient per input, in
-        ``inputs`` order.  :meth:`backward` calls it exactly once per node
+        ``inputs`` order (None for an input it does not reach).
+        :meth:`backward` calls it exactly once per node
         and hands each input that requires grad its share — for primitives
         (a whole recurrent layer) whose input gradients fall out of a single
         reverse loop and would be recomputed by per-parent vjps.
@@ -353,10 +354,13 @@ class Tensor:
                 self._write_leaf_grad(node, node_grad, accumulate)
                 continue
             # A joint node computes every share at once; its pairs hold the
-            # input's index into them where the others hold a vjp.
+            # input's index into them where the others hold a vjp.  A None
+            # share means that input got no gradient this time.
             shares = node._joint(node_grad) if node._joint is not None else None
             for parent, vjp in node._parents:
                 contribution = vjp(node_grad) if shares is None else shares[vjp]
+                if contribution is None:
+                    continue
                 existing = grads.get(id(parent))
                 if existing is None:
                     grads[id(parent)] = contribution

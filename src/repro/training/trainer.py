@@ -202,14 +202,16 @@ class Trainer:
                         )
                     self.optimizer.zero_grad()
                     loss.backward()
+                    # The optimizer's list is the model's parameters in the
+                    # same order, without a walk of the module tree per step.
                     if self.config.clip_norm > 0:
                         norm = clip_grad_norm(
-                            self.model.parameters(), self.config.clip_norm
+                            self.optimizer.params, self.config.clip_norm
                         )
                         if hooks is not None:
                             batch_norms.append(norm)
                     elif hooks is not None:
-                        batch_norms.append(grad_norm(self.model.parameters()))
+                        batch_norms.append(grad_norm(self.optimizer.params))
                     self.optimizer.step()
                     self.schedule.step()
                     losses.append(loss_value)

@@ -423,14 +423,18 @@ class TestRepeatableCounts:
         return nodes
 
     def test_tape_nodes_per_fit_are_pinned(self):
-        """bow-24, the short op: 12 018 before PR 21 ran the two head forwards
-        that only read ``.data`` under ``no_grad``."""
-        assert self._tape_nodes_per_fit("bow", 24) == 10_578
+        """bow-24, the short op: 62 a step.  12 018 before the two head
+        forwards that only read ``.data`` ran under ``no_grad``; 10 578 (235
+        a step, 179 of them the two slice-aware heads and their losses)
+        before each head became one forward node, one view and one loss
+        node."""
+        assert self._tape_nodes_per_fit("bow", 24) == 2_790
 
     def test_a_recurrent_layer_is_one_tape_node(self):
-        """LSTM-64, the long op: 19 623 (436 a step, 201 of them the
-        recurrence) before PR 22 made the layer one node — 236 a step."""
-        assert self._tape_nodes_per_fit("lstm", 64) == 10_623
+        """LSTM-64, the long op: 63 a step.  19 623 (436 a step, 201 of them
+        the recurrence) before the layer became one node; 10 623 (236 a
+        step) before the slice-aware heads did."""
+        assert self._tape_nodes_per_fit("lstm", 64) == 2_835
 
 
 class TestParentDeath:

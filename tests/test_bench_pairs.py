@@ -95,7 +95,7 @@ def test_one_invocation_prints_a_table_per_workload(tmp_path, monkeypatch, capsy
         faster = workload == "tune" and checkout.name == "change"
         latency = (3.5 if faster else 7.0) + 0.01 * (seed % 3)
         return {
-            "correct": True, "failed": 0,
+            "correct": True, "failed": 0, "attempted": 40,
             "metrics": {"short_p50_ms": {"value": latency},
                         "long_items_per_s": {"value": 100.0}},
         }
@@ -127,7 +127,7 @@ def test_more_failed_runs_on_the_change_fail_the_invocation(tmp_path, monkeypatc
     def fake_run(checkout, workload, seed, seconds, trace):
         broken = workload == "tune" and checkout.name == "change" and seed == 1
         return {
-            "correct": not broken, "failed": int(broken),
+            "correct": not broken, "failed": int(broken), "attempted": 40,
             "metrics": {"short_p50_ms": {"value": 7.0},
                         "long_items_per_s": {"value": 100.0}},
         }
@@ -136,3 +136,65 @@ def test_more_failed_runs_on_the_change_fail_the_invocation(tmp_path, monkeypatc
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "2", "--seed", "0"]
     assert bench_pairs.main(argv + ["--workload", "fit"]) == 0
     assert bench_pairs.main(argv + ["--workload", "fit,tune"]) == 1
+
+
+def exit_code(tmp_path, monkeypatch, run) -> int:
+    """``main`` over ten fit pairs of ``run(side, seed) -> (latency, failed, attempted)``."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        latency, failed, attempted = run(checkout.name, seed)
+        return {
+            "correct": failed == 0, "failed": failed, "attempted": attempted,
+            "metrics": {"short_p50_ms": {"value": latency},
+                        "long_items_per_s": {"value": 100.0}},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    return bench_pairs.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"),
+         "--workload", "fit", "--pairs", "10", "--seed", "0"]
+    )
+
+
+def test_a_median_outside_the_bound_fails_even_when_unresolved(tmp_path, monkeypatch, capsys):
+    """Seven pairs lost by 40%, three won: the verdict is unresolved, the
+    median is out of bound."""
+    def run(side, seed):
+        slow = side == "change" and seed < 7
+        return PARENT[seed] * (1.4 if slow else 0.9 if side == "change" else 1.0), 0, 50
+
+    assert exit_code(tmp_path, monkeypatch, run) == 1
+    table = capsys.readouterr().out
+    assert "| NO | unresolved |" in table
+
+
+def test_a_worse_verdict_within_the_bound_fails(tmp_path, monkeypatch, capsys):
+    def run(side, seed):
+        return PARENT[seed] * (1.1 if side == "change" else 1.0) + 0.001 * seed, 0, 50
+
+    assert exit_code(tmp_path, monkeypatch, run) == 1
+    assert "| yes | worse |" in capsys.readouterr().out
+
+
+def test_a_single_failed_operation_among_many_fails(tmp_path, monkeypatch, capsys):
+    def run(side, seed):
+        return PARENT[seed], int(side == "change" and seed == 3), 500
+
+    assert exit_code(tmp_path, monkeypatch, run) == 1
+    out = capsys.readouterr().out
+    assert "# failed operations: parent 0/5000 (0.000%), change 1/5000 (0.020%)" in out
+
+
+def test_failed_operations_compare_as_a_share_not_as_runs(tmp_path, monkeypatch):
+    """One failing run a side, but five operations against one."""
+    def run(side, seed):
+        return PARENT[seed], (5 if side == "change" else 1) * (seed == 3), 500
+
+    assert exit_code(tmp_path, monkeypatch, run) == 1
+
+
+def test_an_unchanged_change_passes(tmp_path, monkeypatch):
+    assert exit_code(tmp_path, monkeypatch, lambda side, seed: (PARENT[seed], 0, 50)) == 0

@@ -1,8 +1,9 @@
 """Smoke coverage for the per-step profile (tools/step_profile.py).
 
-The numbers are a host's; what is pinned is that every ``Tensor._make`` call
-finds a call site, a recurrent layer shows up as one node per step, every
-profiled second lands in a family, and the script stays ``print()``-free.
+The numbers are a host's; what is pinned is the stage table's shape, that
+every ``Tensor._make`` call finds a call site, a recurrent layer shows up as
+one node per step, every profiled second lands in a family, and the script
+stays ``print()``-free.
 """
 
 import sys
@@ -45,3 +46,14 @@ def test_report_is_two_markdown_tables_and_the_script_never_prints(result):
     assert "| op family | taped ms / step |" in report
     assert all(f"| {family} |" in report for family in step_profile.FAMILIES)
     assert violations_in(REPO_ROOT / "tools" / "step_profile.py") == []
+
+
+def test_the_stage_table_leads_with_every_stage_of_the_step(result):
+    assert step_profile.STAGES == (
+        "batch", "forward", "loss", "backward", "clip", "optimizer"
+    )
+    assert len(result["stages"]) == 6 and min(result["stages"]) >= 0
+    lines = step_profile.render(result).splitlines()
+    start = lines.index("| stage | ms / step, min over fits |")
+    rows = [line.split(" | ")[0].lstrip("| ") for line in lines[start + 2 : start + 9]]
+    assert rows == [*step_profile.STAGES, "**total**"]

@@ -19,6 +19,10 @@ only if it wins at least nine tenths of the pairs (ties count for
 neither) **and** the medians differ by more than the distance between the
 parent's own quartiles; anything else is *unresolved*.
 
+It exits 1 when the change fails the acceptance rule on any workload: a
+median outside a metric's bound, a *worse* verdict, or a larger share of
+failed operations (failed over attempted, summed over the runs).
+
 It only invokes the benchmark (each checkout's own copy, on its own
 ``BENCHMARK.json``); every run's values are printed as they finish, so a
 report can quote all of them.  ``--trace 1`` compares the per-layer
@@ -123,16 +127,18 @@ def parse_workloads(arg: str, spec: dict) -> list[str]:
 def run_pairs(
     sides: dict[str, Path], workload: str, metrics: list[dict],
     pairs: int, first_seed: int, seconds: float, trace: int,
-) -> tuple[list[dict], dict[str, int]]:
-    """One workload's alternating pairs: its verdict rows and failed runs per side."""
+) -> tuple[list[dict], dict[str, list[int]]]:
+    """One workload's alternating pairs: its verdict rows and, per side,
+    the operations failed and attempted over all runs."""
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
-    failed = {side: 0 for side in sides}
+    ops = {side: [0, 0] for side in sides}
     for pair in range(pairs):
         seed = first_seed + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(sides[side], workload, seed, seconds, trace)
-            failed[side] += int(not result["correct"])
+            ops[side][0] += result["failed"]
+            ops[side][1] += result["attempted"]
             for m in metrics:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
             shown = "  ".join(
@@ -148,7 +154,19 @@ def run_pairs(
         compare(m, values["parent"][m["name"]], values["change"][m["name"]])
         for m in metrics
     ]
-    return rows, failed
+    return rows, ops
+
+
+def failed_share(failed: int, attempted: int) -> float:
+    return failed / attempted if attempted else float(failed > 0)
+
+
+def regressed(rows: list[dict], ops: dict[str, list[int]]) -> bool:
+    """Whether the change fails the acceptance rule on this workload."""
+    return (
+        any(row["within_bound"] is False or row["verdict"] == "worse" for row in rows)
+        or failed_share(*ops["change"]) > failed_share(*ops["parent"])
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,15 +188,18 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     worse = False
     for workload in parse_workloads(args.workload, spec):
-        rows, failed = run_pairs(
+        rows, ops = run_pairs(
             sides, workload, metrics, args.pairs, args.seed, seconds, args.trace
         )
         print(f"\n## {workload}: {args.pairs} alternating pairs, seeds "
               f"{args.seed}-{args.seed + args.pairs - 1}, {seconds:g} s, trace {args.trace}")
         print(render(rows))
-        print(f"# runs with failures: parent {failed['parent']}, change {failed['change']}\n",
-              flush=True)
-        worse = worse or failed["change"] > failed["parent"]
+        shares = ", ".join(
+            f"{side} {ops[side][0]}/{ops[side][1]} ({failed_share(*ops[side]):.3%})"
+            for side in ("parent", "change")
+        )
+        print(f"# failed operations: {shares}\n", flush=True)
+        worse = regressed(rows, ops) or worse
     if args.pairs < 10:
         print("# fewer than ten pairs: the rule asks for ten, read the verdicts as a hint")
     return 1 if worse else 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Where one optimizer step goes: tape nodes by call site, time by op family.
+"""Where one optimizer step goes: by stage, tape nodes by call site, by op family.
 
     python tools/step_profile.py --workload synth-medium --scale 800 \\
         --encoder lstm --size 64
@@ -7,8 +7,12 @@
 Trains the model ``Application.fit`` would (the ``fit`` benchmark's config:
 ``--encoder``/``--size`` on every sequence payload, ``--size`` on the rest)
 on the workload's train split with no dev set, so everything measured is
-the step loop, and prints two markdown tables:
+the step loop, and prints three markdown tables:
 
+* **Time per step by stage** — batch, forward, loss, backward, clip and
+  optimizer, timed around each stage of ``Trainer.fit``'s step loop with
+  no profiler attached, as the minimum over ``STAGE_FITS`` fresh fits.  The
+  split to size a change by: the profile below distorts it.
 * **Tape nodes per step by call site** — ``Tensor._make`` calls under
   ``sys.setprofile``, attributed to the innermost ``repro`` frame outside
   ``repro.tensor``.  A count: it repeats exactly on any host.
@@ -34,6 +38,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -42,8 +48,10 @@ from repro.core import ModelConfig, PayloadConfig, TrainerConfig  # noqa: E402
 from repro.data.batching import iterate_batches  # noqa: E402
 from repro.data.encoded import EncodedDataset  # noqa: E402
 from repro.model.compiler import compile_model  # noqa: E402
+from repro.optim import clip_grad_norm  # noqa: E402
 from repro.tensor import Tensor, dtype_policy  # noqa: E402
 from repro.training import Trainer  # noqa: E402
+from repro.training.trainer import _cast_targets, _slice_targets  # noqa: E402
 from repro.workloads import resolve_workload  # noqa: E402
 
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -80,6 +88,10 @@ TENSOR_OPS = {
         "_is_basic_index", "concat", "stack", "gather_rows", "pad_sequences",
     },
 }
+STAGES = ("batch", "forward", "loss", "backward", "clip", "optimizer")
+STAGE_FITS = 3
+STAGE_HEADER = "| stage | ms / step, min over fits |"
+
 # Shared kernels charged, like numpy, to whichever family called them.
 INLINED = {"logistic"}
 
@@ -191,6 +203,41 @@ def nodes_by_call_site(fn) -> Counter:
     return sites
 
 
+def stage_seconds(model, config: TrainerConfig, encoded, targets) -> list[float]:
+    """Seconds per step in each of ``STAGES`` over one fit of ``model``: the
+    step loop of ``Trainer.fit`` (cached batches, no dev set), unprofiled."""
+    trainer = Trainer(model, config)
+    targets = _cast_targets(targets, model.dtype)
+    rng = np.random.default_rng(config.seed)
+    spent = [0.0] * len(STAGES)
+    steps = 0
+    model.train()
+    for _ in range(config.epochs):
+        for idx in iterate_batches(len(encoded), config.batch_size, rng):
+            marks = [time.perf_counter()]
+            batch = encoded.batch(idx)
+            marks.append(time.perf_counter())
+            outputs = model(batch)
+            marks.append(time.perf_counter())
+            loss = model.compute_loss(
+                outputs, _slice_targets(targets, idx), slice_weight=config.slice_weight
+            )
+            loss.item()
+            marks.append(time.perf_counter())
+            trainer.optimizer.zero_grad()
+            loss.backward()
+            marks.append(time.perf_counter())
+            if config.clip_norm > 0:
+                clip_grad_norm(model.parameters(), config.clip_norm)
+            marks.append(time.perf_counter())
+            trainer.optimizer.step()
+            trainer.schedule.step()
+            marks.append(time.perf_counter())
+            spent = [total + b - a for total, a, b in zip(spent, marks, marks[1:])]
+            steps += 1
+    return [total / steps for total in spent]
+
+
 def model_config(schema, encoder: str, size: int, epochs: int) -> ModelConfig:
     return ModelConfig(
         payloads={
@@ -205,7 +252,7 @@ def model_config(schema, encoder: str, size: int, epochs: int) -> ModelConfig:
 
 def profile_steps(workload: str, scale: int, seed: int, encoder: str, size: int,
                   epochs: int) -> dict:
-    """Run the three measurements; everything the report prints."""
+    """Run the four measurements; everything the report prints."""
     built = resolve_workload(workload, scale=scale, seed=seed)
     app = built.application
     config = model_config(app.schema, encoder, size, epochs)
@@ -242,9 +289,14 @@ def profile_steps(workload: str, scale: int, seed: int, encoder: str, size: int,
         profile.runcall(fn)
         return time_by_family(profile)
 
+    stage_runs = [
+        stage_seconds(compiled(), config.trainer, encoded, data.targets)
+        for _ in range(STAGE_FITS)
+    ]
     fresh = compiled()
     return {
         "title": f"{encoder}-{size} on {workload}@{scale}, seed {seed}",
+        "stages": [min(run[i] for run in stage_runs) for i in range(len(STAGES))],
         "steps": steps,
         "batches": steps // epochs,
         "sites": nodes_by_call_site(train),
@@ -256,11 +308,19 @@ def profile_steps(workload: str, scale: int, seed: int, encoder: str, size: int,
 
 
 def render(result: dict) -> str:
-    """The two markdown tables."""
+    """The three markdown tables."""
     steps, batches = result["steps"], result["batches"]
     sites: Counter = result["sites"]
     lines = [
         f"#### {result['title']}: {steps} steps, {batches} tape-free batches",
+        "",
+        STAGE_HEADER,
+        "|---|---|",
+    ]
+    for stage, seconds in zip(STAGES, result["stages"]):
+        lines.append(f"| {stage} | {1e3 * seconds:.3f} |")
+    lines += [
+        f"| **total** | **{1e3 * sum(result['stages']):.3f}** |",
         "",
         "| call site | `Tensor._make` calls per step |",
         "|---|---|",
