@@ -10,7 +10,7 @@ batching.  This bench serves one request log several ways:
   through a :class:`repro.serve.ServingGateway` whose lanes form batches
   by size-or-deadline, served by the in-process :class:`ReplicaPool`;
 * **pool (N workers)**: the same gateway fronting a
-  :class:`repro.serve.WorkerReplicaPool` — batches encoded once in the
+  ``ReplicaPool(..., workers=N)`` — batches encoded once in the
   gateway, shipped to worker processes over shared memory, for
   ``N in (1, 2, 4)``.
 
@@ -37,12 +37,7 @@ import threading
 import time
 
 from repro.api import Endpoint
-from repro.serve import (
-    GatewayConfig,
-    ReplicaPool,
-    ServingGateway,
-    WorkerReplicaPool,
-)
+from repro.serve import GatewayConfig, ReplicaPool, ServingGateway
 
 from benchmarks.conftest import bench_workload, print_table, small_model_config
 
@@ -107,8 +102,8 @@ def _per_request_rps(artifact, requests) -> float:
 def _gateway_run(artifact, requests, workers: int = 0):
     """Concurrent clients draining the same log through one gateway.
 
-    ``workers=0`` serves from the in-process :class:`ReplicaPool`;
-    ``workers>0`` fronts a :class:`WorkerReplicaPool` of that size.
+    ``workers=0`` forwards in-process; ``workers>0`` forwards in that
+    many worker processes.
     Returns ``(rps, metrics, parity_log)`` where ``parity_log`` is the
     response list for one direct full-log batch through the pool.  The
     forward pass is batch-composition-sensitive at the last ulp
@@ -117,10 +112,7 @@ def _gateway_run(artifact, requests, workers: int = 0):
     as a single batch on every path, isolating the transport itself.
     """
     n_requests = len(requests)
-    if workers > 0:
-        pool = WorkerReplicaPool.from_endpoint(Endpoint(artifact), workers=workers)
-    else:
-        pool = ReplicaPool.from_endpoint(Endpoint(artifact))
+    pool = ReplicaPool.from_endpoint(Endpoint(artifact), workers=workers)
     config = GatewayConfig(
         max_batch_size=MAX_BATCH,
         max_wait_s=MAX_WAIT_S,

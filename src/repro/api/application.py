@@ -696,22 +696,22 @@ class Application:
     ):
         """A replica pool serving this application's stored model.
 
-        The serving-side mirror of ``report(workers=N)``: ``workers=0``
-        builds the in-process :class:`~repro.serve.ReplicaPool`;
-        ``workers > 0`` builds the process-parallel
-        :class:`~repro.serve.WorkerReplicaPool` — identical predictions,
-        N resident forward processes (``docs/serving.md``).  ``name``
+        The serving-side mirror of ``report(workers=N)``: a
+        :class:`~repro.serve.ReplicaPool` that forwards in-process with
+        ``workers=0`` and in N resident worker processes otherwise —
+        identical predictions either way (``docs/serving.md``).  ``name``
         defaults to the application's own name; extra keyword arguments
         flow to the pool constructor.
         """
-        if workers > 0:
-            from repro.serve import WorkerReplicaPool as pool_cls
+        from repro.serve import ReplicaPool
 
-            kwargs["workers"] = workers
-        else:
-            from repro.serve import ReplicaPool as pool_cls
-        return pool_cls.from_store(
-            store, name or self.name, tiers=tiers, dtype=dtype, **kwargs
+        return ReplicaPool.from_store(
+            store,
+            name or self.name,
+            tiers=tiers,
+            dtype=dtype,
+            workers=workers,
+            **kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -206,26 +206,6 @@ class Endpoint:
     def predict_one(self, payload: dict[str, Any]) -> dict[str, Any]:
         return self.predict([payload])[0]
 
-    def serve_batch(
-        self, payloads: Sequence[dict[str, Any]], validate: bool = False
-    ) -> list[dict[str, Any]]:
-        """Answer one *already formed* batch in a single model pass.
-
-        This is the encode-then-forward hook the serving gateway's dynamic
-        batcher drives: the caller owns batch formation (size/deadline
-        policy), so no micro-batch chunking happens here, and validation
-        is opt-in because the gateway validates at enqueue time.
-        """
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        if validate:
-            for i, payload in enumerate(payloads):
-                self.validate_payload(payload, index=i)
-        responses = self.forward_encoded(*self.encode_requests(payloads))
-        self.requests_served += len(payloads)
-        return responses
-
     def validate_payload(self, payload: dict[str, Any], index: int | None = None) -> None:
         """Check one request against the serving signature.
 

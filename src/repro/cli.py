@@ -209,23 +209,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         GatewayConfig,
         ReplicaPool,
         ServingGateway,
-        WorkerReplicaPool,
     )
 
     dtype = args.dtype or None
     # --workers 0 keeps the exact in-process path; N > 0 forwards every
     # batch to one of N resident worker processes (docs/serving.md).
-    if args.workers > 0:
-        pool_cls, pool_kwargs = WorkerReplicaPool, {"workers": args.workers}
-    else:
-        pool_cls, pool_kwargs = ReplicaPool, {}
     if args.artifact:
-        pool = pool_cls.from_endpoint(
-            _Endpoint.from_directory(args.artifact, dtype=dtype), **pool_kwargs
+        pool = ReplicaPool.from_endpoint(
+            _Endpoint.from_directory(args.artifact, dtype=dtype),
+            workers=args.workers,
         )
     elif args.store and args.model:
-        pool = pool_cls.from_store(
-            ModelStore(args.store), args.model, dtype=dtype, **pool_kwargs
+        pool = ReplicaPool.from_store(
+            ModelStore(args.store), args.model, dtype=dtype, workers=args.workers
         )
     else:
         raise ReproError("provide --artifact DIR, or --store DIR with --model NAME")
@@ -243,7 +239,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     gateway = ServingGateway(pool, config)
     plan = _install_fault_plan(args)
-    if plan is not None and hasattr(pool, "set_fault_plan"):
+    if plan is not None:
         # Worker processes forked before the plan was armed: ship it.
         pool.set_fault_plan(plan)
     if args.warmup:

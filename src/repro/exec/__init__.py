@@ -18,7 +18,7 @@ package runs them across worker processes instead of one at a time:
 - :class:`WorkerProcess` / :class:`WorkerTeam` — *resident* duplex
   worker processes with lease/release dispatch and restart-on-crash,
   the one process pool under both :class:`TrialExecutor` and
-  process-parallel serving (:class:`repro.serve.WorkerReplicaPool`).
+  process-parallel serving (``repro.serve.ReplicaPool(..., workers=N)``).
 
 The search strategies in :mod:`repro.tuning` accept an executor in place
 of a trial function; ``Application.tune(..., workers=N)`` and the

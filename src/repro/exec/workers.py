@@ -19,9 +19,9 @@ This module generalizes that machinery into two small pieces:
   (context manager + ``atexit`` + daemonized children) so a dying test or
   CLI run leaves no orphan processes behind.
 
-``repro.serve.pool_worker`` builds the process-parallel
-:class:`~repro.serve.pool_worker.WorkerReplicaPool` on top of this; the
-plumbing itself knows nothing about models or batches.
+``repro.serve.pool_worker`` builds the worker transport of
+``ReplicaPool(..., workers=N)`` on top of this; the plumbing itself
+knows nothing about models or batches.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import os
 import queue
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
@@ -136,13 +135,11 @@ class WorkerProcess:
         *,
         name: str = "worker",
         mp_context=None,
-        reply_timeout_s: float | None = None,
     ) -> None:
         self._target = target
         self._args = tuple(args)
         self.name = name
         self._ctx = mp_context or default_mp_context()
-        self.reply_timeout_s = reply_timeout_s
         self._proc = None
         self._conn = None
         self._lock = threading.Lock()
@@ -186,14 +183,13 @@ class WorkerProcess:
     def request(self, msg: Any, timeout: float | None = None) -> Any:
         """Send one message and block for its reply.
 
-        A broken channel, a dead process, or a missed ``timeout`` (default
-        ``reply_timeout_s``) raises :class:`~repro.errors.WorkerCrashError`
+        A broken channel, a dead process, or a missed ``timeout`` (``None``
+        waits forever) raises :class:`~repro.errors.WorkerCrashError`
         after killing the process — a hung worker is indistinguishable
         from a dead one and must not wedge the serving lane.
         """
         if self._conn is None:
             raise WorkerCrashError(f"worker {self.name!r} is not running")
-        timeout = self.reply_timeout_s if timeout is None else timeout
         with self._lock:
             try:
                 self._conn.send(msg)
@@ -375,10 +371,6 @@ class WorkerTeam:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def restarts_total(self) -> int:
-        return sum(self._restarts)
-
     def stats(self) -> list[dict]:
         """Per-slot liveness for dashboards: pid, alive, restart count."""
         out = []
@@ -393,15 +385,3 @@ class WorkerTeam:
                 }
             )
         return out
-
-    def wait_all_idle(self, timeout: float = 30.0) -> None:
-        """Block until every slot is free (all in-flight requests done)."""
-        deadline = time.monotonic() + timeout
-        held: list[int] = []
-        try:
-            for _ in range(self.size):
-                remaining = max(0.0, deadline - time.monotonic())
-                held.append(self.lease(timeout=remaining))
-        finally:
-            for slot in held:
-                self._slots.put(slot)

@@ -390,7 +390,7 @@ class ServingGateway:
         snapshot = self.telemetry.snapshot(
             max_batch_size=self.config.max_batch_size
         )
-        stats = {
+        return {
             "uptime_s": time.monotonic() - self.started_at,
             "telemetry": snapshot.to_dict(),
             "rollout": self.rollout.status().to_dict(),
@@ -410,11 +410,8 @@ class ServingGateway:
                 for tier, breaker in sorted(self._breakers.items())
             },
             "breaker_history": self.telemetry.breaker_events(),
+            "workers": self.pool.worker_stats(),
         }
-        worker_stats = getattr(self.pool, "worker_stats", None)
-        if worker_stats is not None:
-            stats["workers"] = worker_stats()
-        return stats
 
     def dashboard(self) -> str:
         """The live text dashboard (telemetry + rollout summary)."""
@@ -428,10 +425,10 @@ class ServingGateway:
                 f"disagreement_rate="
                 + (f"{rate:.3f}" if rate is not None else "n/a")
             )
-        worker_stats = getattr(self.pool, "worker_stats", None)
-        if worker_stats is not None:
+        worker_stats = self.pool.worker_stats()
+        if worker_stats:
             parts = []
-            for entry in worker_stats():
+            for entry in worker_stats:
                 state = "up" if entry["alive"] else "down"
                 parts.append(
                     f"w{entry['worker']}:{state} "

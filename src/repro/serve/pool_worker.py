@@ -1,29 +1,37 @@
-"""Process-parallel replicas: batches forwarded by resident worker processes.
+"""Forward transports: where a replica pool runs the model's forward pass.
 
-The in-process :class:`~repro.serve.replica.ReplicaPool` serializes every
-forward pass behind one GIL; this module is the paper's "serve heavy
-production traffic" answer.  A :class:`WorkerReplicaPool` keeps N
-long-lived worker processes (:mod:`repro.exec.workers` plumbing), each
-holding its own copy of the model tier pair, and splits a request's life
-across the process boundary at the narrowest possible waist:
+``ReplicaPool(..., workers=0)`` forwards through :data:`IN_PROCESS`, in
+the lane thread that formed the batch.  That serializes every model pass
+behind one GIL; :class:`WorkerTransport` is the paper's "serve heavy
+production traffic" answer.  It keeps N long-lived worker processes
+(:mod:`repro.exec.workers` plumbing), each holding its own copy of the
+model tier pair, and is what a ``ReplicaPool(..., workers=N)`` forwards
+through.  A request's life splits across the process boundary at the
+narrowest possible waist:
 
-* **gateway side** (``WorkerReplica.serve``): validate + encode once
-  (:meth:`~repro.api.Endpoint.encode_requests`), ship the encoded arrays
-  through a per-slot shared-memory arena (:mod:`repro.serve.shm`), then
-  decode the returned ``probs``/``predictions`` with
-  :meth:`~repro.api.Endpoint.finalize_outputs`;
-* **worker side** (:func:`_worker_main`): map the arrays zero-copy,
-  run :meth:`~repro.api.Endpoint.forward_raw` (dtype policy and
-  ``no_grad`` inherited from the endpoint), write outputs back into the
-  response arena.
+* **gateway side** (:meth:`~repro.serve.replica.Replica.serve`): validate
+  + encode once (:meth:`~repro.api.Endpoint.encode_requests`), ship the
+  encoded arrays through a per-slot shared-memory arena
+  (:mod:`repro.serve.shm`), then decode the returned
+  ``probs``/``predictions`` with :meth:`~repro.api.Endpoint.finalize_outputs`;
+* **worker side** (:func:`_worker_main`): map the arrays zero-copy, run
+  :meth:`~repro.api.Endpoint.forward_raw` (dtype policy and ``no_grad``
+  inherited from the endpoint) at exactly the version the batch names,
+  write outputs back into the response arena.
 
 Because both sides run the *same* endpoint code on the *same* encoded
 batch, predictions are bit-identical to in-process serving — the parity
 tests in ``tests/serve/test_worker_pool.py`` hold the pool to that.
 
+Rollout sends the workers nothing.  Every ``serve`` message names
+``(tier, role, version, dtype)``; a worker that holds no endpoint at that
+version loads it from the store once (after a promote it already holds
+the candidate's).  Fresh and respawned workers start from the pool's
+current table.
+
 Failure semantics compose with the gateway's existing domains: the
 ``"replica.serve"`` fault point is hit *inside* the worker (fork inherits
-the armed plan; :meth:`WorkerReplicaPool.set_fault_plan` re-ships changes),
+the armed plan; :meth:`WorkerTransport.set_fault_plan` re-ships changes),
 an injected ``crash`` kills the worker process for real, and a dead or
 hung worker surfaces as :class:`~repro.errors.WorkerCrashError` — a batch
 failure that feeds the tier's circuit breaker while the team puts a fresh
@@ -32,20 +40,20 @@ worker in the slot.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Mapping
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.api.endpoint import Endpoint
 from repro.errors import ServeError
+from repro.exec.workers import WorkerProcess, WorkerTeam
 from repro.faults import FaultPlan, InjectedCrash, clear as clear_faults
 from repro.faults import fault_point, install as install_faults
 from repro.obs import get_registry
-from repro.serve.replica import CANDIDATE, STABLE, Replica, ReplicaPool
 from repro.serve.shm import (
     SegmentCache,
     ShmArena,
@@ -57,89 +65,126 @@ from repro.serve.shm import (
     required_bytes,
     write_arrays,
 )
-from repro.exec.workers import WorkerProcess, WorkerTeam, default_mp_context
 
-# The same chaos hook Replica.serve compiles in — here it fires inside the
-# worker process, with the answering slot as an extra label.
+# Chaos hook: fires once per formed batch, before the forward pass — in
+# the worker process, with the answering slot as an extra label, when the
+# forward runs there.  A disarmed point costs one attribute check.
 _FP_SERVE = fault_point("replica.serve")
 
 # Fresh response arenas start at 256 KiB; a reply that does not fit falls
 # back to inline pipe transport once and the arena grows for next time.
 _RESP_MIN_BYTES = 1 << 18
 
+# How long a lease or a reply may take before the worker counts as hung.
+# A dead worker surfaces at once (EOF on its pipe); this only bounds one
+# that is alive but stuck.
+_REPLY_TIMEOUT_S = 60.0
+
+
+class _InProcess:
+    """The forward runs in the calling thread, under the replica lock.
+
+    The compiled numpy model is not reentrant, so the forward stays inside
+    the lock ``Replica.serve`` holds; one lane thread is all that can make
+    progress.  There are no workers to report or to arm.
+    """
+
+    concurrency = 1
+
+    def unlocked(self, lock):
+        return nullcontext()
+
+    def forward(self, tier, role, version, endpoint, batch):
+        _FP_SERVE.hit(tier=tier, role=role)
+        return endpoint.forward_raw(batch), None
+
+    def probe(self, tier, role, version, endpoint, batch) -> list[float]:
+        started = time.perf_counter()
+        self.forward(tier, role, version, endpoint, batch)
+        return [time.perf_counter() - started]
+
+    def worker_stats(self) -> list[dict]:
+        return []
+
+    def set_fault_plan(self, plan) -> None:
+        pass
+
+    def start(self) -> None:
+        pass
+
+    def stop(self) -> None:
+        pass
+
+
+IN_PROCESS = _InProcess()
+
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 class _WorkerState:
-    """Everything one worker process owns: endpoints, segment cache."""
+    """Everything one worker process owns: endpoints, segment cache.
+
+    Endpoints are keyed by ``(tier, version, dtype)``, not by role: a
+    promote is a hit on the candidate's entry.  A tier keeps the two it
+    served last — its stable and its candidate.
+    """
 
     def __init__(self, spec: dict) -> None:
         self.slot = spec["slot"]
         self.cache = SegmentCache()
-        self.batches = 0
         self.store = None
-        self.store_names: dict[str, str] = spec.get("store_names") or {}
-        self.dtypes: dict[tuple[str, str], str | None] = spec.get("dtypes") or {}
-        if spec["mode"] == "store":
-            # Load the tier pair once from the ModelStore, pinned to the
-            # exact versions the gateway serves right now.
+        self.store_names: dict[str, str] = spec["store_names"]
+        if "store_root" in spec:
+            # Load the tier pair once from the ModelStore, at the exact
+            # versions the gateway serves right now.
             from repro.deploy.store import ModelStore
 
             self.store = ModelStore(spec["store_root"])
-            self.endpoints = {
-                (tier, role): Endpoint.from_store(
-                    self.store,
-                    self.store_names[tier],
-                    version=version,
-                    dtype=self.dtypes.get((tier, role)),
-                )
-                for (tier, role), version in spec["versions"].items()
-            }
+            self.endpoints = {key: self._load(*key) for key in spec["versions"]}
         else:
             # Store-less pools fork-inherit the gateway's endpoint objects
             # (copy-on-write snapshots; nothing is pickled).
             self.endpoints = dict(spec["endpoints"])
 
+    def _load(self, tier: str, version: str, dtype: str | None) -> Endpoint:
+        return Endpoint.from_store(
+            self.store, self.store_names[tier], version=version, dtype=dtype
+        )
+
     def handle(self, msg: dict) -> dict:
         cmd = msg["cmd"]
         if cmd == "serve":
             return self._serve(msg)
-        if cmd == "ping":
-            return {"ok": True, "pid": os.getpid()}
-        if cmd == "stats":
-            return {"ok": True, "pid": os.getpid(), "batches": self.batches}
         if cmd == "set_fault_plan":
             if msg["plan"] is None:
                 clear_faults()
             else:
                 install_faults(FaultPlan.from_dict(msg["plan"]))
             return {"ok": True}
-        if cmd == "add_candidate":
-            return self._add_candidate(msg)
-        if cmd == "clear_candidate":
-            self.endpoints = {
-                key: ep for key, ep in self.endpoints.items() if key[1] != CANDIDATE
-            }
-            return {"ok": True}
-        if cmd == "promote":
-            for tier, role in list(self.endpoints):
-                if role == CANDIDATE:
-                    self.endpoints[(tier, STABLE)] = self.endpoints.pop(
-                        (tier, CANDIDATE)
-                    )
-            return {"ok": True}
-        if cmd == "refresh":
-            return self._refresh(msg)
         raise ServeError(f"unknown worker command {cmd!r}")
+
+    def _endpoint(self, tier: str, version, dtype) -> Endpoint:
+        """The endpoint at exactly the version (and dtype) the batch names.
+
+        Loaded from the store once; store-less endpoints never move, so a
+        miss there is an error.
+        """
+        key = (tier, version, dtype)
+        endpoint = self.endpoints.pop(key, None)
+        if endpoint is None:
+            if self.store is None:
+                raise ServeError(f"worker {self.slot} holds no endpoint {key}")
+            endpoint = self._load(*key)
+            older = [held for held in self.endpoints if held[0] == tier]
+            for stale in older[:-1]:
+                del self.endpoints[stale]
+        self.endpoints[key] = endpoint  # most recently served last
+        return endpoint
 
     def _serve(self, msg: dict) -> dict:
         tier, role = msg["tier"], msg["role"]
-        endpoint = self.endpoints.get((tier, role))
-        if endpoint is None:
-            raise ServeError(
-                f"worker {self.slot} has no ({tier!r}, {role!r}) endpoint"
-            )
+        endpoint = self._endpoint(tier, msg["version"], msg["dtype"])
         # Fault points fire in the worker: an "error" rule becomes an
         # error reply (a batch failure gateway-side), a "latency" rule
         # stalls this worker only, a "crash" rule kills this process.
@@ -148,7 +193,6 @@ class _WorkerState:
         started = time.perf_counter()
         outputs = endpoint.forward_raw(batch)
         forward_s = time.perf_counter() - started
-        self.batches += 1
         arrays = outputs_to_arrays(outputs)
         reply = {"ok": True, "forward_s": forward_s}
         try:
@@ -161,36 +205,6 @@ class _WorkerState:
             reply["inline"] = [(k, np.ascontiguousarray(a)) for k, a in arrays]
             reply["needed"] = required_bytes(arrays)
         return reply
-
-    def _add_candidate(self, msg: dict) -> dict:
-        if self.store is None:
-            raise ServeError("candidate rollout needs a store-backed worker")
-        for tier, version in msg["versions"].items():
-            self.endpoints[(tier, CANDIDATE)] = Endpoint.from_store(
-                self.store,
-                self.store_names[tier],
-                version=version,
-                dtype=msg["dtypes"].get(tier),
-            )
-        return {"ok": True}
-
-    def _refresh(self, msg: dict) -> dict:
-        changed = {}
-        for tier, version in msg["versions"].items():
-            current = self.endpoints.get((tier, STABLE))
-            if current is None or current.version == version:
-                changed[tier] = False
-                continue
-            if self.store is None:
-                raise ServeError("refresh needs a store-backed worker")
-            self.endpoints[(tier, STABLE)] = Endpoint.from_store(
-                self.store,
-                self.store_names[tier],
-                version=version,
-                dtype=self.dtypes.get((tier, STABLE)),
-            )
-            changed[tier] = True
-        return {"ok": True, "changed": changed}
 
     def close(self) -> None:
         self.cache.close()
@@ -215,76 +229,37 @@ def _worker_main(conn, spec: dict) -> None:
 # ----------------------------------------------------------------------
 # Gateway side
 # ----------------------------------------------------------------------
-class WorkerReplica(Replica):
-    """A replica whose forward pass runs in a worker process.
+class WorkerTransport:
+    """N resident worker processes a replica pool forwards through.
 
-    Encode and finalize stay in the gateway thread (and so does payload
-    validation, which happens at submit time) — the replica lock only
-    guards the serving counters, *not* the forward, so N lane threads can
-    keep N workers busy concurrently.
-    """
-
-    def __init__(
-        self, tier: str, role: str, endpoint: Endpoint, pool: "WorkerReplicaPool"
-    ) -> None:
-        super().__init__(tier, role, endpoint)
-        self._wpool = pool
-        self._tls = threading.local()
-
-    def serve(self, payloads: list[dict]) -> tuple[list[dict], float]:
-        """Encode here, forward in a worker, finalize here."""
-        endpoint = self.endpoint  # one consistent object across the batch
-        started = time.perf_counter()
-        records, batch = endpoint.encode_requests(payloads)
-        outputs, slot, _ = self._wpool._forward(self.tier, self.role, batch)
-        responses = endpoint.finalize_outputs(outputs, records)
-        endpoint.requests_served += len(payloads)
-        elapsed = time.perf_counter() - started
-        with self.lock:
-            self._note_served(len(payloads), elapsed)
-        self._tls.worker = slot
-        return responses, elapsed
-
-    def served_by(self) -> int | None:
-        return getattr(self._tls, "worker", None)
-
-
-class WorkerReplicaPool(ReplicaPool):
-    """A :class:`ReplicaPool` that fans forwards out to worker processes.
-
-    ``workers`` resident processes each load the pool's tier pair once —
-    from the :class:`~repro.deploy.store.ModelStore` when the pool is
-    store-backed, by fork-inheriting the gateway endpoints otherwise (the
-    store-less path needs the ``fork`` start method).  Rollout operations
-    (:meth:`add_candidate` / :meth:`promote_candidate` /
-    :meth:`clear_candidate` / :meth:`refresh`) apply gateway-side first,
-    then broadcast, so a worker respawned at any moment is rebuilt from
-    already-consistent state.
-
-    Use as a context manager (or call :meth:`stop`): teardown joins every
-    worker and unlinks every shared segment; an ``atexit`` hook and
-    daemonized children cover runs that die without cleanup.
+    ``table()`` returns the pool's current ``{(tier, role): Endpoint}``;
+    it is read at start and again for every respawn, so a replacement
+    worker is born at today's versions.  With a store the spec carries
+    ``(tier, version, dtype)`` keys (workers load from the store); without
+    one it carries the endpoint objects themselves (fork-inherited, which
+    needs the ``fork`` start method).
     """
 
     def __init__(
         self,
-        tiers: Mapping[str, Endpoint],
-        tier_order=None,
-        store=None,
-        store_names=None,
-        dtype: str | None = None,
-        *,
-        workers: int = 2,
-        reply_timeout_s: float = 60.0,
-        mp_start_method: str | None = None,
+        workers: int,
+        table: Callable[[], Mapping[tuple[str, str], Endpoint]],
+        store,
+        store_names: Mapping[str, str],
     ) -> None:
-        if workers < 1:
-            raise ServeError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.reply_timeout_s = reply_timeout_s
-        self._mp = default_mp_context(mp_start_method)
-        self._slot_arenas: dict[int, tuple[ShmArena, ShmArena]] = {}
-        self._arena_lock = threading.Lock()
+        self.concurrency = workers
+        self._table = table
+        self._store = store if store_names else None
+        self._store_names = dict(store_names)
+        # One request and one response arena per slot; a segment is only
+        # created by the first pack.
+        self._arenas = [
+            (
+                ShmArena(f"req-{slot}"),
+                ShmArena(f"resp-{slot}", min_bytes=_RESP_MIN_BYTES),
+            )
+            for slot in range(workers)
+        ]
         self._batches = [0] * workers
         self._inflight = [0] * workers
         registry = get_registry()
@@ -298,97 +273,54 @@ class WorkerReplicaPool(ReplicaPool):
             "Worker processes respawned after a crash",
             ("worker",),
         )
-        super().__init__(
-            tiers,
-            tier_order=tier_order,
-            store=store,
-            store_names=store_names,
-            dtype=dtype,
-        )
         self._team = WorkerTeam(
             workers,
             self._spawn_worker,
             name="serve-workers",
-            on_restart=self._note_restart,
+            on_restart=lambda slot: self._m_worker_restarts.inc(worker=str(slot)),
         )
-        self._team.start()
-
-    # -- replica + worker factories ------------------------------------
-    def _make_replica(self, tier: str, role: str, endpoint: Endpoint) -> Replica:
-        return WorkerReplica(tier, role, endpoint, self)
 
     def _spawn_worker(self, slot: int) -> WorkerProcess:
-        """Build one (unstarted) worker from the pool's *current* state.
-
-        Called at start and again for every respawn: a replacement worker
-        is born knowing today's versions and candidates, which is why
-        control broadcasts never need replaying.
-        """
-        if self._store is not None and self._store_names:
-            spec = {
-                "slot": slot,
-                "mode": "store",
-                "store_root": str(self._store.root),
-                "store_names": dict(self._store_names),
-                "versions": {
-                    key: replica.endpoint.version
-                    for key, replica in self._replicas.items()
-                },
-                "dtypes": {
-                    key: replica.endpoint.dtype_override
-                    for key, replica in self._replicas.items()
-                },
-            }
+        """Build one (unstarted) worker from the pool's *current* table."""
+        table = {
+            (tier, endpoint.version, endpoint.dtype_override): endpoint
+            for (tier, _), endpoint in self._table().items()
+        }
+        spec: dict = {"slot": slot, "store_names": self._store_names}
+        if self._store is not None:
+            spec["store_root"] = str(self._store.root)
+            spec["versions"] = list(table)
         else:
-            spec = {
-                "slot": slot,
-                "mode": "inherit",
-                "endpoints": {
-                    key: replica.endpoint
-                    for key, replica in self._replicas.items()
-                },
-            }
-        return WorkerProcess(
-            _worker_main,
-            (spec,),
-            name=f"serve-worker-{slot}",
-            mp_context=self._mp,
-            reply_timeout_s=self.reply_timeout_s,
-        )
+            spec["endpoints"] = table
+        return WorkerProcess(_worker_main, (spec,), name=f"serve-worker-{slot}")
 
-    def _note_restart(self, slot: int) -> None:
-        self._m_worker_restarts.inc(worker=str(slot))
+    def start(self) -> None:
+        self._team.start()
+
+    @contextmanager
+    def unlocked(self, lock: threading.Lock):
+        """Release the replica lock while a worker runs the forward."""
+        lock.release()
+        try:
+            yield
+        finally:
+            lock.acquire()
 
     # -- the forward fan-out -------------------------------------------
-    @property
-    def concurrency(self) -> int:
-        return self.workers
-
-    def _arenas(self, slot: int) -> tuple[ShmArena, ShmArena]:
-        with self._arena_lock:
-            arenas = self._slot_arenas.get(slot)
-            if arenas is None:
-                arenas = (
-                    ShmArena(f"req-{slot}"),
-                    ShmArena(f"resp-{slot}", min_bytes=_RESP_MIN_BYTES),
-                )
-                self._slot_arenas[slot] = arenas
-        return arenas
-
-    def _forward(self, tier: str, role: str, batch):
-        """Lease a worker, forward one encoded batch, gather its outputs."""
-        slot = self._team.lease(timeout=self.reply_timeout_s)
+    def forward(self, tier: str, role: str, version, endpoint: Endpoint, batch):
+        """Lease a worker, forward one encoded batch; (outputs, slot)."""
+        slot = self._team.lease(timeout=_REPLY_TIMEOUT_S)
         try:
-            outputs, forward_s = self._forward_on_slot(slot, tier, role, batch)
+            outputs = self._forward_on_slot(slot, tier, role, version, endpoint, batch)
         finally:
             # release() is where a crashed worker is replaced; the raised
             # WorkerCrashError still propagates to the gateway, which
             # records the breaker failure and retries per item.
             self._team.release(slot)
-        return outputs, slot, forward_s
+        return outputs, slot
 
-    def _forward_on_slot(self, slot: int, tier: str, role: str, batch):
-        req_arena, resp_arena = self._arenas(slot)
+    def _forward_on_slot(self, slot, tier, role, version, endpoint, batch):
+        req_arena, resp_arena = self._arenas[slot]
         arrays, payload_names = batch_to_arrays(batch)
         manifest = req_arena.pack(arrays)
         resp_arena.ensure(_RESP_MIN_BYTES)
@@ -396,13 +328,15 @@ class WorkerReplicaPool(ReplicaPool):
             "cmd": "serve",
             "tier": tier,
             "role": role,
+            "version": version,
+            "dtype": endpoint.dtype_override,
             "batch": manifest,
             "payload_names": payload_names,
             "resp": {"segment": resp_arena.name},
         }
         self._inflight[slot] += 1
         try:
-            reply = self._team.request(slot, msg, timeout=self.reply_timeout_s)
+            reply = self._team.request(slot, msg, timeout=_REPLY_TIMEOUT_S)
         finally:
             self._inflight[slot] -= 1
         if not reply.get("ok"):
@@ -421,39 +355,26 @@ class WorkerReplicaPool(ReplicaPool):
             resp_arena.ensure(reply["needed"] * 2)
         self._batches[slot] += 1
         self._m_worker_batches.inc(tier=tier, worker=str(slot))
-        return outputs, reply["forward_s"]
+        return outputs
 
-    # -- warmup / stats -------------------------------------------------
-    def warmup(self, payloads: list[dict]) -> dict[str, float]:
-        """Probe every tier on *every* worker: models hot, EWMAs seeded.
+    def probe(self, tier, role, version, endpoint, batch) -> list[float]:
+        """Forward ``batch`` on every slot at once; the per-slot times.
 
-        The in-process pool probes each tier once; here one probe would
-        leave N-1 cold workers (lazy model state, cold page cache) to
-        surprise the first real requests, so warmup quiesces the team and
-        fans each tier's batch out to all slots — concurrently, one thread
-        per leased slot (pipes and arenas are per slot), since a slot's
-        first forward is several times a warm one.  A tier's estimate is
-        the mean per-slot time.
+        The team is quiesced first and each leased slot gets its own
+        thread (pipes and arenas are per slot), since a slot's first
+        forward is several times a warm one.
         """
-        payloads = list(payloads)
-        estimates: dict[str, float] = {}
-        with self._team.all_slots(timeout=self.reply_timeout_s) as slots:
+        with self._team.all_slots(timeout=_REPLY_TIMEOUT_S) as slots:
+
+            def one(slot: int) -> float:
+                started = time.perf_counter()
+                self._forward_on_slot(slot, tier, role, version, endpoint, batch)
+                return time.perf_counter() - started
+
             with ThreadPoolExecutor(max_workers=len(slots)) as probes:
-                for tier in self.tier_order:
-                    replica = self.replica(tier, STABLE)
-                    _, batch = replica.endpoint.encode_requests(payloads)
+                return list(probes.map(one, slots))
 
-                    def probe(slot: int, tier=tier, batch=batch) -> float:
-                        started = time.perf_counter()
-                        self._forward_on_slot(slot, tier, STABLE, batch)
-                        return time.perf_counter() - started
-
-                    mean = sum(probes.map(probe, slots)) / len(slots)
-                    with replica.lock:
-                        replica._note_served(len(payloads) * len(slots), mean)
-                    estimates[tier] = mean
-        return estimates
-
+    # -- stats, faults, lifecycle ---------------------------------------
     def worker_stats(self) -> list[dict]:
         """Per-worker liveness for ``gateway.stats()`` and the dashboard."""
         stats = self._team.stats()
@@ -463,72 +384,15 @@ class WorkerReplicaPool(ReplicaPool):
             entry["inflight"] = self._inflight[slot]
         return stats
 
-    @property
-    def restarts_total(self) -> int:
-        return self._team.restarts_total
-
-    # -- rollout control: gateway-side first, then broadcast -----------
-    def add_candidate(self, versions) -> None:
-        super().add_candidate(versions)
-        candidate_versions: dict[str, str] = {}
-        candidate_dtypes: dict[str, str | None] = {}
-        for tier in self.tier_order:
-            replica = self._replicas.get((tier, CANDIDATE))
-            if replica is not None:
-                candidate_versions[tier] = replica.endpoint.version
-                candidate_dtypes[tier] = replica.endpoint.dtype_override
-        self._team.broadcast(
-            {
-                "cmd": "add_candidate",
-                "versions": candidate_versions,
-                "dtypes": candidate_dtypes,
-            },
-            timeout=self.reply_timeout_s,
-        )
-
-    def clear_candidate(self) -> None:
-        super().clear_candidate()
-        self._team.broadcast(
-            {"cmd": "clear_candidate"}, timeout=self.reply_timeout_s
-        )
-
-    def promote_candidate(self, set_latest: bool = True) -> dict[str, str]:
-        promoted = super().promote_candidate(set_latest=set_latest)
-        self._team.broadcast({"cmd": "promote"}, timeout=self.reply_timeout_s)
-        return promoted
-
-    def refresh(self) -> dict[str, bool]:
-        changed = super().refresh()
-        if any(changed.values()):
-            versions = {
-                tier: self.replica(tier, STABLE).endpoint.version
-                for tier in self.tier_order
-            }
-            self._team.broadcast(
-                {"cmd": "refresh", "versions": versions},
-                timeout=self.reply_timeout_s,
-            )
-        return changed
-
     def set_fault_plan(self, plan: "FaultPlan | dict | None") -> None:
-        """Ship a fault plan (or ``None`` to disarm) to every worker.
-
-        Workers forked *after* ``repro.faults.install`` inherit the armed
-        plan automatically; this broadcast covers plans installed or
-        cleared while the team is already running.
-        """
         plan_dict = plan.to_dict() if isinstance(plan, FaultPlan) else plan
         self._team.broadcast(
-            {"cmd": "set_fault_plan", "plan": plan_dict},
-            timeout=self.reply_timeout_s,
+            {"cmd": "set_fault_plan", "plan": plan_dict}, timeout=_REPLY_TIMEOUT_S
         )
 
-    # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
         """Join every worker and unlink every shared segment (idempotent)."""
         self._team.stop()
-        with self._arena_lock:
-            for req_arena, resp_arena in self._slot_arenas.values():
-                req_arena.close()
-                resp_arena.close()
-            self._slot_arenas.clear()
+        for req_arena, resp_arena in self._arenas:
+            req_arena.close()
+            resp_arena.close()

@@ -12,6 +12,11 @@ tier's request latency, and tests/operators can seed estimates with
 :meth:`ReplicaPool.set_latency_hint` or a :meth:`ReplicaPool.warmup`
 probe.  Store-backed pools know how to create candidate replicas pinned
 to an explicit version (canary/shadow) and to promote them to stable.
+
+Where the forward pass runs is the pool's *transport*
+(:mod:`repro.serve.pool_worker`): in the calling thread (``workers=0``),
+or in one of N resident worker processes (``workers=N``).  Everything
+else — encode, decode, rollout, routing — is the same code.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.api.endpoint import Endpoint
 from repro.errors import ServeError, StoreError
-from repro.faults import fault_point
 from repro.obs import get_tracer
+from repro.serve.pool_worker import IN_PROCESS, WorkerTransport
 
 if TYPE_CHECKING:
     from repro.deploy.store import ModelStore
@@ -33,53 +38,67 @@ CANDIDATE = "candidate"
 
 _EWMA_ALPHA = 0.25
 
-# Chaos hook: fires once per formed batch, before the forward pass.  A
-# disarmed point costs one attribute check (see repro.faults).
-_FP_SERVE = fault_point("replica.serve")
-
 
 class Replica:
     """One endpoint behind the gateway: a tier + role + serving lock.
 
-    The lock serializes model batches per replica (the compiled numpy
-    model is not reentrant); the EWMA tracks what a request experiences —
-    the whole batch's forward latency.
+    The lock is the one :meth:`ReplicaPool.refresh` and
+    :meth:`ReplicaPool.promote_candidate` take to move the endpoint; the
+    EWMA tracks what a request experiences — the whole batch's latency.
     """
 
-    def __init__(self, tier: str, role: str, endpoint: Endpoint) -> None:
+    def __init__(
+        self, tier: str, role: str, endpoint: Endpoint, transport=IN_PROCESS
+    ) -> None:
         self.tier = tier
         self.role = role
         self.endpoint = endpoint
+        self.transport = transport
         self.lock = threading.Lock()
         self.ewma_latency_s: float | None = None
         self.requests_served = 0
         self.batches_served = 0
+        self._tls = threading.local()
 
     @property
     def version(self) -> str | None:
         return self.endpoint.version
 
     def serve(self, payloads: list[dict]) -> tuple[list[dict], float]:
-        """Answer one formed batch; returns (responses, batch latency)."""
-        with self.lock:
-            _FP_SERVE.hit(tier=self.tier, role=self.role)
-            start = time.perf_counter()
-            with get_tracer().span(
-                "replica.serve", child_only=True, tier=self.tier, role=self.role
-            ):
-                responses = self.endpoint.serve_batch(payloads)
-            elapsed = time.perf_counter() - start
-            self._note_served(len(payloads), elapsed)
+        """Answer one formed batch; returns (responses, batch latency).
+
+        Encode, then the transport's forward, then finalize.  The endpoint
+        and its version are read under the lock a refresh or promote takes,
+        so the version the transport is told is the one whose vocabularies
+        encoded the batch.  A worker forward runs outside that lock, so N
+        lane threads can keep N workers busy.
+        """
+        with get_tracer().span(
+            "replica.serve", child_only=True, tier=self.tier, role=self.role
+        ):
+            started = time.perf_counter()
+            with self.lock:
+                endpoint = self.endpoint
+                version = endpoint.version
+                records, batch = endpoint.encode_requests(payloads)
+                with self.transport.unlocked(self.lock):
+                    outputs, slot = self.transport.forward(
+                        self.tier, self.role, version, endpoint, batch
+                    )
+                responses = endpoint.finalize_outputs(outputs, records)
+                endpoint.requests_served += len(payloads)
+                elapsed = time.perf_counter() - started
+                self._note_served(len(payloads), elapsed)
+        self._tls.worker = slot
         return responses, elapsed
 
     def served_by(self) -> int | None:
         """Which worker slot answered this thread's last batch, if any.
 
-        ``None`` for in-process replicas; :class:`~repro.serve.pool_worker.
-        WorkerReplica` overrides this so the gateway can stamp per-worker
-        telemetry labels without widening the ``serve()`` contract.
+        ``None`` when the forward ran in-process; the gateway stamps it on
+        telemetry without widening the ``serve()`` contract.
         """
-        return None
+        return getattr(self._tls, "worker", None)
 
     def _note_served(self, n_requests: int, elapsed: float) -> None:
         """Update the serving counters and latency EWMA (caller holds lock)."""
@@ -94,7 +113,17 @@ class Replica:
 
 
 class ReplicaPool:
-    """Tiered replicas with budget routing and candidate management."""
+    """Tiered replicas with budget routing and candidate management.
+
+    ``workers=0`` forwards every batch in the lane thread that formed it;
+    ``workers=N`` forwards it in one of N resident worker processes, each
+    loading the tier pair once — from the store when the pool is
+    store-backed, by fork-inheriting the gateway endpoints otherwise.  A
+    worker follows the version each batch names, so rollout needs no
+    message to the workers.  Use as a context manager (or call
+    :meth:`stop`): teardown joins every worker and unlinks every shared
+    segment.
+    """
 
     def __init__(
         self,
@@ -103,9 +132,12 @@ class ReplicaPool:
         store: "ModelStore | None" = None,
         store_names: Mapping[str, str] | None = None,
         dtype: str | None = None,
+        workers: int = 0,
     ) -> None:
         if not tiers:
             raise ServeError("a replica pool needs at least one tier")
+        if workers < 0:
+            raise ServeError(f"workers must be >= 0, got {workers}")
         # Serving precision for candidate replicas this pool creates later
         # (canary/shadow must run in the same dtype as the stable tier they
         # are compared against).  When not given explicitly it is derived
@@ -120,8 +152,15 @@ class ReplicaPool:
             if len(overrides) == 1:
                 dtype = overrides.pop()
         self._dtype = dtype
+        self._store = store
+        self._store_names = dict(store_names or {})
+        self._transport = (
+            WorkerTransport(workers, self._worker_table, store, self._store_names)
+            if workers
+            else IN_PROCESS
+        )
         self._replicas: dict[tuple[str, str], Replica] = {
-            (tier, STABLE): self._make_replica(tier, STABLE, endpoint)
+            (tier, STABLE): Replica(tier, STABLE, endpoint, self._transport)
             for tier, endpoint in tiers.items()
         }
         if tier_order is None:
@@ -136,38 +175,39 @@ class ReplicaPool:
                 f"tier_order {list(tier_order)} does not match tiers {sorted(tiers)}"
             )
         self.tier_order = list(tier_order)
-        self._store = store
-        self._store_names = dict(store_names or {})
         self._latency_hints: dict[str, float] = {}
         self._lock = threading.Lock()
+        self._transport.start()
 
-    def _make_replica(self, tier: str, role: str, endpoint: Endpoint) -> Replica:
-        """The replica factory every creation path funnels through.
-
-        Subclasses (the process-parallel
-        :class:`~repro.serve.pool_worker.WorkerReplicaPool`) override this
-        so stable *and* candidate replicas alike dispatch to their worker
-        processes, without re-implementing candidate management.
-        """
-        return Replica(tier, role, endpoint)
+    def _worker_table(self) -> dict[tuple[str, str], Endpoint]:
+        """Today's endpoint per (tier, role): what a (re)spawned worker loads."""
+        return {key: replica.endpoint for key, replica in list(self._replicas.items())}
 
     @property
     def concurrency(self) -> int:
         """How many batches per lane the gateway may run concurrently.
 
-        The in-process pool serializes batches per replica (the compiled
-        model is not reentrant), so one lane worker thread is all that
-        can make progress; process-parallel pools report their worker
-        count and the gateway starts that many threads per lane.
+        One in-process (the compiled model is not reentrant); the worker
+        count otherwise, and the gateway starts that many threads per lane.
         """
-        return 1
+        return self._transport.concurrency
+
+    def worker_stats(self) -> list[dict]:
+        """Per-worker liveness for ``gateway.stats()`` (``[]`` in-process)."""
+        return self._transport.worker_stats()
+
+    def set_fault_plan(self, plan) -> None:
+        """Ship a fault plan (``None`` disarms) to every running worker.
+
+        Workers forked after ``repro.faults.install`` inherit the armed
+        plan; this covers plans changed while they run.  In-process serving
+        reads the installed plan directly, so there it is a no-op.
+        """
+        self._transport.set_fault_plan(plan)
 
     def stop(self) -> None:
-        """Release pool resources (worker processes, shared segments).
-
-        A no-op for the in-process pool; defined here so callers can
-        treat every pool uniformly (``with pool: ...``).
-        """
+        """Join every worker and unlink every shared segment (idempotent)."""
+        self._transport.stop()
 
     def __enter__(self) -> "ReplicaPool":
         return self
@@ -187,8 +227,8 @@ class ReplicaPool:
         The endpoint's dtype override (if any) carries over to the pool
         (derived in ``__init__``) so candidate replicas created later
         serve in the same precision as the stable tier they are compared
-        against.  Extra keyword arguments flow to the constructor (pool
-        subclasses add their own knobs, e.g. ``workers``).
+        against.  Extra keyword arguments (``workers``) flow to the
+        constructor.
         """
         store_names = {}
         if endpoint.model_name is not None:
@@ -217,7 +257,7 @@ class ReplicaPool:
         model is served as a single ``default`` tier under ``name``.
         ``dtype`` sets every tier's serving precision (e.g. ``"float32"``
         inference mode); ``None`` keeps each artifact's compiled dtype.
-        Extra keyword arguments flow to the constructor.
+        Extra keyword arguments (``workers``) flow to the constructor.
         """
         if tiers is None:
             found = []
@@ -265,11 +305,27 @@ class ReplicaPool:
         self._latency_hints[tier] = seconds
 
     def warmup(self, payloads: list[dict]) -> dict[str, float]:
-        """Probe every stable tier once to seed the latency estimates."""
+        """Probe every stable tier on every worker to seed the estimates.
+
+        One probe per tier would leave N-1 cold workers (lazy model state,
+        cold page cache) to surprise the first real requests, so each
+        tier's batch is encoded once and forwarded on all slots at once.
+        A tier's estimate is the mean per-slot forward time.
+        """
+        payloads = list(payloads)
         estimates = {}
         for tier in self.tier_order:
-            _, elapsed = self.replica(tier, STABLE).serve(list(payloads))
-            estimates[tier] = elapsed
+            replica = self.replica(tier, STABLE)
+            with replica.lock:
+                endpoint = replica.endpoint
+                version = endpoint.version
+                _, batch = endpoint.encode_requests(payloads)
+                with self._transport.unlocked(replica.lock):
+                    times = self._transport.probe(
+                        tier, STABLE, version, endpoint, batch
+                    )
+                estimates[tier] = sum(times) / len(times)
+                replica._note_served(len(payloads) * len(times), estimates[tier])
         return estimates
 
     def tier_for(self, latency_budget: float | None) -> str:
@@ -338,8 +394,8 @@ class ReplicaPool:
                     version=version,
                     dtype=self._dtype,
                 )
-                self._replicas[(tier, CANDIDATE)] = self._make_replica(
-                    tier, CANDIDATE, endpoint
+                self._replicas[(tier, CANDIDATE)] = Replica(
+                    tier, CANDIDATE, endpoint, self._transport
                 )
 
     def clear_candidate(self) -> None:

@@ -291,8 +291,8 @@ class TestShadow:
                 def __getattr__(self, name):
                     return getattr(inner, name)
 
-                def serve_batch(self, batch_payloads, validate=False):
-                    responses = inner.serve_batch(batch_payloads, validate)
+                def finalize_outputs(self, outputs, records):
+                    responses = inner.finalize_outputs(outputs, records)
                     return [
                         {**r, "Intent": {**r["Intent"], "label": "__flipped__"}}
                         for r in responses
