@@ -18,8 +18,8 @@ Three experiments:
    data/embedding fetches, and bench machines may expose a single core).
    Asserts >= 2x wall-clock at 4 workers, plus a warm re-run against the
    trial cache that must skip every trial.
-3. *Serial-path fidelity* — ``app.tune`` through the executor path at
-   ``workers=1`` must reproduce the legacy serial ``SearchResult``
+3. *Inline fidelity* — ``app.tune`` at ``workers=1`` (trials inline, in
+   the calling process) must reproduce the ``workers=2`` ``SearchResult``
    exactly: same trials, same scores, same best.
 
 When ``BENCH_TUNE_JSON`` is set (``tools/run_benchmarks.py`` does), the
@@ -153,30 +153,23 @@ def run_parallel_speedup(tmp_dir: Path) -> dict:
 
 
 def run_serial_fidelity() -> dict:
-    import tempfile
-
     dataset = _dataset(seed=1, n=160)
     spec = TuningSpec(
         payload_options={"tokens": {"encoder": ["bow", "cnn"]}},
         trainer_options={"epochs": [2], "lr": [0.05]},
     )
-    legacy_app = Application(dataset.schema, name="bench-tune")
-    legacy = legacy_app.tune(dataset, spec)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        routed_app = Application(dataset.schema, name="bench-tune")
-        executor = routed_app.tuning_executor(dataset, workers=1, cache_dir=tmp)
-        routed = routed_app.tune(dataset, spec, executor=executor)
-
+    app = Application(dataset.schema, name="bench-tune")
+    inline = app.tune(dataset, spec, workers=1).search
+    pooled = app.tune(dataset, spec, workers=2).search
     return {
-        "legacy_scores": [t.score for t in legacy.search.trials],
-        "routed_scores": [t.score for t in routed.search.trials],
-        "legacy_configs": [t.config.to_json() for t in legacy.search.trials],
-        "routed_configs": [t.config.to_json() for t in routed.search.trials],
-        "legacy_best": legacy.search.best_config.to_json(),
-        "routed_best": routed.search.best_config.to_json(),
-        "legacy_best_score": legacy.search.best_score,
-        "routed_best_score": routed.search.best_score,
+        "inline_scores": [t.score for t in inline.trials],
+        "pooled_scores": [t.score for t in pooled.trials],
+        "inline_configs": [t.config.to_json() for t in inline.trials],
+        "pooled_configs": [t.config.to_json() for t in pooled.trials],
+        "inline_best": inline.best_config.to_json(),
+        "pooled_best": pooled.best_config.to_json(),
+        "inline_best_score": inline.best_score,
+        "pooled_best_score": pooled.best_score,
     }
 
 
@@ -236,14 +229,14 @@ def test_parallel_executor_speedup(benchmark, tmp_path):
         Path(bench_json).write_text(json.dumps(payload, indent=2))
 
 
-def test_tune_workers_1_reproduces_legacy_serial(benchmark):
+def test_tune_workers_1_matches_workers_2(benchmark):
     out = benchmark.pedantic(run_serial_fidelity, rounds=1, iterations=1)
-    assert out["routed_scores"] == out["legacy_scores"]
-    assert out["routed_configs"] == out["legacy_configs"]
-    assert out["routed_best"] == out["legacy_best"]
-    assert out["routed_best_score"] == out["legacy_best_score"]
+    assert out["inline_scores"] == out["pooled_scores"]
+    assert out["inline_configs"] == out["pooled_configs"]
+    assert out["inline_best"] == out["pooled_best"]
+    assert out["inline_best_score"] == out["pooled_best_score"]
     print(
-        f"\nworkers=1 executor path == legacy serial: "
-        f"{len(out['routed_scores'])} trials, best "
-        f"{out['routed_best_score']:.4f}"
+        f"\nworkers=1 == workers=2: "
+        f"{len(out['inline_scores'])} trials, best "
+        f"{out['inline_best_score']:.4f}"
     )

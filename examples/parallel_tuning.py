@@ -8,8 +8,8 @@ executor:
 1. declare a tuning spec — encoder blocks x learning rates — next to the
    application spec;
 2. ``app.tune(dataset, spec, workers=4)`` trains candidates in a process
-   pool; trial order, scores, and the winning model are identical to the
-   serial path because every trial is deterministic;
+   pool; trial order, scores, and the winning model are identical to
+   ``workers=1`` because every trial is deterministic;
 3. the coverage report shows exactly which block values the search
    exercised and which value won each block;
 4. re-running the same search against a trial cache directory skips every

@@ -93,10 +93,10 @@ class TrainingData:
     """What training derives from (dataset, method) before any config is known.
 
     Built once by :meth:`Application.prepare` and shared by every consumer
-    of one search — each trial, the serial loop, the winner's refit or
-    restore.  Supervision is combined on first read and kept: at most once
-    per search, and only when something trains.  It holds no closure, so
-    it pickles before and after that read.
+    of one search — each trial, the winner's refit or restore.  Supervision
+    is combined on first read and kept: at most once per search, and only
+    when something trains.  It holds no closure, so it pickles before and
+    after that read.
     """
 
     train_records: list[Record]
@@ -389,28 +389,24 @@ class Application:
     ) -> Run:
         """Hyperparameter/architecture search, scored on the dev split.
 
-        ``workers=1`` (the default, with no cache) runs the exact legacy
-        serial loop: trials evaluate inline, in candidate order, and the
-        best trial's already-trained model is retained.  With
-        ``workers > 1``, ``cache_dir``, or an explicit ``executor``,
-        candidates fan out through :mod:`repro.exec`: scores come back in
-        the same order (training is deterministic, so they are the same
-        scores), completed trials are skipped on resume when a cache
-        directory is given, and the returned model is the winning config
-        re-trained locally — also deterministic — or, when the cache
-        already holds that model, restored from it
-        (:func:`repro.exec.winning_model`).  Either way supervision is
-        combined at most once per search, and only when something trains
-        (:meth:`prepare`): a warm search never runs the label model.
+        Every search runs through a :class:`repro.exec.TrialExecutor`
+        (``tuning_executor(...)`` builds one when none is passed):
+        ``workers=1`` evaluates trials inline, in candidate order;
+        ``workers > 1`` fans them out and gathers the same scores back in
+        the same order (training is deterministic).  With ``cache_dir``,
+        completed trials are skipped on resume.  The returned model is
+        the winning config's (:func:`repro.exec.winning_model`): restored
+        from the cache when it holds that model, the elected trial's own
+        model when it trained inline, re-trained locally otherwise — the
+        same parameters every way.  Supervision is combined at most once
+        per search, and only when something trains (:meth:`prepare`): a
+        warm search never runs the label model.
         """
         dev = dataset.split("dev")
         if len(dev) == 0:
             raise TrainingError("tuning requires records tagged 'dev'")
         if workers < 1:
             raise TrainingError(f"workers must be >= 1, got {workers}")
-
-        if executor is None and workers == 1 and cache_dir is None:
-            return self._tune_serial(dataset, spec, strategy, num_trials, method)
 
         from repro.exec import TuneContext, winning_model
 
@@ -478,49 +474,6 @@ class Application:
             trained = self.fit(dataset, result.best_config, method=method).trained
         return Run(application=self, trained=trained, search=result)
 
-    def _tune_serial(
-        self,
-        dataset: Dataset,
-        spec: TuningSpec,
-        strategy: str,
-        num_trials: int,
-        method: str | None,
-    ) -> Run:
-        """The legacy in-process search loop, byte-for-byte reproducible."""
-        data = self.prepare(dataset, method)
-        best_trained: TrainedModel | None = None
-        best_score = -np.inf
-
-        def trial(config: ModelConfig) -> float:
-            nonlocal best_trained, best_score
-            trained = self.fit_prepared(data, config).trained
-            score = self.dev_score(data, trained)
-            # First-strictly-greater matches the search strategies' own
-            # best-trial selection, so best_trained tracks best_config.
-            if best_trained is None or score > best_score:
-                best_trained, best_score = trained, score
-            return score
-
-        if strategy == "grid":
-            result = grid_search(spec, trial)
-        elif strategy == "random":
-            result = random_search(spec, trial, num_trials=num_trials, seed=self.seed)
-        elif strategy == "halving":
-            result = successive_halving(
-                spec, lambda config, epochs: trial(config), seed=self.seed
-            )
-            # Halving's winner is the final rung's best, which is not
-            # necessarily the globally best-scoring trial best_trained
-            # tracked; re-train the recorded winner (deterministic) so
-            # run.trained always matches run.search.best_config.
-            trained = self.fit_prepared(data, result.best_config).trained
-            return Run(application=self, trained=trained, search=result)
-        else:
-            raise TrainingError(f"unknown tuning strategy {strategy!r}")
-        if best_trained is None:
-            raise TrainingError("tuning produced no trials")
-        return Run(application=self, trained=best_trained, search=result)
-
     def tuning_executor(
         self,
         dataset: Dataset,
@@ -550,9 +503,10 @@ class Application:
         # Predicates run here, once (inside prepare): membership is written
         # onto the records as tags, so predicate-less worker clones see the
         # same slices and combine the same supervision, so the plane holds
-        # the clone too.  Workers inherit the plane with the context.
+        # the clone too.  Workers inherit the plane with the context; an
+        # inline search crosses no process boundary and needs no clone.
         data, fingerprint = self._prepare(dataset, method, whole=True)
-        clone = self._picklable_clone()
+        clone = self._picklable_clone() if workers > 1 else self
         data = replace(data, application=clone)
         context = TuneContext(application=clone, dataset=dataset, data=data, method=method)
         namespace = tuning_namespace(
@@ -684,35 +638,6 @@ class Application:
         ``name`` defaults to the application's own name.
         """
         return store.push(name or self.name, self.build_artifact(trained, metrics))
-
-    def serve_pool(
-        self,
-        store,
-        name: str | None = None,
-        tiers: Sequence[str] | None = None,
-        dtype: str | None = None,
-        workers: int = 0,
-        **kwargs,
-    ):
-        """A replica pool serving this application's stored model.
-
-        The serving-side mirror of ``report(workers=N)``: a
-        :class:`~repro.serve.ReplicaPool` that forwards in-process with
-        ``workers=0`` and in N resident worker processes otherwise —
-        identical predictions either way (``docs/serving.md``).  ``name``
-        defaults to the application's own name; extra keyword arguments
-        flow to the pool constructor.
-        """
-        from repro.serve import ReplicaPool
-
-        return ReplicaPool.from_store(
-            store,
-            name or self.name,
-            tiers=tiers,
-            dtype=dtype,
-            workers=workers,
-            **kwargs,
-        )
 
     # ------------------------------------------------------------------
     # Resuming from a stored artifact

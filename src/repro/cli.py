@@ -112,33 +112,29 @@ def cmd_tune(args: argparse.Namespace) -> int:
         spec = TuningSpec.from_file(args.spec)
     except (OSError, ValueError) as exc:  # missing file or malformed JSON
         raise ReproError(f"cannot read tuning spec {args.spec}: {exc}") from exc
-    if args.workers > 1 or args.cache_dir:
-        executor = app.tuning_executor(
-            dataset, workers=args.workers, cache_dir=args.cache_dir or None
-        )
-        try:
-            run = app.tune(
-                dataset,
-                spec,
-                strategy=args.strategy,
-                num_trials=args.num_trials,
-                executor=executor,
-            )
-        finally:
-            executor.close()
-        stats = executor.stats
-        print(
-            f"evaluated {run.search.num_trials} trials with {args.workers} "
-            f"worker(s): {stats.executed} trained, {stats.cache_hits} from cache; "
-            f"best model {'restored from cache' if stats.restored else 'retrained'}"
-        )
-    else:
-        # Plain serial tuning: the legacy in-process path, which keeps the
-        # winning trial's already-trained model (no extra refit).
+    executor = app.tuning_executor(
+        dataset, workers=args.workers, cache_dir=args.cache_dir or None
+    )
+    with executor:
         run = app.tune(
-            dataset, spec, strategy=args.strategy, num_trials=args.num_trials
+            dataset,
+            spec,
+            strategy=args.strategy,
+            num_trials=args.num_trials,
+            executor=executor,
         )
-        print(f"evaluated {run.search.num_trials} trials serially")
+    stats = executor.stats
+    if stats.restored:
+        best = "restored from cache"
+    elif stats.kept:
+        best = "kept from its trial"
+    else:
+        best = "retrained"
+    print(
+        f"evaluated {run.search.num_trials} trials with {args.workers} "
+        f"worker(s): {stats.executed} trained, {stats.cache_hits} from cache; "
+        f"best model {best}"
+    )
     search = run.search
     print(f"best dev score {search.best_score:.4f} with config:")
     print(search.best_config.to_json())

@@ -20,8 +20,8 @@ package runs them across worker processes instead of one at a time:
   the one process pool under both :class:`TrialExecutor` and
   process-parallel serving (``repro.serve.ReplicaPool(..., workers=N)``).
 
-The search strategies in :mod:`repro.tuning` accept an executor in place
-of a trial function; ``Application.tune(..., workers=N)`` and the
+The search strategies in :mod:`repro.tuning` score every candidate
+through an executor; ``Application.tune(..., workers=N)`` and the
 ``repro tune --workers N`` CLI build one automatically.
 """
 

@@ -42,22 +42,13 @@ from repro.core.tuning_spec import ModelConfig
 from repro.errors import ExecutionError, TuningError
 from repro.exec.cache import TrialCache, trial_key
 from repro.exec.trial import TuneContext
-from repro.exec.workers import (
-    WorkerProcess,
-    WorkerTeam,
-    default_mp_context,
-    serve_connection,
-)
+from repro.exec.workers import WorkerProcess, WorkerTeam, serve_connection
 from repro.faults import fault_point
 from repro.obs import get_registry, get_tracer
 
 # Chaos hook: fires per dispatched trial, inside the worker adapter (the
 # armed state is inherited by forked workers).  See repro.faults.
 _FP_TRIAL = fault_point("exec.trial")
-
-# A trial function: (context, config, seed, budget) -> score.  Must be a
-# module-level callable when workers > 1 under a non-fork start method.
-TrialFn = Callable[[Any, ModelConfig, int, "int | None"], float]
 
 # How often a busy worker checks that its parent is still there.  An idle
 # worker learns it from EOF on its pipe at once; one in the middle of a
@@ -144,7 +135,8 @@ class ExecutorStats:
     """Counters for one executor's lifetime (cache behaviour, work done).
 
     ``restored`` counts elected models that came back from the cache
-    instead of being trained (:func:`repro.exec.trial.winning_model`).
+    instead of being trained, and ``kept`` those an inline trial had
+    already trained (:func:`repro.exec.trial.winning_model`).
     """
 
     dispatched: int = 0
@@ -154,6 +146,7 @@ class ExecutorStats:
     retries: int = 0
     skipped: int = 0
     restored: int = 0
+    kept: int = 0
     total_duration_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -168,10 +161,10 @@ def _trial_adapter(context: tuple, task: TrialTask) -> float:
     process): an interrupted or partially failing search keeps every
     trial that completed, so resume really does skip finished work.
     """
-    fn, user_context, cache, namespace = context
+    run_trial, user_context, cache, namespace = context
     _FP_TRIAL.hit(trial=task.index)
     start = time.perf_counter()
-    score = fn(user_context, task.config, task.seed, task.budget)
+    score = run_trial(user_context, task.config, task.seed, task.budget)
     if cache is not None:
         cache.put(
             trial_key(namespace, task.config, task.budget, task.seed),
@@ -226,18 +219,23 @@ def _fan_out(team: WorkerTeam, threads: int, tasks: list[tuple[int, Any]]) -> li
 
 
 class TrialExecutor:
-    """Runs experiment payloads across worker processes, results in order."""
+    """Runs experiment payloads across worker processes, results in order.
+
+    ``run_trial(context, config, seed, budget) -> score`` is what
+    :meth:`evaluate` runs per candidate; an executor built without one
+    only serves :meth:`run_tasks`.
+    """
 
     def __init__(
         self,
-        trial_fn: TrialFn | None = None,
+        run_trial: Callable[[Any, ModelConfig, int, "int | None"], float]
+        | None = None,
         *,
         context: Any = None,
         workers: int = 1,
         cache: TrialCache | None = None,
         namespace: str = "",
         base_seed: int = 0,
-        mp_start_method: str | None = None,
         retries: int = 0,
         retry_backoff_s: float = 0.05,
         on_error: str = "raise",
@@ -252,7 +250,7 @@ class TrialExecutor:
             raise TuningError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
-        self._trial_fn = trial_fn
+        self._run_trial = run_trial
         self.context = context
         self.workers = workers
         self.cache = cache
@@ -285,13 +283,10 @@ class TrialExecutor:
             "repro_exec_worker_utilization",
             "Busy fraction of the worker pool over the last fan-out",
         )
-        # fork inherits the worker context for free and keeps closures
-        # usable in tests; the platform default is the fallback elsewhere.
-        self._mp_context = default_mp_context(mp_start_method)
         # One stable dispatch payload per executor, so repeated evaluate()
         # calls (successive-halving rungs) reuse the same workers and really
         # do ship the context once per worker, not once per rung.
-        self._dispatch_context = (trial_fn, context, cache, namespace)
+        self._dispatch_context = (run_trial, context, cache, namespace)
         self._team: WorkerTeam | None = None
         # The (fn, context) the live team was forked with.  Kept as strong
         # references and compared by identity: the reference keeps the
@@ -316,7 +311,6 @@ class TrialExecutor:
                 _worker_main,
                 args=(fn, context),
                 name=f"trial-worker-{slot}",
-                mp_context=self._mp_context,
             ),
             name="trial-workers",
         ).start()
@@ -414,7 +408,7 @@ class TrialExecutor:
         ``on_error="skip"`` still raises — a search with no survivors has
         no best candidate to return.
         """
-        if self._trial_fn is None:
+        if self._run_trial is None:
             raise TuningError("this executor was built without a trial function")
         tasks = [
             TrialTask(

@@ -1,9 +1,8 @@
 """The tuning trial payload, and the model a finished search returns.
 
 One trial = fit the application with a concrete :class:`ModelConfig` and
-score the dev split with the gold source — exactly the closure
-:meth:`repro.api.Application.tune` runs serially, made shippable.  The
-heavyweight state travels once per worker as a :class:`TuneContext`:
+score the dev split with the gold source.  The heavyweight state travels
+once per worker as a :class:`TuneContext`:
 the application, the dataset, and the data plane
 :meth:`~repro.api.Application.prepare` built from them in the parent
 (splits, vocabularies, and the supervision the executor combines in it
@@ -14,16 +13,17 @@ per-trial payload is just the candidate config.
 
 Training is fully deterministic given (config, data), so a worker's score
 is bit-identical to the score the parent process would have computed, and
-no model weights cross process boundaries: :func:`winning_model` re-trains
-the elected config in the parent from the same data plane — or, when the
-trial cache already holds that model's state from an earlier search,
-restores it and checks that it still earns the elected score.
+no model weights cross process boundaries: :func:`winning_model` restores
+the elected model from the trial cache (checking that it still earns the
+elected score), takes the one an inline ``workers=1`` trial trained, or
+re-trains the elected config in the parent from the same data plane.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.tuning_spec import ModelConfig
@@ -40,12 +40,20 @@ if TYPE_CHECKING:  # circular: application.py imports this module's builder
 
 @dataclass
 class TuneContext:
-    """Everything a worker needs to run trials; shipped once per worker."""
+    """Everything a worker needs to run trials; shipped once per worker.
+
+    ``best`` is the ``(config, score, trained)`` of the best trial trained
+    in the process that built the context (``owner``), first strictly
+    greater score winning, as the strategies elect.  Worker processes
+    keep nothing: their models cannot reach the parent anyway.
+    """
 
     application: "Application"
     dataset: Dataset
     data: "TrainingData"
     method: str | None = None
+    owner: int = field(default_factory=os.getpid)
+    best: "tuple[ModelConfig, float, TrainedModel] | None" = None
 
 
 def run_tuning_trial(
@@ -53,17 +61,22 @@ def run_tuning_trial(
 ) -> float:
     """Fit one candidate and return its mean dev score.
 
-    Mirrors the serial tuning closure exactly: fit on the train split,
-    evaluate every task on dev against the gold source, average the
-    primary metrics.  Model training seeds itself from the config, so the
-    per-trial ``seed`` is recorded but unused here — deliberately: the
-    inline ``workers=1`` path runs in the caller's process, and touching
-    the global numpy RNG there would clobber ambient state the legacy
-    serial path never touched.  ``budget`` is already baked into
+    Fit on the train split, evaluate every task on dev against the gold
+    source, average the primary metrics.  Model training seeds itself
+    from the config, so the per-trial ``seed`` is recorded but unused
+    here — deliberately: the inline ``workers=1`` path runs in the
+    caller's process, and touching the global numpy RNG there would
+    clobber the caller's ambient state.  ``budget`` is already baked into
     ``config.trainer.epochs`` by the search strategy.
     """
     app, data = context.application, context.data
-    return app.dev_score(data, app.fit_prepared(data, config).trained)
+    trained = app.fit_prepared(data, config).trained
+    score = app.dev_score(data, trained)
+    if os.getpid() == context.owner and (
+        context.best is None or score > context.best[1]
+    ):
+        context.best = (config, score, trained)
+    return score
 
 
 def winning_model(
@@ -76,12 +89,15 @@ def winning_model(
     model.  With a cache, a state stored under that key by an earlier
     search is restored instead of trained — accepted only if it loads
     into the model ``config`` compiles to and re-scores on dev to exactly
-    ``score``; anything else is a corrupt miss.  Every miss trains the
-    config on the executor's data plane and (re)writes the entry.
-    ``executor.stats.restored`` counts the restores.
+    ``score``; anything else is a corrupt miss.  A miss takes the model
+    the elected trial trained in this process (``TuneContext.best``) when
+    its config and score match, else trains the config on the executor's
+    data plane, and (re)writes the entry.  ``executor.stats`` counts the
+    ``restored`` and the ``kept`` models.
     """
     context: TuneContext = executor.context
     app, data = context.application, context.data
+    best, context.best = context.best, None
     cache = executor.cache
     key = trial_key(executor.namespace, config)
     stored = cache.get_state(key) if cache is not None else None
@@ -97,7 +113,11 @@ def winning_model(
         except (DeploymentError, KeyError, TypeError, ValueError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
         cache.note_corrupt_state(key, reason)
-    trained = app.fit_prepared(data, config).trained
+    if best is not None and best[0] == config and best[1] == score:
+        executor.stats.kept += 1
+        trained = best[2]
+    else:
+        trained = app.fit_prepared(data, config).trained
     if cache is not None:
         cache.put_state(
             key,

@@ -52,7 +52,7 @@ _PARENT_ENDS: set = set()
 _SPAWN_LOCK = threading.Lock()
 
 
-def default_mp_context(start_method: str | None = None):
+def default_mp_context():
     """The start method worker processes use (fork where available).
 
     Fork inherits module state — loaded models, armed fault-injection
@@ -60,10 +60,8 @@ def default_mp_context(start_method: str | None = None):
     replica workers want: the child is born consistent with the parent at
     spawn time, nothing needs pickling.
     """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
 
 
 def _child_main(conn, target: Callable, args: tuple) -> None:
@@ -134,12 +132,11 @@ class WorkerProcess:
         args: Sequence[Any] = (),
         *,
         name: str = "worker",
-        mp_context=None,
     ) -> None:
         self._target = target
         self._args = tuple(args)
         self.name = name
-        self._ctx = mp_context or default_mp_context()
+        self._ctx = default_mp_context()
         self._proc = None
         self._conn = None
         self._lock = threading.Lock()

@@ -1,8 +1,8 @@
 """Hyperparameter / coarse architecture search.
 
-Strategies accept a serial ``trial_fn`` or a
-:class:`repro.exec.TrialExecutor` (``executor=...``) to fan trials out
-across worker processes; see :mod:`repro.exec` and ``docs/tuning.md``.
+Strategies score candidates through a :class:`repro.exec.TrialExecutor`
+(``executor=...``), inline or fanned out across worker processes; see
+:mod:`repro.exec` and ``docs/tuning.md``.
 """
 
 from repro.tuning.search import (

@@ -3,15 +3,15 @@
 "Overton searches over relatively limited large blocks, e.g., should we use
 an LSTM or CNN, not at a fine-grained level of connections" (§4).  The
 controller evaluates concrete :class:`ModelConfig` candidates (from
-``TuningSpec.expand()``) via a caller-supplied trial function and keeps a
-full trial log.  Grid, random, and successive-halving strategies are
-provided; the paper notes fancier NAS had diminishing returns.
+``TuningSpec.expand()``) and keeps a full trial log.  Grid, random, and
+successive-halving strategies are provided; the paper notes fancier NAS
+had diminishing returns.
 
-Every strategy accepts either a plain ``trial_fn`` (the legacy serial
-path, evaluated inline in candidate order) or an ``executor`` — a
-:class:`repro.exec.TrialExecutor` that fans candidates out across worker
-processes and gathers scores back in the same order, so the trial log,
-tie-breaking, and the chosen best are identical between the two paths.
+Every strategy scores its candidates through an ``executor`` — a
+:class:`repro.exec.TrialExecutor`, which runs them inline with
+``workers=1`` or fans them out across worker processes, and gathers
+scores back in candidate order either way, so the trial log,
+tie-breaking, and the chosen best do not depend on the worker count.
 Successive halving parallelizes *within* each rung: a rung is a barrier
 (survivors are chosen from complete rung scores), so the recorded rung
 ordering is preserved no matter how many workers race inside it.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from repro.errors import TuningError
 
 if TYPE_CHECKING:  # repro.exec depends on this module; keep imports lazy
     from repro.exec.executor import TrialExecutor
-
-TrialFn = Callable[[ModelConfig], float]
 
 
 @dataclass
@@ -56,24 +54,16 @@ class SearchResult:
         return len(self.trials)
 
 
-def grid_search(
-    spec: TuningSpec,
-    trial_fn: TrialFn | None = None,
-    *,
-    executor: "TrialExecutor | None" = None,
-) -> SearchResult:
+def grid_search(spec: TuningSpec, executor: "TrialExecutor") -> SearchResult:
     """Evaluate every candidate in the spec's cross product."""
-    candidates = spec.expand()
-    return _evaluate_all(candidates, trial_fn, executor)
+    return _evaluate_all(spec.expand(), executor)
 
 
 def random_search(
     spec: TuningSpec,
-    trial_fn: TrialFn | None = None,
+    executor: "TrialExecutor",
     num_trials: int = 8,
     seed: int = 0,
-    *,
-    executor: "TrialExecutor | None" = None,
 ) -> SearchResult:
     """Evaluate a random subset of the grid (Li & Talwalkar 2019 style)."""
     if num_trials <= 0:
@@ -85,31 +75,27 @@ def random_search(
     else:
         idx = rng.choice(len(candidates), size=num_trials, replace=False)
         picked = [candidates[i] for i in idx]
-    return _evaluate_all(picked, trial_fn, executor)
+    return _evaluate_all(picked, executor)
 
 
 def successive_halving(
     spec: TuningSpec,
-    trial_fn_with_budget: Callable[[ModelConfig, int], float] | None = None,
+    executor: "TrialExecutor",
     min_epochs: int = 2,
     max_epochs: int = 8,
     reduction: int = 2,
     seed: int = 0,
-    *,
-    executor: "TrialExecutor | None" = None,
 ) -> SearchResult:
     """Successive halving over training epochs.
 
     All candidates train for ``min_epochs``; the top ``1/reduction`` advance
-    with doubled budget until ``max_epochs``.  ``trial_fn_with_budget``
-    receives (config, epochs).  With an ``executor``, each rung's survivors
-    are scored in parallel; rungs themselves stay strictly ordered because
-    survivor selection needs the whole rung.
+    with doubled budget until ``max_epochs``.  Each trial receives its
+    rung's epochs as its budget.  Each rung's survivors are scored
+    together (in parallel with ``workers > 1``); rungs themselves stay
+    strictly ordered because survivor selection needs the whole rung.
     """
     if reduction < 2:
         raise TuningError("reduction factor must be >= 2")
-    if trial_fn_with_budget is None and executor is None:
-        raise TuningError("provide trial_fn_with_budget or an executor")
     if "epochs" in spec.trainer_options:
         # Halving owns the epochs axis (every candidate's epochs is
         # rewritten to its rung budget); expanding it would only produce
@@ -130,17 +116,10 @@ def successive_halving(
     scored: list[tuple[ModelConfig, float]] = []
     while survivors:
         rung_configs = [_with_epochs(config, budget) for config in survivors]
-        if executor is not None:
-            outcomes = executor.evaluate(rung_configs, budget=budget)
-            scores = [outcome.score for outcome in outcomes]
-        else:
-            scores = [
-                trial_fn_with_budget(config, budget) for config in rung_configs
-            ]
         scored = []
-        for config, score in zip(rung_configs, scores):
-            trials.append(Trial(config=config, score=score, rung=rung))
-            scored.append((config, score))
+        for outcome in executor.evaluate(rung_configs, budget=budget):
+            trials.append(Trial(config=outcome.config, score=outcome.score, rung=rung))
+            scored.append((outcome.config, outcome.score))
         scored.sort(key=lambda pair: pair[1], reverse=True)
         if budget >= max_epochs or len(scored) == 1:
             break
@@ -158,31 +137,14 @@ def _with_epochs(config: ModelConfig, epochs: int) -> ModelConfig:
 
 
 def _evaluate_all(
-    candidates: Sequence[ModelConfig],
-    trial_fn: TrialFn | None,
-    executor: "TrialExecutor | None" = None,
+    candidates: Sequence[ModelConfig], executor: "TrialExecutor"
 ) -> SearchResult:
     if not candidates:
         raise TuningError("no candidates to evaluate")
-    if executor is not None:
-        outcomes = executor.evaluate(candidates)
-        trials = [Trial(config=o.config, score=o.score) for o in outcomes]
-        best = trials[0]
-        for trial in trials[1:]:
-            if trial.score > best.score:
-                best = trial
-        return SearchResult(
-            best_config=best.config, best_score=best.score, trials=trials
-        )
-    if trial_fn is None:
-        raise TuningError("provide a trial function or an executor")
-    trials = []
-    best: Trial | None = None
-    for config in candidates:
-        score = trial_fn(config)
-        trial = Trial(config=config, score=score)
-        trials.append(trial)
-        if best is None or score > best.score:
+    outcomes = executor.evaluate(candidates)
+    trials = [Trial(config=o.config, score=o.score) for o in outcomes]
+    best = trials[0]
+    for trial in trials[1:]:
+        if trial.score > best.score:
             best = trial
-    assert best is not None
     return SearchResult(best_config=best.config, best_score=best.score, trials=trials)

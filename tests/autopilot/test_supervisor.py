@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autopilot import HealPolicy, PromotionGate, Supervisor
+from repro.autopilot import HealPolicy, PromotionGate, RegressionTrigger, Supervisor
+from repro.training.reports import QualityReport, ReportRow
 
 from tests.autopilot.conftest import clean_payload, drifted_payload, lenient_policy
 
@@ -236,6 +237,47 @@ class TestControls:
             supervisor.stop()
         assert supervisor.ticks >= 3
         assert not thread.is_alive()
+
+
+class TestRegressionTrigger:
+    @staticmethod
+    def report(accuracy: float) -> QualityReport:
+        row = ReportRow(tag="test", task="Intent", n=40, metrics={"accuracy": accuracy})
+        return QualityReport(rows=[row])
+
+    def test_an_observed_regression_fires_on_the_next_tick(
+        self, ap_world, ap_gateway
+    ):
+        app, ds, run = ap_world
+        store, gateway = ap_gateway
+        policy = lenient_policy(regression_trigger=RegressionTrigger(threshold=0.05))
+        supervisor = Supervisor(gateway, app, store, ds, policy, dry_run=True)
+        # The first report becomes the baseline: nothing to compare yet.
+        assert supervisor.observe_report(self.report(0.9)) is None
+        event = supervisor.observe_report(self.report(0.6))
+        assert event is not None and event.kind == "regression"
+        (regression,) = event.evidence["regressions"]
+        assert (regression["before"], regression["after"]) == (0.9, 0.6)
+
+        with gateway:
+            outcome = supervisor.step()
+        assert outcome["action"] == "dry_run"
+        assert outcome["triggers"] == [event.reason]
+        assert supervisor.journal.kinds() == ["trigger", "dry_run"]
+        trigger = supervisor.journal.entries(kind="trigger")[0]
+        assert trigger["detail"]["trigger"] == event.to_dict()
+        assert supervisor.journal.entries(kind="dry_run")[0]["detail"][
+            "triggers"
+        ] == [event.reason]
+
+    def test_a_policy_without_a_regression_trigger_ignores_reports(
+        self, ap_world, ap_gateway
+    ):
+        app, ds, run = ap_world
+        store, gateway = ap_gateway
+        supervisor = Supervisor(gateway, app, store, ds, lenient_policy(), dry_run=True)
+        supervisor.set_baseline_report(self.report(0.9))
+        assert supervisor.observe_report(self.report(0.6)) is None
 
 
 class TestJournalWiring:

@@ -5,6 +5,8 @@ from repro.exec import TrialExecutor, coverage_report
 from repro.tuning import Trial, grid_search, random_search
 from repro.tuning.search import _evaluate_all
 
+from tests.helpers import scoring_executor
+
 
 def spec() -> TuningSpec:
     return TuningSpec(
@@ -21,7 +23,7 @@ def score(config) -> float:
 
 class TestFullCoverage:
     def test_grid_covers_everything(self):
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         report = coverage_report(spec(), result.trials)
         assert report.fraction_tried() == 1.0
         assert report.untried() == []
@@ -30,14 +32,14 @@ class TestFullCoverage:
         assert report.total_trials == 12
 
     def test_best_per_block_matches_scores(self):
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         best = coverage_report(spec(), result.trials).best_per_block()
         assert best["tokens.encoder"] == "lstm"
         assert best["tokens.size"] == 16
         assert best["trainer.lr"] == 0.1
 
     def test_cell_counts(self):
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         report = coverage_report(spec(), result.trials)
         by_cell = {(o.block, o.value): o.trials for o in report.options}
         # Each encoder appears in 2 sizes x 2 lrs = 4 of the 12 candidates.
@@ -48,7 +50,7 @@ class TestFullCoverage:
 
 class TestPartialCoverage:
     def test_random_subset_reports_untried_values(self):
-        result = random_search(spec(), score, num_trials=2, seed=0)
+        result = random_search(spec(), scoring_executor(score), num_trials=2, seed=0)
         report = coverage_report(spec(), result.trials)
         assert report.evaluated_configs == 2
         assert report.fraction_tried() < 1.0
@@ -69,14 +71,14 @@ class TestPartialCoverage:
 
 class TestRendering:
     def test_render_mentions_blocks_and_summary(self):
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         text = coverage_report(spec(), result.trials).render()
         assert "tokens.encoder" in text
         assert "trainer.lr" in text
         assert "coverage: 100%" in text
 
     def test_render_lists_untried_cells(self):
-        result = random_search(spec(), score, num_trials=2, seed=0)
+        result = random_search(spec(), scoring_executor(score), num_trials=2, seed=0)
         report = coverage_report(spec(), result.trials)
         text = report.render()
         assert "never tried:" in text
@@ -84,12 +86,12 @@ class TestRendering:
     def test_to_dict_round_trips_through_json(self):
         import json
 
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         payload = coverage_report(spec(), result.trials).to_dict()
         assert json.loads(json.dumps(payload)) == payload
 
     def test_report_is_stamped_with_the_space_fingerprint(self):
-        result = grid_search(spec(), score)
+        result = grid_search(spec(), scoring_executor(score))
         report = coverage_report(spec(), result.trials)
         assert report.spec_fingerprint == spec().fingerprint()
         assert report.spec_fingerprint in report.render()
@@ -105,7 +107,9 @@ class TestHalvingCoverage:
         )
         result = successive_halving(
             halving_spec,
-            lambda c, e: 1.0 if c.for_payload("tokens").encoder == "lstm" else 0.0,
+            scoring_executor(
+                lambda c: 1.0 if c.for_payload("tokens").encoder == "lstm" else 0.0
+            ),
             min_epochs=1,
             max_epochs=4,
         )
@@ -124,7 +128,7 @@ class TestHalvingCoverage:
             trainer_options={"epochs": [10]},
         )
         result = successive_halving(
-            halving_spec, lambda c, e: 1.0, min_epochs=2, max_epochs=8
+            halving_spec, scoring_executor(lambda c: 1.0), min_epochs=2, max_epochs=8
         )
         assert all(t.rung == 0 for t in result.trials)  # ended inside rung 0
         report = coverage_report(halving_spec, result.trials)
@@ -136,6 +140,6 @@ class TestWithExecutor:
         from tests.exec.test_executor import score_trial
 
         executor = TrialExecutor(score_trial, workers=2)
-        result = _evaluate_all(spec().expand(), None, executor)
+        result = _evaluate_all(spec().expand(), executor)
         report = coverage_report(spec(), result.trials)
         assert report.fraction_tried() == 1.0

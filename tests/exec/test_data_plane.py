@@ -112,7 +112,7 @@ class TestColdWarmPlainEquality:
         plain = app.fit(dataset, cold.search.best_config)
         assert_same_trained(cold.trained, plain.trained)
         assert_same_trained(warm.trained, plain.trained)
-        # ... and the serial search, which keeps its trial's own model.
+        # ... and the uncached search, which keeps its trial's own model.
         serial = app.tune(dataset, small_spec(), **kwargs)
         assert outcome(serial.search) == outcome(cold.search)
         assert_same_trained(serial.trained, plain.trained)
@@ -191,7 +191,7 @@ class TestLazySupervision:
         fresh = mini_dataset(n=40, seed=0)  # materializing tags its records
         short = SliceSpec("short", predicate=lambda r: len(r.payloads["tokens"]) < 6)
         app = Application(fresh.schema, name="plane-test", slices=SliceSet([short]))
-        with app.tuning_executor(fresh) as executor:
+        with app.tuning_executor(fresh, workers=2) as executor:
             shipped = pickle.loads(pickle.dumps(executor.context))
         assert shipped.data.application.slices.names == ["short"]
         expected = app.prepare(fresh).targets
@@ -383,12 +383,14 @@ class TestRepeatableCounts:
     ):
         """A warm search combines nothing either.  Before supervision was
         combined on first use, it combined once, and every search encoded
-        the train records twice: ``records + train`` encodings."""
+        the train records twice: ``records + train`` encodings.  A cold
+        search trains each trial once and keeps the winner's model: it
+        made 9 fits when the winner was trained again."""
         app = app_for(dataset)
         assert self.SPEC.size() == 8
         records = len(dataset.records)
         cold = iter(tmp_path / f"cold-{n}" for n in range(3))
-        assert self._counts(app, dataset, cold) == (1, 9, records)
+        assert self._counts(app, dataset, cold) == (1, 8, records)
         warm = iter([tmp_path / "cold-0"] * 6)
         assert self._counts(app, dataset, warm) == (0, 0, records)
         assert self._counts(app, dataset, warm) == (0, 0, records)
@@ -401,6 +403,29 @@ class TestRepeatableCounts:
         )
         fit = lambda: app.fit(dataset, config)  # noqa: E731
         assert python_calls(fit, of=Record.to_json) == len(dataset.split("train"))
+
+    @pytest.mark.parametrize(
+        "strategy, fits", [("grid", 4), ("random", 3), ("halving", 7)]
+    )
+    def test_an_inline_search_trains_each_trial_once(self, strategy, fits):
+        """Halving's winner is its last rung's trial, kept and not trained
+        again (8 fits when it was); ``workers=1`` pickles nothing, so it
+        never builds a picklable clone, even with a lambda predicate."""
+        from repro.slicing import SliceSet, SliceSpec
+
+        fresh = mini_dataset(n=40, seed=0)
+        short = SliceSpec("short", predicate=lambda r: len(r.payloads["tokens"]) < 6)
+        app = Application(fresh.schema, name="plane-test", slices=SliceSet([short]))
+        spec = TuningSpec(
+            payload_options={"tokens": {"encoder": ["bow", "cnn"], "size": [8, 12]}},
+            trainer_options={"epochs": [1]},
+        )
+
+        def tune():
+            app.tune(fresh, spec, strategy=strategy, num_trials=3)
+
+        assert python_calls(tune, of=Application.fit_prepared) == fits
+        assert python_calls(tune, of=Application._picklable_clone) == 0
 
     def test_serial_search_combines_once_too(self, dataset):
         app = app_for(dataset)

@@ -86,8 +86,8 @@ class TestOrdering:
         parallel = TrialExecutor(score_trial, workers=3).evaluate(configs)
         assert [o.score for o in serial] == [o.score for o in parallel]
 
-    def test_grid_search_via_executor_matches_trial_fn(self):
-        direct = grid_search(spec_4(), lambda c: score_trial(None, c, 0, None))
+    def test_grid_search_inline_matches_pooled(self):
+        direct = grid_search(spec_4(), executor=TrialExecutor(score_trial, workers=1))
         pooled = grid_search(spec_4(), executor=TrialExecutor(score_trial, workers=2))
         assert [t.score for t in direct.trials] == [t.score for t in pooled.trials]
         assert direct.best_config == pooled.best_config
@@ -266,7 +266,7 @@ class TestExecutorBasics:
         from repro.tuning.search import _evaluate_all
 
         with pytest.raises(TuningError):
-            _evaluate_all([], None, TrialExecutor(score_trial, workers=1))
+            _evaluate_all([], TrialExecutor(score_trial, workers=1))
 
 
 class TestObservability:

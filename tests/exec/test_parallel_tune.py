@@ -1,16 +1,18 @@
 """End-to-end executor tests against the real tuning path.
 
-The contract under test: ``workers=1`` (no cache) is the exact legacy
-serial loop; the executor path — any worker count, cached or not —
-produces the same trials, the same scores, and the same best model,
+The contract under test: every search — any worker count, cached or not
+— produces the same trials, the same scores, and the same best model,
 because training is deterministic given (config, data).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.api import Application
 from repro.core import TuningSpec
+from repro.slicing import SliceSet, SliceSpec
 from repro.tuning import successive_halving
 
 from tests.fixtures import mini_dataset
@@ -41,18 +43,67 @@ def search_signature(result):
     )
 
 
+# ``search_digest`` of ``sliced_app(...).tune(mini_dataset(n=40, seed=0),
+# parity_spec(), strategy=..., num_trials=3)``: reference values, so a
+# change that moves one changed what a search computes.  They hash float64
+# bit patterns of training and hold for the numpy/BLAS build they were
+# pinned under (numpy 2.4.6, scipy-openblas 0.3.31).
+PINNED_DIGESTS = {
+    "grid": "382039dd99b307ce3aa2543a91aa6a56ccaa527dddd0d5604c05ed146e7b5cb4",
+    "random": "614a77ec07cf164fbb688600f1d66d1bd54d7523b2e90f889f4bd6fbb0f15e7b",
+    "halving": "7c039d2ddc38cda31c82e0850751a11ce155e83c3bf73edeb1318f44d0647737",
+}
+PINNED_NAMESPACE = "a4c0dc6bf4db9d21f35ff8080eb8ed55"
+
+
+def parity_spec() -> TuningSpec:
+    return TuningSpec(
+        payload_options={"tokens": {"encoder": ["bow", "cnn"], "size": [8, 12]}},
+        trainer_options={"epochs": [2]},
+    )
+
+
+def sliced_app(dataset) -> Application:
+    """An application with a lambda slice predicate: not picklable."""
+    short = SliceSpec(
+        "short", predicate=lambda r: len(r.payloads.get("tokens", [])) <= 3
+    )
+    return Application(dataset.schema, name="tune-test", slices=SliceSet([short]))
+
+
+def search_digest(run) -> str:
+    """Trial configs, hex scores and rungs, the winner, its parameters."""
+    digest = hashlib.sha256()
+    for t in run.search.trials:
+        digest.update(f"{t.config.to_json()}|{t.score.hex()}|{t.rung}\n".encode())
+    best = run.search
+    digest.update(f"{best.best_config.to_json()}|{best.best_score.hex()}\n".encode())
+    for name, array in run.trained.model.state_dict().items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 class TestSerialParity:
-    def test_workers_1_is_bit_identical_to_legacy(self, dataset, tmp_path):
-        app = app_for(dataset)
-        legacy = app.tune(dataset, small_spec())  # legacy serial path
-        executor = app.tuning_executor(dataset, workers=1, cache_dir=tmp_path)
-        routed = app.tune(dataset, small_spec(), executor=executor)
-        assert search_signature(routed.search) == search_signature(legacy.search)
-        # The re-trained winner is the same model, parameter for parameter.
-        for ours, theirs in zip(
-            routed.trained.model.parameters(), legacy.trained.model.parameters()
-        ):
-            assert np.array_equal(ours.data, theirs.data)
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("strategy", ["grid", "random", "halving"])
+    def test_inline_search_matches_the_pinned_digest(self, tmp_path, strategy, cached):
+        fresh = mini_dataset(n=40, seed=0)  # materializing tags its records
+        run = sliced_app(fresh).tune(
+            fresh,
+            parity_spec(),
+            strategy=strategy,
+            num_trials=3,
+            cache_dir=tmp_path if cached else None,
+        )
+        assert search_digest(run) == PINNED_DIGESTS[strategy]
+
+    def test_namespace_does_not_depend_on_the_worker_count(self):
+        fresh = mini_dataset(n=40, seed=0)
+        app = sliced_app(fresh)
+        for workers in (1, 2):
+            with app.tuning_executor(fresh, workers=workers) as executor:
+                assert executor.namespace == PINNED_NAMESPACE
 
     def test_parallel_workers_match_serial_scores(self, dataset):
         app = app_for(dataset)

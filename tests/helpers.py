@@ -1,4 +1,5 @@
-"""Shared test utilities: gradient checking, call counting, process liveness.
+"""Shared test utilities: gradient checking, call counting, process liveness,
+and search executors over plain score functions.
 
 Both gradient helpers accept a ``dtype`` so the gradcheck suites can run under the
 float32 policy too: the function under test is evaluated inside
@@ -15,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.exec import TrialExecutor
 from repro.tensor import Tensor, dtype_policy
 
 # Finite-difference steps and comparison tolerances per dtype policy.
@@ -136,3 +138,13 @@ def child_pids(parents: set[int]) -> list[int]:
         and (fields := proc_stat_fields(entry.name)) is not None
         and int(fields[1]) in parents
     ]
+
+
+def scoring_executor(score: Callable) -> TrialExecutor:
+    """A ``TrialExecutor`` whose every trial returns ``score(config)``.
+
+    How a test drives a search strategy with a plain score function: the
+    strategies take an executor, and a halving trial's budget reaches
+    ``score`` as ``config.trainer.epochs``.
+    """
+    return TrialExecutor(lambda _context, config, _seed, _budget: score(config))

@@ -124,6 +124,8 @@ class TestTune:
         assert code == 0
         out = capsys.readouterr().out
         assert "evaluated 2 trials" in out
+        # One inline worker: the winner's trial model is returned, not refit.
+        assert "2 trained, 0 from cache; best model kept from its trial" in out
         assert "best dev score" in out
         assert "tokens.encoder" in out  # coverage report
         assert "coverage: 100%" in out
