@@ -86,7 +86,6 @@ def _gateway_rps(artifact, requests) -> float:
     config = GatewayConfig(
         max_batch_size=MAX_BATCH,
         max_wait_s=MAX_WAIT_S,
-        telemetry_capacity=2 * N_REQUESTS,
         payload_sample_every=16,
     )
     chunks = [requests[i::N_CLIENTS] for i in range(N_CLIENTS)]

@@ -116,7 +116,6 @@ def _gateway_run(artifact, requests, workers: int = 0):
     config = GatewayConfig(
         max_batch_size=MAX_BATCH,
         max_wait_s=MAX_WAIT_S,
-        telemetry_capacity=2 * n_requests,
         payload_sample_every=16,
     )
     chunks = [requests[i::N_CLIENTS] for i in range(N_CLIENTS)]
@@ -139,21 +138,21 @@ def _gateway_run(artifact, requests, workers: int = 0):
             t.join()
         elapsed = time.perf_counter() - start
         assert all(r is not None for r in ordered)
-        snapshot = gateway.telemetry.snapshot(max_batch_size=MAX_BATCH)
+        snapshot = gateway.stats()["telemetry"]
         parity_log, _ = pool.replica("default").serve(list(requests))
     rps = n_requests / elapsed
-    tier = snapshot.tiers["default"]
+    tier = snapshot["tiers"]["default"]
     return rps, {
         "requests": n_requests,
         "max_batch_size": MAX_BATCH,
         "max_wait_s": MAX_WAIT_S,
         "clients": N_CLIENTS,
         "requests_per_s": round(rps, 1),
-        "p50_latency_s": tier.p50_s,
-        "p95_latency_s": tier.p95_s,
-        "p99_latency_s": tier.p99_s,
-        "mean_batch": tier.mean_batch,
-        "batch_fill_rate": snapshot.batch_fill_rate,
+        "p50_latency_s": tier["p50_s"],
+        "p95_latency_s": tier["p95_s"],
+        "p99_latency_s": tier["p99_s"],
+        "mean_batch": tier["mean_batch"],
+        "batch_fill_rate": snapshot["batch_fill_rate"],
     }, parity_log
 
 

@@ -92,7 +92,7 @@ def main() -> None:
             futures.append(gateway.submit_async(request, latency_budget=budget))
         responses = [f.result(timeout=60) for f in futures]
         print(f"\nserved {len(responses)} mixed-budget requests:")
-        print(gateway.telemetry.render(max_batch_size=16))
+        print(gateway.dashboard())
 
         # --------------------------------------------------------------
         # 3. Stage a retrained candidate and canary it.

@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--obs",
         action="store_true",
-        help="enable tracing + metrics (GET /metrics, /trace/<id>)",
+        help="enable tracing and the global metrics (GET /trace/<id>); "
+        "the repro_gateway_* metrics are always on",
     )
     p.add_argument(
         "--fault-plan",

@@ -147,6 +147,10 @@ class _HistogramSeries:
         self.count = 0
 
 
+def _bounds(buckets: Sequence[float] | None) -> tuple:
+    return tuple(buckets) if buckets is not None else exponential_buckets()
+
+
 class Histogram:
     """Fixed-bucket latency/size distribution, one series per label combo.
 
@@ -167,7 +171,7 @@ class Histogram:
         self.name = name
         self.help = help
         self.labels = tuple(labels)
-        bounds = tuple(buckets) if buckets is not None else exponential_buckets()
+        bounds = _bounds(buckets)
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ObservabilityError(f"histogram {name} buckets must be strictly increasing")
         self.buckets = bounds
@@ -221,6 +225,28 @@ class Histogram:
                 return {"count": 0, "sum": 0.0, "buckets": [0] * (len(self.buckets) + 1)}
             return {"count": series.count, "sum": series.sum, "buckets": list(series.counts)}
 
+    def quantile(self, q: float, **labels) -> float:
+        """Estimate the ``q``-quantile of one series from its buckets.
+
+        Prometheus ``histogram_quantile`` semantics: find the bucket that
+        holds rank ``q * count`` and interpolate linearly inside it (the
+        first bucket's lower edge is 0).  A rank in the ``+Inf`` bucket
+        returns the last finite bound; an empty series returns 0.0.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ObservabilityError(f"quantile {q} is outside [0, 1]")
+        bucket = self.value(**labels)
+        rank = q * bucket["count"]
+        below = 0
+        for i, count in enumerate(bucket["buckets"]):
+            if count and below + count >= rank:
+                if i == len(self.buckets):
+                    return float(self.buckets[-1])
+                lower = self.buckets[i - 1] if i else 0.0
+                return lower + (self.buckets[i] - lower) * (rank - below) / count
+            below += count
+        return 0.0
+
     def samples(self) -> list[tuple[tuple, dict]]:
         with self._lock:
             return [
@@ -258,6 +284,10 @@ class MetricsRegistry:
                 if existing.labels != tuple(labels):
                     raise ObservabilityError(
                         f"metric {name!r} already registered with labels {existing.labels}"
+                    )
+                if "buckets" in kwargs and existing.buckets != _bounds(kwargs["buckets"]):
+                    raise ObservabilityError(
+                        f"metric {name!r} already registered with buckets {existing.buckets}"
                     )
                 return existing
             instrument = cls(name, help, labels, self, **kwargs)

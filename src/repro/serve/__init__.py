@@ -13,8 +13,10 @@ models evolve (§1), operationalized:
   ``docs/serving.md``);
 * :class:`RolloutController` — pin/latest plus canary fractions and
   shadow mirroring with disagreement recording;
-* :class:`TelemetryRing` — latency percentiles, per-tier throughput, and
-  sampled payloads that feed ``repro.monitoring``;
+* :class:`TelemetryRing` — each gateway's always-on ``repro_gateway_*``
+  instruments (lifetime counts, bucket-estimated latency percentiles,
+  batch sizes, sheds, breaker flips) and the sampled payloads that feed
+  ``repro.monitoring``;
 * :class:`CircuitBreaker` — per-tier failure domains: load shedding,
   healthy-tier degradation, half-open recovery (``docs/robustness.md``);
 * :class:`AsyncGatewayServer` — the stdlib asyncio HTTP front
@@ -33,13 +35,7 @@ from repro.serve.rollout import (
     RolloutStatus,
     responses_agree,
 )
-from repro.serve.telemetry import (
-    RequestEvent,
-    RolloutEvent,
-    TelemetryRing,
-    TelemetrySnapshot,
-    TierStats,
-)
+from repro.serve.telemetry import RolloutEvent, TelemetryRing
 
 # benchmarks/e2e/programs/traced_server.py still imports this name.
 WorkerReplicaPool = ReplicaPool
@@ -60,9 +56,6 @@ __all__ = [
     "Disagreement",
     "responses_agree",
     "TelemetryRing",
-    "TelemetrySnapshot",
-    "TierStats",
-    "RequestEvent",
     "RolloutEvent",
     "RequestQueue",
     "QueuedRequest",

@@ -18,8 +18,9 @@ One object owns the production serving loop:
 * when shadowing is on, stable lanes mirror each answered request to a
   shadow lane where the candidate's response is compared and recorded,
   never returned;
-* every answered request lands in the :class:`~repro.serve.telemetry.TelemetryRing`,
-  which feeds ``repro.monitoring`` (drift, dashboards).
+* every batch's outcome is counted once, in the ``repro_gateway_*``
+  instruments of the gateway's :class:`~repro.serve.telemetry.TelemetryRing`,
+  whose sampled payloads feed ``repro.monitoring`` (drift, dashboards).
 
 The gateway never changes when models change — replicas refresh from the
 store in place (§1's model independence, now at the fleet level).
@@ -27,6 +28,7 @@ store in place (§1's model independence, now at the fleet level).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -34,15 +36,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ServeError, ServeOverloadError
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 from repro.serve.batcher import PendingResponse, QueuedRequest, RequestQueue
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.replica import CANDIDATE, STABLE, ReplicaPool
 from repro.serve.rollout import RolloutController
-from repro.serve.telemetry import RequestEvent, TelemetryRing
-
-# Breaker states as gauge values (for repro_gateway_breaker_state).
-_BREAKER_STATE = {"closed": 0, "half_open": 1, "open": 2}
+from repro.serve.telemetry import TelemetryRing
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,7 @@ class GatewayConfig:
 
     max_batch_size: int = 32
     max_wait_s: float = 0.0
-    telemetry_capacity: int = 4096
     payload_sample_every: int = 8
-    payload_capacity: int = 512
     default_latency_budget: float | None = None
     request_timeout_s: float = 60.0
     max_queue_depth: int | None = 2048
@@ -114,9 +111,7 @@ class ServingGateway:
         self.config = config or GatewayConfig()
         self.rollout = rollout or RolloutController()
         self.telemetry = TelemetryRing(
-            capacity=self.config.telemetry_capacity,
-            payload_sample_every=self.config.payload_sample_every,
-            payload_capacity=self.config.payload_capacity,
+            payload_sample_every=self.config.payload_sample_every
         )
         self._lanes: dict[tuple[str, str], _Lane] = {}
         self._lock = threading.Lock()
@@ -124,52 +119,8 @@ class ServingGateway:
         self._ids = itertools.count()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
-        self.started_at = time.monotonic()
-        # Observability: instruments are declared once here; every hot-path
-        # call below costs one enabled-check branch while obs is off.
+        self.started_at = self.telemetry.started_at
         self._tracer = get_tracer()
-        registry = self._registry = get_registry()
-        self._m_requests = registry.counter(
-            "repro_gateway_requests_total",
-            "Requests answered by the gateway",
-            ("tier", "role", "result"),
-        )
-        self._m_latency = registry.histogram(
-            "repro_gateway_request_latency_seconds",
-            "Enqueue-to-response latency per request",
-            ("tier",),
-        )
-        self._m_batch = registry.histogram(
-            "repro_gateway_batch_size",
-            "Formed batch sizes",
-            ("tier",),
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-        )
-        self._m_depth = registry.gauge(
-            "repro_gateway_queue_depth",
-            "Requests currently queued per lane",
-            ("tier", "role"),
-        )
-        self._m_shed = registry.counter(
-            "repro_gateway_shed_total",
-            "Requests shed before queueing (queue full or circuit open)",
-            ("tier", "reason"),
-        )
-        self._m_isolated = registry.counter(
-            "repro_gateway_batch_isolated_total",
-            "Failed batches retried per-request to isolate poison payloads",
-            ("tier",),
-        )
-        self._m_breaker_flips = registry.counter(
-            "repro_gateway_breaker_transitions_total",
-            "Circuit-breaker state transitions",
-            ("tier", "to"),
-        )
-        self._m_breaker_state = registry.gauge(
-            "repro_gateway_breaker_state",
-            "Breaker state per tier (0 closed, 1 half-open, 2 open)",
-            ("tier",),
-        )
         # One breaker per tier: routing consults them (submit_async) and
         # lane workers feed them (shadow lanes excluded — a candidate's
         # failures say nothing about the stable tier's health).
@@ -178,7 +129,9 @@ class ServingGateway:
             self._breakers = {
                 tier: CircuitBreaker(
                     self.config.breaker,
-                    on_transition=self._breaker_observer(tier),
+                    on_transition=functools.partial(
+                        self.telemetry.record_breaker, tier
+                    ),
                 )
                 for tier in pool.tier_order
             }
@@ -264,8 +217,7 @@ class ServingGateway:
                 lane.queue.put(item)
             except ServeOverloadError:
                 self._track(-1)
-                self.telemetry.record_shed(lane.tier, reason="queue_full")
-                self._m_shed.inc(tier=lane.tier, reason="queue_full")
+                self.telemetry.shed.inc(tier=lane.tier, reason="queue_full")
                 raise
             except ServeError:
                 self._track(-1)
@@ -352,16 +304,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # Failure domains
     # ------------------------------------------------------------------
-    def _breaker_observer(self, tier: str):
-        """Bind one tier's transition callback: telemetry + metrics."""
-
-        def _observe(old_state: str, new_state: str) -> None:
-            self.telemetry.record_breaker(tier, old_state, new_state)
-            self._m_breaker_flips.inc(tier=tier, to=new_state)
-            self._m_breaker_state.set(_BREAKER_STATE[new_state], tier=tier)
-
-        return _observe
-
     def _healthy_tier(self, tier: str) -> str:
         """Degrade routing away from a tier whose circuit is open.
 
@@ -375,8 +317,7 @@ class ServingGateway:
         for other in self.pool.tier_order:
             if other != tier and breakers[other].allow():
                 return other
-        self.telemetry.record_shed(tier, reason="breaker")
-        self._m_shed.inc(tier=tier, reason="breaker")
+        self.telemetry.shed.inc(tier=tier, reason="breaker")
         raise ServeOverloadError(
             f"tier {tier!r} circuit is open and no healthy tier is available; "
             "retry after backing off"
@@ -387,15 +328,15 @@ class ServingGateway:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """One JSON-able view: telemetry + rollout + versions + batching."""
-        snapshot = self.telemetry.snapshot(
-            max_batch_size=self.config.max_batch_size
-        )
+        dtypes = self.pool.dtypes()
         return {
             "uptime_s": time.monotonic() - self.started_at,
-            "telemetry": snapshot.to_dict(),
+            "telemetry": self.telemetry.snapshot(
+                max_batch_size=self.config.max_batch_size, dtypes=dtypes
+            ),
             "rollout": self.rollout.status().to_dict(),
             "versions": self.pool.versions(),
-            "dtypes": self.pool.dtypes(),
+            "dtypes": dtypes,
             "tier_order": self.pool.tier_order,
             "latency_estimates_s": {
                 tier: self.pool.latency_estimate(tier)
@@ -415,7 +356,12 @@ class ServingGateway:
 
     def dashboard(self) -> str:
         """The live text dashboard (telemetry + rollout summary)."""
-        lines = [self.telemetry.render(max_batch_size=self.config.max_batch_size)]
+        lines = [
+            self.telemetry.render(
+                max_batch_size=self.config.max_batch_size,
+                dtypes=self.pool.dtypes(),
+            )
+        ]
         status = self.rollout.status()
         if status.shadow or status.canary_fraction > 0 or status.shadow_served:
             rate = status.disagreement_rate
@@ -487,19 +433,19 @@ class ServingGateway:
 
     def _worker(self, lane: _Lane) -> None:
         tracer = self._tracer
+        telemetry = self.telemetry
         while True:
             batch = lane.queue.pop_batch(
                 self.config.max_batch_size, self.config.max_wait_s
             )
             if batch is None:
                 return
-            if self._registry.enabled:
-                # The depth gauge is sampled at batch formation (not
-                # inc/dec'd per request) so submit stays metric-free.
-                self._m_depth.set(
-                    len(lane.queue), tier=lane.tier, role=lane.role
-                )
-                self._m_batch.observe(len(batch), tier=lane.tier)
+            # The depth gauge is sampled at batch formation (not inc/dec'd
+            # per request) so submit stays metric-free.
+            telemetry.queue_depth.set(
+                len(lane.queue), tier=lane.tier, role=lane.role
+            )
+            telemetry.batch_size.observe(len(batch), tier=lane.tier)
             payloads = [item.payload for item in batch]
             try:
                 if tracer.enabled:
@@ -531,7 +477,7 @@ class ServingGateway:
             breaker = self._lane_breaker(lane)
             if breaker is not None:
                 breaker.record_success()
-            self._resolve_items(lane, batch, responses, batch_size=len(batch))
+            self._resolve_items(lane, batch, responses)
 
     def _lane_breaker(self, lane: _Lane) -> CircuitBreaker | None:
         """The breaker a lane's outcomes feed, if any.
@@ -544,87 +490,50 @@ class ServingGateway:
         return self._breakers.get(lane.tier)
 
     def _resolve_items(
-        self,
-        lane: _Lane,
-        items: list[QueuedRequest],
-        responses: list[dict],
-        batch_size: int,
+        self, lane: _Lane, items: list[QueuedRequest], responses: list[dict]
     ) -> None:
-        """Answer served requests: mirror, telemetry, futures, metrics.
+        """Answer served requests: mirror, metrics, futures.
 
-        The telemetry, rollout and in-flight locks are taken once per
-        batch, in that order around the futures: a caller that holds its
-        response can already read the request in the telemetry ring, and
+        Counts land before any future settles, and the rollout and
+        in-flight locks are taken once per batch around the futures: a
+        caller that holds response k already sees k requests counted, and
         ``drain()`` cannot return before every future is settled.
         """
         now = time.monotonic()
-        served_by = lane.replica.served_by()
-        dtype = lane.replica.endpoint.dtype_name
-        shadow = lane.role == "shadow"
         if lane.role == "stable":
             self._mirror_to_shadow(lane.tier, items, responses)
-        self.telemetry.record_many(
-            [
-                RequestEvent(
-                    at=now,
-                    tier=lane.tier,
-                    role=lane.role,
-                    latency_s=now - item.enqueued_at,
-                    batch_size=batch_size,
-                    dtype=dtype,
-                    trace_id=item.future.trace_id,
-                    worker=served_by,
-                )
-                for item in items
-            ],
-            None if shadow else [item.payload for item in items],
-        )
-        if shadow:
+        self._count(lane, items, now, result="ok")
+        if lane.role == "shadow":
             for item, response in zip(items, responses):
                 self.rollout.record_shadow(
                     item.request_id, item.payload, item.context, response
                 )
         else:
+            self.telemetry.record_payloads([item.payload for item in items])
             self.rollout.note_served(lane.role, len(items))
         for item, response in zip(items, responses):
             item.future.set_result(response)
         self._track(-len(items))
-        if self._registry.enabled:
-            # Per-batch metric flush: one counter bump and one locked
-            # histogram pass instead of two labelled ops per request.
-            self._m_requests.inc(
-                len(items), tier=lane.tier, role=lane.role, result="ok"
-            )
-            self._m_latency.observe_many(
-                [now - item.enqueued_at for item in items], tier=lane.tier
-            )
 
     def _fail_items(
-        self,
-        lane: _Lane,
-        items: list[QueuedRequest],
-        exc: BaseException,
-        batch_size: int,
+        self, lane: _Lane, items: list[QueuedRequest], exc: BaseException
     ) -> None:
-        """Fail requests whose serve raised: telemetry, futures, metrics."""
-        now = time.monotonic()
+        """Fail requests whose serve raised: metrics, then futures."""
+        self._count(lane, items, time.monotonic(), result="error")
         for item in items:
-            self.telemetry.record(
-                RequestEvent(
-                    at=now,
-                    tier=lane.tier,
-                    role=lane.role,
-                    latency_s=now - item.enqueued_at,
-                    batch_size=batch_size,
-                    ok=False,
-                    dtype=lane.replica.endpoint.dtype_name,
-                    trace_id=item.future.trace_id,
-                )
-            )
             item.future.set_exception(exc)
-            self._track(-1)
-        self._m_requests.inc(
-            len(items), tier=lane.tier, role=lane.role, result="error"
+        self._track(-len(items))
+
+    def _count(
+        self, lane: _Lane, items: list[QueuedRequest], now: float, result: str
+    ) -> None:
+        """One counter bump and one histogram pass for a batch's outcome."""
+        telemetry = self.telemetry
+        telemetry.requests.inc(
+            len(items), tier=lane.tier, role=lane.role, result=result
+        )
+        telemetry.latency.observe_many(
+            [now - item.enqueued_at for item in items], tier=lane.tier
         )
 
     def _handle_batch_failure(
@@ -643,9 +552,9 @@ class ServingGateway:
         if breaker is not None:
             breaker.record_failure()
         if len(batch) == 1:
-            self._fail_items(lane, batch, exc, batch_size=1)
+            self._fail_items(lane, batch, exc)
             return
-        self._m_isolated.inc(tier=lane.tier)
+        self.telemetry.isolated.inc(tier=lane.tier)
         salvaged_items: list[QueuedRequest] = []
         salvaged_responses: list[dict] = []
         for item in batch:
@@ -654,16 +563,14 @@ class ServingGateway:
             except Exception as single_exc:  # noqa: BLE001 - per-item verdict
                 if breaker is not None:
                     breaker.record_failure()
-                self._fail_items(lane, [item], single_exc, batch_size=1)
+                self._fail_items(lane, [item], single_exc)
             else:
                 if breaker is not None:
                     breaker.record_success()
                 salvaged_items.append(item)
                 salvaged_responses.append(responses[0])
         if salvaged_items:
-            self._resolve_items(
-                lane, salvaged_items, salvaged_responses, batch_size=1
-            )
+            self._resolve_items(lane, salvaged_items, salvaged_responses)
 
     def _mirror_to_shadow(
         self, tier: str, batch: list[QueuedRequest], responses: list[dict]

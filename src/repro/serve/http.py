@@ -19,7 +19,8 @@ Routes::
     GET  /healthz    status, uptime, served versions per tier
     GET  /telemetry  the gateway's stats() JSON
     GET  /dashboard  the live text dashboard (text/plain)
-    GET  /metrics    the metrics registry in Prometheus text format
+    GET  /metrics    the global metrics registry, then the gateway's own
+                     always-on repro_gateway_* families (Prometheus text)
     GET  /trace/<id> one trace's spans as JSON (404 for unknown ids)
     GET  /autopilot  the self-healing supervisor's status + recent journal
                      (404 unless the server was built with one)
@@ -108,7 +109,8 @@ def _get_route(gateway: ServingGateway, autopilot, path: str) -> tuple[int, str,
             text += "\n" + autopilot.render()
         return 200, "text/plain; charset=utf-8", (text + "\n").encode("utf-8")
     if path == "/metrics":
-        return 200, _METRICS_CONTENT_TYPE, render_prometheus().encode("utf-8")
+        text = render_prometheus() + render_prometheus(gateway.telemetry.metrics)
+        return 200, _METRICS_CONTENT_TYPE, text.encode("utf-8")
     if path.startswith("/trace/"):
         trace_id = path[len("/trace/"):]
         spans = get_tracer().ring.trace(trace_id)

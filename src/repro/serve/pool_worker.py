@@ -96,7 +96,7 @@ class _InProcess:
 
     def forward(self, tier, role, version, endpoint, batch):
         _FP_SERVE.hit(tier=tier, role=role)
-        return endpoint.forward_raw(batch), None
+        return endpoint.forward_raw(batch)
 
     def probe(self, tier, role, version, endpoint, batch) -> list[float]:
         started = time.perf_counter()
@@ -308,7 +308,7 @@ class WorkerTransport:
 
     # -- the forward fan-out -------------------------------------------
     def forward(self, tier: str, role: str, version, endpoint: Endpoint, batch):
-        """Lease a worker, forward one encoded batch; (outputs, slot)."""
+        """Lease a worker and forward one encoded batch on it."""
         slot = self._team.lease(timeout=_REPLY_TIMEOUT_S)
         try:
             outputs = self._forward_on_slot(slot, tier, role, version, endpoint, batch)
@@ -317,7 +317,7 @@ class WorkerTransport:
             # WorkerCrashError still propagates to the gateway, which
             # records the breaker failure and retries per item.
             self._team.release(slot)
-        return outputs, slot
+        return outputs
 
     def _forward_on_slot(self, slot, tier, role, version, endpoint, batch):
         req_arena, resp_arena = self._arenas[slot]

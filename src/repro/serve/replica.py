@@ -58,7 +58,6 @@ class Replica:
         self.ewma_latency_s: float | None = None
         self.requests_served = 0
         self.batches_served = 0
-        self._tls = threading.local()
 
     @property
     def version(self) -> str | None:
@@ -82,23 +81,14 @@ class Replica:
                 version = endpoint.version
                 records, batch = endpoint.encode_requests(payloads)
                 with self.transport.unlocked(self.lock):
-                    outputs, slot = self.transport.forward(
+                    outputs = self.transport.forward(
                         self.tier, self.role, version, endpoint, batch
                     )
                 responses = endpoint.finalize_outputs(outputs, records)
                 endpoint.requests_served += len(payloads)
                 elapsed = time.perf_counter() - started
                 self._note_served(len(payloads), elapsed)
-        self._tls.worker = slot
         return responses, elapsed
-
-    def served_by(self) -> int | None:
-        """Which worker slot answered this thread's last batch, if any.
-
-        ``None`` when the forward ran in-process; the gateway stamps it on
-        telemetry without widening the ``serve()`` contract.
-        """
-        return getattr(self._tls, "worker", None)
 
     def _note_served(self, n_requests: int, elapsed: float) -> None:
         """Update the serving counters and latency EWMA (caller holds lock)."""

@@ -19,7 +19,7 @@ from repro.autopilot import (
 from repro.data.record import Record
 from repro.data.vocab import Vocab
 from repro.errors import AutopilotError
-from repro.serve import RequestEvent, TelemetryRing
+from repro.serve import TelemetryRing
 from repro.training.reports import QualityReport, ReportRow
 
 
@@ -89,13 +89,7 @@ class TestDriftTriggers:
     def ring_with(self, payloads) -> TelemetryRing:
         ring = TelemetryRing(payload_sample_every=1)
         for payload in payloads:
-            ring.record(
-                RequestEvent(
-                    at=0.0, tier="default", role="stable",
-                    latency_s=0.001, batch_size=1,
-                ),
-                payload=payload,
-            )
+            ring.record_payloads([payload])
         return ring
 
     def reference(self):

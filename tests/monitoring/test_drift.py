@@ -101,22 +101,13 @@ class TestThresholdFlow:
         assert lax.drifted(js_threshold=0.01)
 
     def test_ring_forwards_thresholds(self):
-        from repro.serve import RequestEvent, TelemetryRing
+        from repro.serve import TelemetryRing
 
         ds = mini_dataset(n=40, seed=0)
         vocab = ds.build_vocabs()["tokens"]
         ring = TelemetryRing(payload_sample_every=1)
         for i in range(10):
-            ring.record(
-                RequestEvent(
-                    at=float(i),
-                    tier="default",
-                    role="stable",
-                    latency_s=0.001,
-                    batch_size=1,
-                ),
-                payload={"tokens": [f"novel_{i}"]},
-            )
+            ring.record_payloads([{"tokens": [f"novel_{i}"]}])
         report = ring.drift_report(
             ds.records, vocab, js_threshold=0.42, oov_threshold=0.9
         )
@@ -171,22 +162,13 @@ class TestServeTelemetryRoundTrip:
 
     def test_telemetry_ring_to_drift_report(self):
         from repro.monitoring import DriftReport
-        from repro.serve import RequestEvent, TelemetryRing
+        from repro.serve import TelemetryRing
 
         ds = mini_dataset(n=60, seed=0)
         vocab = ds.build_vocabs()["tokens"]
         ring = TelemetryRing(payload_sample_every=1)
-        for i, record in enumerate(ds.records[:30]):
-            ring.record(
-                RequestEvent(
-                    at=float(i),
-                    tier="default",
-                    role="stable",
-                    latency_s=0.001,
-                    batch_size=4,
-                ),
-                payload={"tokens": record.payloads["tokens"]},
-            )
+        for record in ds.records[:30]:
+            ring.record_payloads([{"tokens": record.payloads["tokens"]}])
         report = ring.drift_report(ds.records, vocab)
         assert isinstance(report, DriftReport)
         # Live traffic drawn from the training distribution: no drift.
@@ -194,22 +176,13 @@ class TestServeTelemetryRoundTrip:
         assert report.oov_rate_live == 0.0
 
     def test_drifted_live_traffic_detected_from_telemetry(self):
-        from repro.serve import RequestEvent, TelemetryRing
+        from repro.serve import TelemetryRing
 
         ds = mini_dataset(n=60, seed=0)
         vocab = ds.build_vocabs()["tokens"]
         ring = TelemetryRing(payload_sample_every=1)
         for i in range(30):
-            ring.record(
-                RequestEvent(
-                    at=float(i),
-                    tier="default",
-                    role="stable",
-                    latency_s=0.001,
-                    batch_size=4,
-                ),
-                payload={"tokens": [f"novel_{i}", f"token_{i}"]},
-            )
+            ring.record_payloads([{"tokens": [f"novel_{i}", f"token_{i}"]}])
         report = ring.drift_report(ds.records, vocab)
         assert report.drifted()
         assert report.novel_token_fraction == 1.0

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -137,6 +139,36 @@ def test_histogram_rejects_unsorted_buckets(registry):
             registry.histogram(f"bad_{len(bad)}_s", buckets=bad)
 
 
+@pytest.mark.parametrize("n", [1, 7, 100, 5000])
+@pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
+def test_quantile_is_within_one_bucket_of_nearest_rank(registry, n, q):
+    step = 2**0.25
+    h = registry.histogram(
+        "q_s", labels=("tier",), buckets=exponential_buckets(1e-4, step, 72)
+    )
+    x = np.random.default_rng(n).lognormal(mean=math.log(0.005), sigma=1.0, size=n)
+    h.observe_many(x.tolist(), tier="t")
+    # Nearest rank, not np.percentile: interpolating between sparse tail
+    # samples is not what a bucket estimate approximates.
+    exact = sorted(x)[math.ceil(q * n) - 1]
+    estimate = h.quantile(q, tier="t")
+    assert exact / step < estimate < exact * step
+
+
+def test_quantile_of_an_empty_series_is_zero(registry):
+    h = registry.histogram("none_s", labels=("tier",), buckets=(0.1, 1.0))
+    assert h.quantile(0.99, tier="ghost") == 0.0
+
+
+def test_quantile_in_the_overflow_bucket_is_the_last_bound(registry):
+    h = registry.histogram("over_s", buckets=(0.1, 1.0))
+    h.observe_many([0.05, 50.0, 60.0])
+    assert h.quantile(0.99) == 1.0
+    assert h.quantile(0.2) == pytest.approx(0.06)  # 0.6 of the first bucket
+    with pytest.raises(ObservabilityError):
+        h.quantile(1.5)
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -154,6 +186,15 @@ def test_kind_and_label_conflicts_raise(registry):
         registry.gauge("conflict_total")
     with pytest.raises(ObservabilityError):
         registry.counter("conflict_total", labels=("role",))
+
+
+def test_histogram_bucket_conflict_raises(registry):
+    h = registry.histogram("bounded_s", buckets=(1, 2))
+    assert registry.histogram("bounded_s", buckets=(1.0, 2.0)) is h
+    with pytest.raises(ObservabilityError, match="buckets"):
+        registry.histogram("bounded_s", buckets=(5,))
+    with pytest.raises(ObservabilityError, match="buckets"):
+        registry.histogram("bounded_s")  # the default buckets differ too
 
 
 def test_snapshot_is_jsonable_and_ordered(registry):

@@ -68,8 +68,7 @@ class TestPoolAndGatewayDtype:
             assert stats["dtypes"] == {"default": "float32"}
             tier_stats = stats["telemetry"]["tiers"]["default"]
             assert tier_stats["dtype"] == "float32"
-            assert all(e.dtype == "float32" for e in gateway.telemetry.events())
-            assert "float32" in gateway.telemetry.render(max_batch_size=4)
+            assert "float32" in gateway.dashboard()
 
     def test_from_endpoint_carries_dtype_to_candidates(self, served, single_store):
         app, ds, run, payloads = served

@@ -17,6 +17,18 @@ def hard_outputs(response: dict) -> dict:
     }
 
 
+def batch_sizes(gateway, tier="default") -> dict[int, int]:
+    """Formed batches by size, read from the batch-size histogram."""
+    histogram = gateway.telemetry.batch_size
+    counts = histogram.value(tier=tier)["buckets"]
+    return {int(b): n for b, n in zip(histogram.buckets, counts) if n}
+
+
+def counted(gateway) -> int:
+    """Every request the gateway has counted, any tier, role or result."""
+    return int(sum(n for _, n in gateway.telemetry.requests.samples()))
+
+
 def make_gateway(store, name="factoid-qa", **config_kwargs) -> ServingGateway:
     defaults = dict(max_batch_size=4, max_wait_s=0.05, payload_sample_every=1)
     defaults.update(config_kwargs)
@@ -47,8 +59,7 @@ class TestServing:
             # cross-request amortization the gateway exists for.
             assert replica.requests_served == 12
             assert replica.batches_served == 3
-            sizes = {e.batch_size for e in gateway.telemetry.events()}
-            assert sizes == {4}
+            assert batch_sizes(gateway) == {4: 3}
 
     def test_lone_request_released_by_deadline(self, served, single_store):
         app, ds, run, payloads = served
@@ -56,8 +67,7 @@ class TestServing:
         with make_gateway(store, max_batch_size=64, max_wait_s=0.02) as gateway:
             response = gateway.submit(payloads[0])
             assert "Intent" in response
-            [event] = gateway.telemetry.events()
-            assert event.batch_size == 1
+            assert batch_sizes(gateway) == {1: 1}
 
     def test_default_config_serves_a_lone_request_without_lingering(
         self, served, single_store
@@ -67,12 +77,12 @@ class TestServing:
         pool = ReplicaPool.from_store(store, app.name)
         with ServingGateway(pool) as gateway:
             gateway.submit(payloads[0])  # lane thread up, model warm
+            waits = []
             for payload in payloads[1:6]:
+                started = time.perf_counter()
                 gateway.submit(payload)
-            waits = [
-                e.latency_s - pool.replica("default").ewma_latency_s
-                for e in gateway.telemetry.events()[1:]
-            ]
+                elapsed = time.perf_counter() - started
+                waits.append(elapsed - pool.replica("default").ewma_latency_s)
         # Enqueue-to-answer is the serve itself plus hand-offs — nowhere
         # near a 5 ms batch deadline on top (best of five).
         assert min(waits) < 0.003
@@ -102,8 +112,8 @@ class TestServing:
             futures = [gateway.submit_async(p) for p in payloads[1:9]]
             for future in [first, *futures]:
                 future.result(timeout=30)
-            sizes = [e.batch_size for e in gateway.telemetry.events()]
-        assert sizes == [1] + [4] * 8
+            sizes = batch_sizes(gateway)
+        assert sizes == {1: 1, 4: 2}
 
     def test_telemetry_is_visible_as_soon_as_a_response_returns(
         self, served, single_store
@@ -118,7 +128,7 @@ class TestServing:
                     # Runs on the lane thread at the instant of settling.
                     lambda _f: seen.append(
                         (
-                            gateway.telemetry.recorded_total,
+                            counted(gateway),
                             gateway.rollout.status().stable_served,
                         )
                     )
@@ -127,7 +137,7 @@ class TestServing:
                 future.result(timeout=30)
             gateway.drain(timeout=10)
         # Whenever a caller holds response k, at least k requests are
-        # already in the ring and in the rollout counters.
+        # already counted in the metrics and in the rollout counters.
         assert len(seen) == 16
         for k, (recorded, served_count) in enumerate(sorted(seen), start=1):
             assert recorded >= k and served_count >= k
@@ -162,11 +172,20 @@ class TestTierRouting:
         with ServingGateway(
             pool, GatewayConfig(max_batch_size=4, max_wait_s=0.01)
         ) as gateway:
+            def per_tier():
+                return tuple(
+                    gateway.telemetry.requests.value(
+                        tier=tier, role="stable", result="ok"
+                    )
+                    for tier in ("small", "large")
+                )
+
             gateway.submit(payloads[0], latency_budget=0.005)  # only small fits
+            assert per_tier() == (1, 0)
             gateway.submit(payloads[1], latency_budget=10.0)  # large fits
+            assert per_tier() == (1, 1)
             gateway.submit(payloads[2])  # no budget -> most capable
-            tiers = [e.tier for e in gateway.telemetry.events()]
-            assert tiers == ["small", "large", "large"]
+            assert per_tier() == (1, 2)
 
     def test_impossible_budget_degrades_to_cheapest(self, served, pair_store):
         app, ds, run, payloads = served
@@ -203,7 +222,7 @@ class TestCanary:
             gateway.set_canary(candidate.version, fraction=0.5)
             for i in range(60):
                 gateway.submit(payloads[i % len(payloads)], request_id=f"q{i}")
-            roles = gateway.telemetry.snapshot().roles
+            roles = gateway.telemetry.snapshot()["roles"]
             assert 15 <= roles.get("canary", 0) <= 45
             assert roles.get("canary", 0) + roles.get("stable", 0) == 60
             status = gateway.rollout.status()
@@ -221,7 +240,7 @@ class TestCanary:
         with make_gateway(store) as gateway:
             gateway.rollout.start_canary(1.0)  # no candidate loaded
             gateway.submit(payloads[0])
-            assert gateway.telemetry.snapshot().roles == {"stable": 1}
+            assert gateway.telemetry.snapshot()["roles"] == {"stable": 1}
 
     def test_promote_moves_stable_and_store_latest(self, served, single_store):
         app, ds, run, payloads = served
@@ -250,7 +269,7 @@ class TestCanary:
             gateway.cancel_canary()
             assert not gateway.pool.has_candidate()
             gateway.submit(payloads[1], request_id="canary-bound-2")
-            assert gateway.telemetry.snapshot().roles["stable"] == 1
+            assert gateway.telemetry.snapshot()["roles"]["stable"] == 1
 
     def test_promote_without_candidate_raises(self, served, single_store):
         app, ds, run, payloads = served
@@ -271,7 +290,7 @@ class TestShadow:
             gateway.drain()
             status = gateway.rollout.status()
             assert status.shadow_served == 10
-            roles = gateway.telemetry.snapshot().roles
+            roles = gateway.telemetry.snapshot()["roles"]
             assert roles["stable"] == 10
             assert roles["shadow"] == 10
 

@@ -117,7 +117,7 @@ class TestTracePropagation:
             traced = [f.trace_id for f in futures if f.trace_id is not None]
             assert len(traced) == 2  # 8 requests / sample_every=4
             # Metrics still saw every request.
-            counter = obs.get_registry().get("repro_gateway_requests_total")
+            counter = gw.telemetry.metrics.get("repro_gateway_requests_total")
             total = sum(v for _, v in counter.samples())
             assert total >= 8
         finally:

@@ -1,136 +1,140 @@
-"""Tests for the telemetry ring buffer and its snapshots."""
+"""Tests for the telemetry ring: its instruments, views and payload window."""
+
+import json
+import time
 
 import pytest
 
-from repro.serve import RequestEvent, TelemetryRing
+from repro.serve import TelemetryRing
+from repro.serve.telemetry import LATENCY_BUCKETS
+
+# A bucket-interpolated percentile lies within one bucket of the truth.
+STEP = 2**0.25
 
 
-def event(i: int, tier: str = "default", role: str = "stable", **kwargs) -> RequestEvent:
-    defaults = dict(
-        at=float(i),
-        tier=tier,
-        role=role,
-        latency_s=0.010 * (i % 5 + 1),
-        batch_size=4,
-    )
-    defaults.update(kwargs)
-    return RequestEvent(**defaults)
+def serve(ring: TelemetryRing, n: int, tier="default", role="stable",
+          result="ok", latency_s=0.010, batch_size=4) -> None:
+    """Record ``n`` requests answered in batches of ``batch_size``."""
+    ring.requests.inc(n, tier=tier, role=role, result=result)
+    ring.latency.observe_many([latency_s] * n, tier=tier)
+    for _ in range(n // batch_size):
+        ring.batch_size.observe(batch_size, tier=tier)
 
 
 class TestRing:
-    def test_capacity_evicts_oldest(self):
-        ring = TelemetryRing(capacity=8)
-        for i in range(20):
-            ring.record(event(i))
-        assert len(ring) == 8
-        assert ring.recorded_total == 20
-        assert min(e.at for e in ring.events()) == 12.0
-
     def test_payload_sampling_every_nth(self):
-        ring = TelemetryRing(capacity=64, payload_sample_every=4)
+        ring = TelemetryRing(payload_sample_every=4)
         for i in range(16):
-            ring.record(event(i), payload={"tokens": [f"t{i}"]})
+            ring.record_payloads([{"tokens": [f"t{i}"]}])
         samples = ring.payload_samples()
         assert len(samples) == 4
         assert samples[0] == {"tokens": ["t3"]}
 
     @pytest.mark.parametrize("every", [1, 3, 8])
-    def test_record_many_equals_one_at_a_time(self, every):
-        kwargs = dict(capacity=32, payload_sample_every=every, payload_capacity=6)
-        one, many = TelemetryRing(**kwargs), TelemetryRing(**kwargs)
-        events = [event(i) for i in range(50)]
+    def test_batches_sample_what_one_at_a_time_samples(self, every):
+        one, many = TelemetryRing(every), TelemetryRing(every)
         payloads = [{"tokens": [f"t{i}"]} for i in range(50)]
-        for e, p in zip(events, payloads):
-            one.record(e, payload=p)
-        # Uneven batches (an empty and a payload-less one among them) so
-        # the sampling cadence has to carry across batch boundaries.
+        for p in payloads:
+            one.record_payloads([p])
+        # Uneven batches (an empty one among them) so the sampling
+        # cadence has to carry across batch boundaries.
         start = 0
         for size in (1, 7, 0, 2, 13, 5, 22):
-            many.record_many(events[start:start + size], payloads[start:start + size])
+            many.record_payloads(payloads[start:start + size])
             start += size
         assert start == 50
-        assert many.events() == one.events()
-        assert many.recorded_total == one.recorded_total == 50
         assert many.payload_samples() == one.payload_samples()
-        one.record(event(50))
-        many.record_many([event(50)], None)
-        one.record(event(51), payload={"tokens": ["last"]})
-        many.record_many([event(51)], [{"tokens": ["last"]}])
-        assert many.events() == one.events()
+        one.record_payloads([{"tokens": ["last"]}])
+        many.record_payloads([{"tokens": ["last"]}])
         assert many.payload_samples() == one.payload_samples()
+
+    def test_payload_window_is_bounded(self):
+        ring = TelemetryRing(payload_sample_every=1)
+        ring.record_payloads([{"tokens": [f"t{i}"]} for i in range(600)])
+        samples = ring.payload_samples()
+        assert len(samples) == 512
+        assert samples[0] == {"tokens": ["t88"]}
 
     def test_live_records_wrap_payloads(self):
         ring = TelemetryRing(payload_sample_every=1)
-        ring.record(event(0), payload={"tokens": ["how", "tall"]})
+        ring.record_payloads([{"tokens": ["how", "tall"]}])
         records = ring.live_records()
         assert len(records) == 1
         assert records[0].payloads["tokens"] == ["how", "tall"]
+
+    def test_rings_do_not_share_instruments(self):
+        a, b = TelemetryRing(), TelemetryRing()
+        serve(a, 3)
+        assert a.snapshot()["total_requests"] == 3
+        assert b.snapshot()["total_requests"] == 0
+
+    def test_latency_uses_the_fine_bucket_constant(self):
+        ring = TelemetryRing()
+        assert ring.latency.buckets == LATENCY_BUCKETS
+        assert len(LATENCY_BUCKETS) == 72
+        assert LATENCY_BUCKETS[0] == pytest.approx(1e-4)
+        assert LATENCY_BUCKETS[-1] == pytest.approx(1e-4 * STEP**71)
 
 
 class TestSnapshot:
     def test_empty_snapshot(self):
         snap = TelemetryRing().snapshot()
-        assert snap.total_requests == 0
-        assert snap.requests_per_s == 0.0
-        assert snap.tiers == {}
+        assert snap["total_requests"] == 0
+        assert snap["requests_per_s"] == 0.0
+        assert snap["tiers"] == {}
+        assert snap["batch_fill_rate"] is None
 
     def test_per_tier_percentiles(self):
         ring = TelemetryRing()
-        for i in range(100):
-            ring.record(event(i, tier="small", latency_s=0.001))
-        for i in range(50):
-            ring.record(event(i, tier="large", latency_s=0.1))
+        serve(ring, 100, tier="small", latency_s=0.001)
+        serve(ring, 50, tier="large", latency_s=0.1)
         snap = ring.snapshot()
-        assert set(snap.tiers) == {"small", "large"}
-        assert snap.tiers["small"].count == 100
-        assert snap.tiers["small"].p95_s == pytest.approx(0.001)
-        assert snap.tiers["large"].p50_s == pytest.approx(0.1)
+        assert set(snap["tiers"]) == {"small", "large"}
+        assert snap["tiers"]["small"]["count"] == 100
+        assert 0.001 / STEP < snap["tiers"]["small"]["p95_s"] <= 0.001 * STEP
+        assert 0.1 / STEP < snap["tiers"]["large"]["p50_s"] <= 0.1 * STEP
 
-    def test_single_event_reports_zero_throughput(self):
-        # Regression: a one-event window used to divide by an epsilon and
-        # claim ~1e9 requests/s; a zero-width window must report 0.0.
+    def test_window_is_uptime(self):
         ring = TelemetryRing()
-        ring.record(event(0, at=5.0))
+        ring.started_at = time.monotonic() - 10.0
+        serve(ring, 11)
         snap = ring.snapshot()
-        assert snap.total_requests == 1
-        assert snap.window_s == 0.0
-        assert snap.requests_per_s == 0.0
-
-    def test_identical_timestamps_report_zero_throughput(self):
-        ring = TelemetryRing()
-        for i in range(4):
-            ring.record(event(i, at=7.0))
-        snap = ring.snapshot()
-        assert snap.total_requests == 4
-        assert snap.window_s == 0.0
-        assert snap.requests_per_s == 0.0
-
-    def test_throughput_over_window(self):
-        ring = TelemetryRing()
-        for i in range(11):
-            ring.record(event(0, at=float(i)))  # 11 events over 10 seconds
-        snap = ring.snapshot()
-        assert snap.window_s == pytest.approx(10.0)
-        assert snap.requests_per_s == pytest.approx(1.1)
+        assert snap["window_s"] == pytest.approx(10.0, abs=0.5)
+        assert snap["requests_per_s"] == pytest.approx(1.1, rel=0.05)
 
     def test_roles_errors_and_fill_rate(self):
         ring = TelemetryRing()
-        for i in range(6):
-            ring.record(event(i, role="stable", batch_size=8))
-        for i in range(2):
-            ring.record(event(i, role="canary", batch_size=8))
-        ring.record(event(0, role="shadow", batch_size=8, ok=False))
+        serve(ring, 8, role="stable", batch_size=8)
+        serve(ring, 8, role="canary", batch_size=8)
+        serve(ring, 1, role="shadow", result="error", batch_size=1)
         snap = ring.snapshot(max_batch_size=16)
-        assert snap.roles == {"stable": 6, "canary": 2, "shadow": 1}
-        assert snap.errors == 1
-        assert snap.batch_fill_rate == pytest.approx(0.5)
+        assert snap["roles"] == {"stable": 8, "canary": 8, "shadow": 1}
+        assert snap["errors"] == 1
+        # Per formed batch: (8 + 8 + 1) / 3 batches, over a max of 16.
+        assert snap["tiers"]["default"]["mean_batch"] == pytest.approx(17 / 3)
+        assert snap["batch_fill_rate"] == pytest.approx(17 / 3 / 16)
 
-    def test_snapshot_to_dict_is_jsonable(self):
-        import json
-
+    def test_dtype_comes_from_the_caller(self):
         ring = TelemetryRing()
-        ring.record(event(0))
-        assert json.loads(json.dumps(ring.snapshot(8).to_dict()))
+        serve(ring, 4)
+        assert ring.snapshot()["tiers"]["default"]["dtype"] == "float64"
+        snap = ring.snapshot(dtypes={"default": "float32"})
+        assert snap["tiers"]["default"]["dtype"] == "float32"
+
+    def test_snapshot_is_jsonable(self):
+        ring = TelemetryRing()
+        serve(ring, 1, batch_size=1)
+        assert json.loads(json.dumps(ring.snapshot(8)))
+
+    def test_sheds_by_tier_and_reason(self):
+        ring = TelemetryRing()
+        ring.shed.inc(tier="small", reason="queue_full")
+        ring.shed.inc(tier="small", reason="queue_full")
+        ring.shed.inc(tier="large", reason="breaker")
+        assert ring.sheds() == {
+            "large": {"breaker": 1},
+            "small": {"queue_full": 2},
+        }
 
 
 class TestRolloutEvents:
@@ -152,8 +156,6 @@ class TestRolloutEvents:
         assert [e.detail["seq"] for e in events] == [7, 8, 9]
 
     def test_to_dict_is_jsonable(self):
-        import json
-
         ring = TelemetryRing()
         ring.record_rollout("cancel", tier="default")
         payload = json.loads(json.dumps(ring.rollout_events()[0].to_dict()))
@@ -162,13 +164,21 @@ class TestRolloutEvents:
 
     def test_clear_payload_samples(self):
         ring = TelemetryRing(payload_sample_every=1)
-        for i in range(5):
-            ring.record(event(i), payload={"tokens": [f"t{i}"]})
+        serve(ring, 5)
+        ring.record_payloads([{"tokens": [f"t{i}"]} for i in range(5)])
         assert ring.clear_payload_samples() == 5
         assert ring.payload_samples() == []
-        # Request events survive; only the drift-evidence window resets.
-        assert len(ring) == 5
+        # Request counts survive; only the drift-evidence window resets.
+        assert ring.snapshot()["total_requests"] == 5
         assert ring.clear_payload_samples() == 0
+
+    def test_breaker_flip_is_logged_and_counted(self):
+        ring = TelemetryRing()
+        ring.record_breaker("default", "closed", "open")
+        [flip] = ring.breaker_events()
+        assert (flip["tier"], flip["from"], flip["to"]) == ("default", "closed", "open")
+        assert ring.breaker_flips.value(tier="default", to="open") == 1
+        assert ring.breaker_state.value(tier="default") == 2
 
     def test_render_shows_rollout_history(self):
         ring = TelemetryRing()
@@ -181,12 +191,12 @@ class TestRolloutEvents:
 class TestRender:
     def test_render_contains_tier_table(self):
         ring = TelemetryRing()
-        for i in range(5):
-            ring.record(event(i, tier="small"))
-        text = ring.render(max_batch_size=8)
+        serve(ring, 5, tier="small")
+        text = ring.render(max_batch_size=8, dtypes={"small": "float32"})
         assert "small" in text
         assert "p95_ms" in text
         assert "batch fill rate" in text
+        assert "float32" in text
 
     def test_render_empty_ring(self):
         assert "requests: 0" in TelemetryRing().render()

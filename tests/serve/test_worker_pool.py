@@ -387,10 +387,19 @@ class TestGatewayIntegration:
     def test_telemetry_carries_worker_slot(self, served, worker_pool):
         _, _, _, payloads = served
         config = GatewayConfig(max_batch_size=8, max_wait_s=0.002)
+        replicas = [worker_pool.replica(tier) for tier in worker_pool.tier_order]
+
+        def batches():
+            by_workers = sum(w["batches"] for w in worker_pool.worker_stats())
+            return by_workers, sum(r.batches_served for r in replicas)
+
         with ServingGateway(worker_pool, config) as gateway:
+            before = batches()
             submit_all(gateway, payloads[:6])
-            events = gateway.telemetry.events()
-            assert events and all(e.worker in (0, 1) for e in events)
+            after = batches()
+            # Every batch the gateway formed was answered by a worker slot.
+            assert after[1] > before[1]
+            assert after[0] - before[0] == after[1] - before[1]
             stats = gateway.stats()
             assert [w["worker"] for w in stats["workers"]] == [0, 1]
             assert "workers:" in gateway.dashboard()
