@@ -585,25 +585,13 @@ class Application:
         trained: TrainedModel,
         dataset: Dataset,
         tags: Sequence[str] | None = None,
-        workers: int = 1,
     ) -> QualityReport:
-        """Per-tag quality report; ``workers > 1`` fans tags out.
+        """Per-tag quality report from one inference pass over ``dataset``.
 
-        The parallel path produces the same rows in the same order — each
-        tag's evaluation is an independent inference pass.
+        Rows: "overall", then ``tags`` (default: every tag, slices
+        included).  Per-slice quality is
+        ``report(trained, dataset, tags=[slice_tag(name)])``.
         """
-        if workers > 1:
-            from repro.exec import parallel_quality_report
-
-            return parallel_quality_report(
-                trained.model,
-                dataset.records,
-                self.schema,
-                trained.vocabs,
-                self.supervision.gold_source,
-                tags=tags,
-                workers=workers,
-            )
         return quality_report(
             trained.model,
             dataset.records,

@@ -110,20 +110,15 @@ class Run:
         return self.application.evaluate(self.trained, dataset, tag=tag)
 
     def report(
-        self,
-        dataset: Dataset,
-        tags: Sequence[str] | None = None,
-        workers: int = 1,
+        self, dataset: Dataset, tags: Sequence[str] | None = None
     ) -> QualityReport:
         """Compute (and remember) the per-tag quality report.
 
-        ``workers > 1`` evaluates tags in parallel worker processes via
-        :func:`repro.exec.parallel_quality_report`; rows are identical to
-        the serial path.
+        One inference pass scores "overall" and every tag (default: all
+        of them, slices included); per-slice quality is
+        ``run.report(dataset, tags=[slice_tag(name)])``.
         """
-        self.quality = self.application.report(
-            self.trained, dataset, tags=tags, workers=workers
-        )
+        self.quality = self.application.report(self.trained, dataset, tags=tags)
         return self.quality
 
     # ------------------------------------------------------------------

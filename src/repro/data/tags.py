@@ -71,34 +71,44 @@ class TagTable:
     """
 
     def __init__(self, tags_per_record: list[list[str]]) -> None:
-        self._tags = [list(t) for t in tags_per_record]
-        self._all_tags = sorted({tag for tags in self._tags for tag in tags})
+        self._size = len(tags_per_record)
+        members: dict[str, list[int]] = {}
+        for i, tags in enumerate(tags_per_record):
+            for tag in set(tags):
+                members.setdefault(tag, []).append(i)
+        self._indices: dict[str, np.ndarray] = {}
+        for tag in sorted(members):
+            rows = np.array(members[tag], dtype=np.intp)
+            rows.flags.writeable = False  # shared by every indices() call
+            self._indices[tag] = rows
 
     def __len__(self) -> int:
-        return len(self._tags)
+        return self._size
 
     @property
     def all_tags(self) -> list[str]:
-        return list(self._all_tags)
+        return list(self._indices)
 
     def mask(self, tag: str) -> np.ndarray:
         """Boolean membership vector for ``tag`` over all records."""
-        return np.array([tag in tags for tags in self._tags], dtype=bool)
+        membership = np.zeros(self._size, dtype=bool)
+        membership[self.indices(tag)] = True
+        return membership
 
     def indices(self, tag: str) -> np.ndarray:
-        """Record indices carrying ``tag``."""
-        return np.nonzero(self.mask(tag))[0]
+        """Record indices carrying ``tag``, ascending."""
+        return self._indices.get(tag, np.zeros(0, dtype=np.intp))
 
     def count(self, tag: str) -> int:
-        return int(self.mask(tag).sum())
+        return len(self.indices(tag))
 
     def slice_tags(self) -> list[str]:
-        return [t for t in self._all_tags if is_slice_tag(t)]
+        return [t for t in self._indices if is_slice_tag(t)]
 
     def to_columns(self) -> dict[str, list]:
         """Pandas-compatible columnar dict: one bool column per tag."""
-        columns: dict[str, list] = {"record": list(range(len(self._tags)))}
-        for tag in self._all_tags:
+        columns: dict[str, list] = {"record": list(range(self._size))}
+        for tag in self._indices:
             membership = self.mask(tag)
             columns[tag] = [bool(x) for x in membership]
         return columns

@@ -41,16 +41,7 @@ class TuningError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A parallel task fan-out failed in one or more worker processes.
-
-    ``failures`` holds ``(index, message)`` pairs, one per failed task, in
-    dispatch order; callers that know what the payloads were (e.g. the
-    tuning controller) re-raise with the payload named.
-    """
-
-    def __init__(self, message: str, failures: list[tuple[int, str]] | None = None):
-        super().__init__(message)
-        self.failures = list(failures or [])
+    """A worker process or worker team was misused (started twice, sized < 1)."""
 
 
 class DeploymentError(ReproError):

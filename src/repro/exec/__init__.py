@@ -1,7 +1,7 @@
 """repro.exec: the parallel experiment executor.
 
-Tuning trials and evaluation fan-outs are independent experiments; this
-package runs them across worker processes instead of one at a time:
+Tuning trials are independent experiments; this package runs them across
+worker processes instead of one at a time:
 
 - :class:`TrialExecutor` — dispatches picklable payloads to workers with
   deterministic per-trial seeds and gathers results in dispatch order
@@ -13,8 +13,6 @@ package runs them across worker processes instead of one at a time:
 - :func:`coverage_report` — which blocks/values of a
   :class:`~repro.core.tuning_spec.TuningSpec` a search actually tried,
   and the best score per block.
-- :func:`parallel_quality_report` — the per-tag quality report with tag
-  evaluations fanned out across workers.
 - :class:`WorkerProcess` / :class:`WorkerTeam` — *resident* duplex
   worker processes with lease/release dispatch and restart-on-crash,
   the one process pool under both :class:`TrialExecutor` and
@@ -34,7 +32,6 @@ from repro.exec.executor import (
     TrialTask,
     trial_seed,
 )
-from repro.exec.report import parallel_quality_report
 from repro.exec.trial import TuneContext, run_tuning_trial, winning_model
 from repro.exec.workers import (
     WorkerProcess,
@@ -58,7 +55,6 @@ __all__ = [
     "default_mp_context",
     "serve_connection",
     "coverage_report",
-    "parallel_quality_report",
     "run_tuning_trial",
     "trial_key",
     "trial_seed",

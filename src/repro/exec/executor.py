@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.tuning_spec import ModelConfig
-from repro.errors import ExecutionError, TuningError
+from repro.errors import TuningError
 from repro.exec.cache import TrialCache, trial_key
 from repro.exec.trial import TuneContext
 from repro.exec.workers import WorkerProcess, WorkerTeam, serve_connection
@@ -219,17 +219,15 @@ def _fan_out(team: WorkerTeam, threads: int, tasks: list[tuple[int, Any]]) -> li
 
 
 class TrialExecutor:
-    """Runs experiment payloads across worker processes, results in order.
+    """Runs tuning trials across worker processes, results in order.
 
     ``run_trial(context, config, seed, budget) -> score`` is what
-    :meth:`evaluate` runs per candidate; an executor built without one
-    only serves :meth:`run_tasks`.
+    :meth:`evaluate` runs per candidate.
     """
 
     def __init__(
         self,
-        run_trial: Callable[[Any, ModelConfig, int, "int | None"], float]
-        | None = None,
+        run_trial: Callable[[Any, ModelConfig, int, "int | None"], float],
         *,
         context: Any = None,
         workers: int = 1,
@@ -250,7 +248,6 @@ class TrialExecutor:
             raise TuningError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}"
             )
-        self._run_trial = run_trial
         self.context = context
         self.workers = workers
         self.cache = cache
@@ -288,33 +285,23 @@ class TrialExecutor:
         # do ship the context once per worker, not once per rung.
         self._dispatch_context = (run_trial, context, cache, namespace)
         self._team: WorkerTeam | None = None
-        # The (fn, context) the live team was forked with.  Kept as strong
-        # references and compared by identity: the reference keeps the
-        # context alive, so its id can never be recycled by a new one.
-        self._team_init: tuple | None = None
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _ensure_team(self, fn: Callable, context: Any, size: int) -> WorkerTeam:
-        if (
-            self._team is not None
-            and self._team_init[0] is fn
-            and self._team_init[1] is context
-            and self._team.size >= size
-        ):
+    def _ensure_team(self, size: int) -> WorkerTeam:
+        if self._team is not None and self._team.size >= size:
             return self._team
         self.close()
         self._team = WorkerTeam(
             size,
             lambda slot: WorkerProcess(
                 _worker_main,
-                args=(fn, context),
+                args=(_trial_adapter, self._dispatch_context),
                 name=f"trial-worker-{slot}",
             ),
             name="trial-workers",
         ).start()
-        self._team_init = (fn, context)
         return self._team
 
     def worker_pids(self) -> list[int]:
@@ -328,7 +315,6 @@ class TrialExecutor:
         if self._team is not None:
             self._team.stop()
             self._team = None
-            self._team_init = None
 
     def __enter__(self) -> "TrialExecutor":
         return self
@@ -343,44 +329,22 @@ class TrialExecutor:
             pass
 
     # ------------------------------------------------------------------
-    # Generic fan-out
+    # Trial evaluation (cache-aware)
     # ------------------------------------------------------------------
-    def run_tasks(
-        self, fn: Callable[[Any, Any], Any], payloads: Sequence[Any], *,
-        context: Any = None,
-    ) -> list:
-        """Apply ``fn(context, payload)`` to every payload, results ordered.
-
-        Failures in any task raise :class:`ExecutionError` carrying
-        ``(index, message)`` pairs; with ``workers == 1`` everything runs
-        inline (closures welcome), otherwise ``fn`` and ``context`` reach
-        each worker once, at fork, and payloads stream through its pipe.
-        """
-        detailed = self._run_detailed(fn, payloads, context)
-        failures = [(i, err) for i, _, _, err in detailed if err is not None]
-        if failures:
-            self.stats.errors += len(failures)
-            self._m_failed.inc(len(failures))
-            index, message = failures[0]
-            raise ExecutionError(
-                f"{len(failures)}/{len(payloads)} tasks failed; "
-                f"first failure (task {index}): {message}",
-                failures=failures,
-            )
-        return [value for _, value, _, _ in detailed]
-
     def _run_detailed(
-        self, fn: Callable, payloads: Sequence[Any], context: Any
+        self, trials: Sequence[TrialTask]
     ) -> list[tuple[int, Any, float, str | None]]:
-        if not payloads:
-            return []
-        tasks = list(enumerate(payloads))
+        """Run ``trials``; ``(position, score, seconds, error)`` per trial."""
+        tasks = list(enumerate(trials))
         started = time.perf_counter()
         if self.workers == 1:
-            results = [_invoke(fn, context, task) for task in tasks]
+            results = [
+                _invoke(_trial_adapter, self._dispatch_context, task)
+                for task in tasks
+            ]
         else:
             size = min(self.workers, len(tasks))
-            results = _fan_out(self._ensure_team(fn, context, size), size, tasks)
+            results = _fan_out(self._ensure_team(size), size, tasks)
         wall_s = time.perf_counter() - started
         self.stats.executed += len(results)
         busy_s = sum(r[2] for r in results)
@@ -390,9 +354,6 @@ class TrialExecutor:
             self._m_utilization.set(min(busy_s / (wall_s * pool_size), 1.0))
         return results
 
-    # ------------------------------------------------------------------
-    # Trial evaluation (cache-aware)
-    # ------------------------------------------------------------------
     def evaluate(
         self, configs: Sequence[ModelConfig], budget: int | None = None
     ) -> list[TrialOutcome]:
@@ -408,8 +369,6 @@ class TrialExecutor:
         ``on_error="skip"`` still raises — a search with no survivors has
         no best candidate to return.
         """
-        if self._run_trial is None:
-            raise TuningError("this executor was built without a trial function")
         tasks = [
             TrialTask(
                 index=index,
@@ -455,9 +414,7 @@ class TrialExecutor:
                 if isinstance(self.context, TuneContext):
                     # Combine supervision before any fork: workers inherit it.
                     self.context.data.combined  # noqa: B018
-                detailed = self._run_detailed(
-                    _trial_adapter, misses, self._dispatch_context
-                )
+                detailed = self._run_detailed(misses)
             failures = [(i, err) for i, _, _, err in detailed if err is not None]
             attempt = 0
             while failures and attempt < self.retries:
@@ -468,9 +425,7 @@ class TrialExecutor:
                 if backoff > 0:
                     time.sleep(backoff)
                 retry_tasks = [misses[local] for local, _ in failures]
-                retried = self._run_detailed(
-                    _trial_adapter, retry_tasks, self._dispatch_context
-                )
+                retried = self._run_detailed(retry_tasks)
                 # _run_detailed re-enumerates from 0: map each retried
                 # result back to its position in the original miss list.
                 for (local, _), (_, value, duration, err) in zip(

@@ -1,4 +1,9 @@
-"""Slicing: fine-grained subsets with extra model capacity (§2.2)."""
+"""Slicing: fine-grained subsets with extra model capacity (§2.2).
+
+A slice is an ordinary ``slice:<name>`` tag on its records, so its
+quality is a row of the per-tag report:
+``run.report(dataset, tags=[slice_tag(name)])``.
+"""
 
 from repro.slicing.slice import SliceSet, SliceSpec, expand_membership_to_items
 from repro.slicing.heads import (
@@ -6,12 +11,6 @@ from repro.slicing.heads import (
     SliceForward,
     predicted_membership,
     slice_loss,
-)
-from repro.slicing.metrics import (
-    SliceReport,
-    accuracy_and_f1,
-    per_slice_reports,
-    reports_to_columns,
 )
 
 __all__ = [
@@ -22,8 +21,4 @@ __all__ = [
     "SliceForward",
     "predicted_membership",
     "slice_loss",
-    "SliceReport",
-    "accuracy_and_f1",
-    "per_slice_reports",
-    "reports_to_columns",
 ]

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.schema_def import Schema
+from repro.core.tasks import TaskSpec
 from repro.data.batching import encode_inputs, extract_targets, iterate_batches
 from repro.data.encoded import EncodedDataset
 from repro.data.record import Record
@@ -106,32 +107,41 @@ def evaluate(
             gold = encoded.gold_targets(task.name, gold_source)
         else:
             gold = extract_targets(records, schema, task.name, gold_source)
-        preds = outputs[task.name]["predictions"]
-        valid = gold["valid"]
-        if task.type == "multiclass":
-            acc = accuracy(preds, gold["labels"], valid)
-            f1 = macro_f1(preds, gold["labels"], task.num_classes, valid)
-            results[task.name] = TaskEvaluation(
-                task=task.name,
-                metrics={"accuracy": acc, "f1": f1},
-                n=int(np.asarray(valid).sum()),
-            )
-        elif task.type == "bitvector":
-            f1 = micro_f1_multilabel(preds, gold["labels"], valid)
-            exact = _exact_match(preds, gold["labels"], valid)
-            results[task.name] = TaskEvaluation(
-                task=task.name,
-                metrics={"f1": f1, "exact_match": exact},
-                n=int(np.asarray(valid).sum()),
-            )
-        else:  # select
-            acc = accuracy(preds, gold["labels"], valid)
-            results[task.name] = TaskEvaluation(
-                task=task.name,
-                metrics={"accuracy": acc},
-                n=int(np.asarray(valid).sum()),
-            )
+        results[task.name] = _score(task, outputs[task.name]["predictions"], gold)
     return results
+
+
+def _score(
+    task: TaskSpec,
+    predictions: np.ndarray,
+    gold: dict[str, np.ndarray],
+    rows: np.ndarray | None = None,
+) -> TaskEvaluation:
+    """One task's metrics from stacked predictions and gold targets.
+
+    ``rows`` restricts scoring to those record indices (a tag's members);
+    ``None`` scores every row without gathering.  :func:`evaluate` and the
+    per-tag quality report both score through here, so a report's
+    "overall" row and ``evaluate`` on the same records cannot diverge.
+    """
+    labels, valid = gold["labels"], gold["valid"]
+    if rows is not None:
+        predictions, labels, valid = predictions[rows], labels[rows], valid[rows]
+    if task.type == "multiclass":
+        metrics = {
+            "accuracy": accuracy(predictions, labels, valid),
+            "f1": macro_f1(predictions, labels, task.num_classes, valid),
+        }
+    elif task.type == "bitvector":
+        metrics = {
+            "f1": micro_f1_multilabel(predictions, labels, valid),
+            "exact_match": _exact_match(predictions, labels, valid),
+        }
+    else:  # select
+        metrics = {"accuracy": accuracy(predictions, labels, valid)}
+    return TaskEvaluation(
+        task=task.name, metrics=metrics, n=int(np.asarray(valid).sum())
+    )
 
 
 def mean_primary(evaluations: dict[str, TaskEvaluation]) -> float:

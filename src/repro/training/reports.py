@@ -13,11 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.schema_def import Schema
+from repro.data.batching import extract_targets
 from repro.data.record import Record
 from repro.data.tags import TagTable
 from repro.data.vocab import Vocab
 from repro.model.multitask import MultitaskModel
-from repro.training.evaluation import evaluate
+from repro.training.evaluation import _score, predict_all
 
 
 @dataclass
@@ -70,16 +71,38 @@ def quality_report(
     tags: Sequence[str] | None = None,
     include_overall: bool = True,
 ) -> QualityReport:
-    """Evaluate per tag (all tags by default, including slices)."""
+    """Evaluate per tag (all tags by default, including slices).
+
+    One inference pass: every record is predicted once and each task's
+    gold targets are extracted once; a tag's rows score those arrays at
+    the tag's record indices.  Rows come "overall" first, then tags in
+    the given (default: :class:`TagTable`) order, each tag's tasks in
+    schema order; a tag no record carries gets ``n=0`` rows.
+    """
     table = TagTable([r.tags for r in records])
-    tag_list = list(tags) if tags is not None else table.all_tags
-    report = QualityReport()
+    groups: list[tuple[str, np.ndarray | None]] = []
     if include_overall:
-        _append_rows(report, "overall", model, list(records), schema, vocabs, gold_source)
-    for tag in tag_list:
-        indices = table.indices(tag)
-        subset = [records[int(i)] for i in indices]
-        _append_rows(report, tag, model, subset, schema, vocabs, gold_source)
+        groups.append(("overall", None))
+    tag_list = tags if tags is not None else table.all_tags
+    groups.extend((tag, table.indices(tag)) for tag in tag_list)
+    outputs = predict_all(model, records, schema, vocabs)
+    golds = {
+        t.name: extract_targets(records, schema, t.name, gold_source)
+        for t in schema.tasks
+    }
+    report = QualityReport()
+    for tag, rows in groups:
+        size = len(records) if rows is None else len(rows)
+        for task in schema.tasks:
+            if not size:
+                report.rows.append(ReportRow(tag=tag, task=task.name, n=0))
+                continue
+            scored = _score(
+                task, outputs[task.name]["predictions"], golds[task.name], rows
+            )
+            report.rows.append(
+                ReportRow(tag=tag, task=task.name, n=scored.n, metrics=scored.metrics)
+            )
     return report
 
 
@@ -98,8 +121,6 @@ def confusion_for_tag(
     matrices, as appropriate" (§2.2).  Rows are gold classes, columns
     predictions; only positions the gold source labeled are counted.
     """
-    from repro.data.batching import extract_targets
-    from repro.training.evaluation import predict_all
     from repro.training.metrics import confusion_matrix
 
     task = schema.task(task_name)
@@ -109,7 +130,8 @@ def confusion_for_tag(
         )
     subset = list(records)
     if tag is not None:
-        subset = [r for r in subset if r.has_tag(tag)]
+        rows = TagTable([r.tags for r in subset]).indices(tag)
+        subset = [subset[i] for i in rows]
     if not subset:
         return np.zeros((task.num_classes, task.num_classes), dtype=np.int64)
     outputs = predict_all(model, subset, schema, vocabs)
@@ -130,28 +152,3 @@ def render_confusion(matrix: np.ndarray, classes: Sequence[str]) -> str:
     for j, name in enumerate(classes):
         columns[name] = [int(matrix[i, j]) for i in range(len(classes))]
     return format_table(columns)
-
-
-def _append_rows(
-    report: QualityReport,
-    tag: str,
-    model: MultitaskModel,
-    subset: list[Record],
-    schema: Schema,
-    vocabs: dict[str, Vocab],
-    gold_source: str,
-) -> None:
-    if not subset:
-        for task in schema.tasks:
-            report.rows.append(ReportRow(tag=tag, task=task.name, n=0))
-        return
-    evals = evaluate(model, subset, schema, vocabs, gold_source)
-    for task_name, evaluation in evals.items():
-        report.rows.append(
-            ReportRow(
-                tag=tag,
-                task=task_name,
-                n=evaluation.n,
-                metrics=dict(evaluation.metrics),
-            )
-        )

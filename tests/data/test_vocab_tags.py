@@ -113,3 +113,22 @@ class TestTagTable:
 
     def test_len(self):
         assert len(TagTable([[], []])) == 2
+
+    def test_indices_match_the_per_record_scan(self):
+        from repro.workloads import build_workload
+
+        records = build_workload("synth-medium", scale=150).dataset.records
+        table = TagTable([r.tags for r in records])
+        assert table.all_tags == sorted({t for r in records for t in r.tags})
+        for tag in table.all_tags + ["no-such-tag"]:
+            scan = [i for i, r in enumerate(records) if r.has_tag(tag)]
+            np.testing.assert_array_equal(table.indices(tag), scan)
+            np.testing.assert_array_equal(
+                table.mask(tag), [r.has_tag(tag) for r in records]
+            )
+            assert table.count(tag) == len(scan)
+
+    def test_a_repeated_tag_counts_its_record_once(self):
+        table = TagTable([["train", "train"], ["test"]])
+        np.testing.assert_array_equal(table.indices("train"), [0])
+        assert table.count("train") == 1

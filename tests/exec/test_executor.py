@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core import ModelConfig, PayloadConfig, TuningSpec
-from repro.errors import ExecutionError, TuningError
+from repro.errors import TuningError
 from repro.exec import TrialExecutor, trial_seed
 from repro.tuning import grid_search
 
@@ -58,16 +58,6 @@ def die_on_lstm_16_trial(context, config, seed, budget):
 
 def echo_seed(context, config, seed, budget):
     return float(seed)
-
-
-def echo_task(context, payload):
-    return payload * 2
-
-
-def fail_on_odd(context, payload):
-    if payload % 2:
-        raise RuntimeError(f"odd payload {payload}")
-    return payload
 
 
 class TestOrdering:
@@ -132,13 +122,6 @@ class TestFailures:
         message = str(excinfo.value)
         assert "lstm exploded" in message
         assert '"lstm"' in message  # the failing config is named
-
-    def test_run_tasks_reports_every_failure(self):
-        executor = TrialExecutor(workers=2)
-        with pytest.raises(ExecutionError) as excinfo:
-            executor.run_tasks(fail_on_odd, [0, 1, 2, 3])
-        assert [i for i, _ in excinfo.value.failures] == [1, 3]
-        assert "odd payload 1" in excinfo.value.failures[0][1]
 
 
 class TestWorkerDeath:
@@ -207,10 +190,6 @@ class TestExecutorBasics:
         with pytest.raises(TuningError):
             TrialExecutor(score_trial, workers=0)
 
-    def test_evaluate_without_trial_fn(self):
-        with pytest.raises(TuningError):
-            TrialExecutor(workers=1).evaluate(spec_4().expand())
-
     def test_workers_1_supports_closures(self):
         calls = []
 
@@ -222,11 +201,6 @@ class TestExecutorBasics:
         outcomes = executor.evaluate(spec_4().expand())
         assert len(calls) == 4
         assert all(o.score == 1.0 for o in outcomes)
-
-    def test_run_tasks_generic_ordered(self):
-        executor = TrialExecutor(workers=2)
-        assert executor.run_tasks(echo_task, [3, 1, 4, 1, 5]) == [6, 2, 8, 2, 10]
-        assert executor.run_tasks(echo_task, []) == []
 
     def test_stats_track_work(self):
         executor = TrialExecutor(score_trial, workers=1)

@@ -229,25 +229,6 @@ class TestSlicePredicates:
         assert search_signature(parallel.search) == search_signature(serial.search)
 
 
-class TestParallelReport:
-    def test_rows_match_serial(self, dataset):
-        app = app_for(dataset)
-        run = app.fit(dataset)
-        serial = run.report(dataset)
-        parallel = run.report(dataset, workers=2)
-        assert [
-            (r.tag, r.task, r.n, r.metrics) for r in serial.rows
-        ] == [(r.tag, r.task, r.n, r.metrics) for r in parallel.rows]
-
-    def test_tag_subset(self, dataset):
-        app = app_for(dataset)
-        run = app.fit(dataset)
-        serial = run.report(dataset, tags=["dev", "test"])
-        parallel = run.report(dataset, tags=["dev", "test"], workers=2)
-        assert [r.tag for r in parallel.rows] == [r.tag for r in serial.rows]
-        assert [r.metrics for r in parallel.rows] == [r.metrics for r in serial.rows]
-
-
 class TestValidation:
     def test_workers_below_1_rejected(self, dataset):
         app = app_for(dataset)

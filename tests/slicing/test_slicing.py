@@ -1,4 +1,4 @@
-"""Tests for slice definitions, slice-aware heads, and per-slice metrics."""
+"""Tests for slice definitions and slice-aware heads."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from repro.slicing import (
     SliceAwareHead,
     SliceSet,
     SliceSpec,
-    accuracy_and_f1,
     expand_membership_to_items,
-    per_slice_reports,
     predicted_membership,
-    reports_to_columns,
     slice_loss,
 )
 from repro.tensor import Tensor
@@ -162,47 +159,3 @@ class TestSliceAwareHead:
             SliceAwareHead(4, 2, ["inverted"], np.random.default_rng(7)), True
         )
         assert sliced > plain + 0.1
-
-
-class TestMetrics:
-    def test_accuracy_and_f1_perfect(self):
-        acc, f1, n = accuracy_and_f1(np.array([0, 1, 1]), np.array([0, 1, 1]))
-        assert acc == 1.0 and f1 == 1.0 and n == 3
-
-    def test_accuracy_and_f1_masked(self):
-        acc, _, n = accuracy_and_f1(
-            np.array([0, 1]), np.array([0, 0]), mask=np.array([True, False])
-        )
-        assert acc == 1.0 and n == 1
-
-    def test_empty_mask(self):
-        acc, f1, n = accuracy_and_f1(np.array([0]), np.array([0]), np.array([False]))
-        assert (acc, f1, n) == (0.0, 0.0, 0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SliceError):
-            accuracy_and_f1(np.zeros(2), np.zeros(3))
-
-    def test_per_slice_reports(self):
-        preds = np.array([0, 0, 1, 1])
-        gold = np.array([0, 1, 1, 1])
-        membership = np.array([[1.0], [1.0], [0.0], [0.0]])
-        reports = per_slice_reports(preds, gold, membership, ["hard"])
-        assert reports[0].slice_name == "overall"
-        assert reports[0].accuracy == 0.75
-        assert reports[1].slice_name == "hard"
-        assert reports[1].size == 2
-        assert reports[1].accuracy == 0.5
-
-    def test_reports_shape_validation(self):
-        with pytest.raises(SliceError):
-            per_slice_reports(np.zeros(2), np.zeros(2), np.zeros((2, 2)), ["one"])
-
-    def test_reports_to_columns(self):
-        preds = np.array([0, 1])
-        gold = np.array([0, 1])
-        cols = reports_to_columns(
-            per_slice_reports(preds, gold, np.ones((2, 1)), ["s"])
-        )
-        assert cols["slice"] == ["overall", "s"]
-        assert len(cols["accuracy"]) == 2

@@ -1,11 +1,14 @@
 """Tier-1 wiring for the documentation suite.
 
-Two guarantees: the docstring lint (``tools/check_docs.py``) stays green
-on ``src/repro``, and the user-facing documents the README links to
-actually exist and cover what they claim.
+Three guarantees: the docstring lint (``tools/check_docs.py``) stays green
+on ``src/repro``, the user-facing documents the README links to actually
+exist and cover what they claim, and every ``repro.<dotted>`` name they
+put in backticks still resolves.
 """
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +80,55 @@ class TestDocumentationSuite:
         assert "workers" in tuning
         assert "coverage" in tuning
         assert "cache" in tuning
+
+
+# A backticked span that starts with a dotted ``repro.`` name.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)")
+# The one section allowed to name what no longer exists.
+_REMOVED_NAMES_SECTION = ("lifecycle.md", "## Migrating from the removed facades")
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[split:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def _documented_names() -> list[tuple[str, str]]:
+    """``(document, name)`` for every backticked ``repro.`` name."""
+    found = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        text = path.read_text()
+        if path.name == _REMOVED_NAMES_SECTION[0]:
+            head, _, rest = text.partition(_REMOVED_NAMES_SECTION[1])
+            _, _, tail = rest.partition("\n## ")
+            text = head + tail
+        found += [(path.name, name) for name in _DOTTED_NAME.findall(text)]
+    return found
+
+
+class TestDocumentedNames:
+    def test_every_backticked_repro_name_resolves(self):
+        names = _documented_names()
+        assert len(names) > 20
+        unresolved = [(doc, name) for doc, name in names if not _resolves(name)]
+        assert unresolved == []
+
+    def test_the_removed_names_table_is_the_only_exception(self):
+        lifecycle = (ROOT / "docs" / "lifecycle.md").read_text()
+        assert _REMOVED_NAMES_SECTION[1] in lifecycle
+        assert not _resolves("repro.Overton")
+        assert not _resolves("repro.TrainedModel")
+        assert not _resolves("repro.exec.parallel_quality_report")
+        assert _resolves("repro.exec.WorkerTeam")
