@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.run import Run, TrainedModel
+from repro.core.codec import Spec
 from repro.core.schema_def import Schema
 from repro.core.tuning_spec import ModelConfig, TuningSpec
 from repro.data.dataset import Dataset
@@ -63,29 +64,12 @@ _SPEC_KEYS = ("name", "schema", "slices", "supervision", "embeddings", "seed")
 
 
 @dataclass(frozen=True)
-class SupervisionPolicy:
+class SupervisionPolicy(Spec, error=SchemaError):
     """How an application turns raw sources into training targets."""
 
     gold_source: str = "gold"
     method: str = "label_model"
     rebalance: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "gold_source": self.gold_source,
-            "method": self.method,
-            "rebalance": self.rebalance,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "SupervisionPolicy":
-        unknown = set(spec) - {"gold_source", "method", "rebalance"}
-        if unknown:
-            raise SchemaError(
-                f"unknown supervision policy keys {sorted(unknown)}; "
-                f"expected gold_source, method, rebalance"
-            )
-        return cls(**spec)
 
 
 @dataclass

@@ -10,13 +10,13 @@ JSONL file that survives the process.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any
 
+from repro.core.codec import replacing
 from repro.obs import current_trace_id
 
 
@@ -217,11 +217,9 @@ class DecisionJournal:
             }
             survivors = [marker] + kept
             if self.path is not None and self.path.exists():
-                tmp = self.path.with_name(self.path.name + ".tmp")
-                with tmp.open("w", encoding="utf-8") as handle:
+                with replacing(self.path) as handle:
                     for entry in survivors:
                         handle.write(json.dumps(entry) + "\n")
-                os.replace(tmp, self.path)
             self._entries.clear()
             self._entries.extend(survivors[-(self._entries.maxlen or len(survivors)):])
             return len(dropped)

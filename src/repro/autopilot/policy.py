@@ -10,16 +10,15 @@ and version the loop's rules like any other config.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core import ModelConfig, TuningSpec
+from repro.core.codec import Spec
 from repro.errors import AutopilotError
 
 
 @dataclass(frozen=True)
-class DriftTrigger:
+class DriftTrigger(Spec, error=AutopilotError):
     """Fire when a payload's live distribution leaves the reference one.
 
     ``vocab`` names the vocabulary used for OOV accounting; it defaults
@@ -35,21 +34,9 @@ class DriftTrigger:
         if self.js_threshold < 0 or self.oov_jump_threshold < 0:
             raise AutopilotError("drift thresholds must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "payload": self.payload,
-            "js_threshold": self.js_threshold,
-            "oov_jump_threshold": self.oov_jump_threshold,
-            "vocab": self.vocab,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "DriftTrigger":
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class RegressionTrigger:
+class RegressionTrigger(Spec, error=AutopilotError):
     """Fire when an observed labeled-eval report regresses vs baseline.
 
     Live labeled evaluation arrives out of band (crowd labels, user
@@ -67,26 +54,9 @@ class RegressionTrigger:
         if self.threshold < 0:
             raise AutopilotError("regression threshold must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "min_examples": self.min_examples,
-            "metrics": list(self.metrics) if self.metrics is not None else None,
-            "slices": list(self.slices) if self.slices is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "RegressionTrigger":
-        spec = dict(spec)
-        if spec.get("metrics") is not None:
-            spec["metrics"] = tuple(spec["metrics"])
-        if spec.get("slices") is not None:
-            spec["slices"] = tuple(spec["slices"])
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class RetrainPlan:
+class RetrainPlan(Spec, error=AutopilotError):
     """How to build a candidate once a trigger fires.
 
     ``candidates`` lists explicit configs to score through the cached
@@ -130,35 +100,9 @@ class RetrainPlan:
                 f"on_error must be 'raise' or 'skip', got {self.on_error!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "candidates": [c.to_dict() for c in self.candidates],
-            "spec": self.spec.to_dict() if self.spec is not None else None,
-            "strategy": self.strategy,
-            "num_trials": self.num_trials,
-            "workers": self.workers,
-            "cache_dir": self.cache_dir,
-            "include_live": self.include_live,
-            "max_live_records": self.max_live_records,
-            "live_tag": self.live_tag,
-            "retries": self.retries,
-            "retry_backoff_s": self.retry_backoff_s,
-            "on_error": self.on_error,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "RetrainPlan":
-        spec = dict(spec)
-        spec["candidates"] = tuple(
-            ModelConfig.from_dict(c) for c in spec.get("candidates", [])
-        )
-        if spec.get("spec") is not None:
-            spec["spec"] = TuningSpec.from_dict(spec["spec"])
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class PromotionGate:
+class PromotionGate(Spec, error=AutopilotError):
     """What a candidate must prove before it takes traffic.
 
     Two kinds of evidence feed the gate: live shadow disagreement (the
@@ -187,28 +131,9 @@ class PromotionGate:
         if self.shadow_timeout_s <= 0:
             raise AutopilotError("shadow_timeout_s must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_disagreement_rate": self.max_disagreement_rate,
-            "min_shadow_requests": self.min_shadow_requests,
-            "shadow_timeout_s": self.shadow_timeout_s,
-            "regression_threshold": self.regression_threshold,
-            "min_examples": self.min_examples,
-            "metrics": list(self.metrics) if self.metrics is not None else None,
-            "blocking_slices": list(self.blocking_slices),
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "PromotionGate":
-        spec = dict(spec)
-        if spec.get("metrics") is not None:
-            spec["metrics"] = tuple(spec["metrics"])
-        spec["blocking_slices"] = tuple(spec.get("blocking_slices", ()))
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class HealPolicy:
+class HealPolicy(Spec, error=AutopilotError):
     """The complete rulebook for one supervised deployment.
 
     ``min_live_window`` is the number of sampled live payloads required
@@ -245,47 +170,3 @@ class HealPolicy:
             raise AutopilotError("heal_backoff_cap_s must be non-negative")
         if self.max_heal_failures is not None and self.max_heal_failures < 1:
             raise AutopilotError("max_heal_failures must be >= 1 (or None)")
-
-    def to_dict(self) -> dict:
-        return {
-            "drift_triggers": [t.to_dict() for t in self.drift_triggers],
-            "regression_trigger": (
-                self.regression_trigger.to_dict()
-                if self.regression_trigger is not None
-                else None
-            ),
-            "min_live_window": self.min_live_window,
-            "cooldown_s": self.cooldown_s,
-            "max_promotions": self.max_promotions,
-            "retrain": self.retrain.to_dict(),
-            "gate": self.gate.to_dict(),
-            "heal_backoff_cap_s": self.heal_backoff_cap_s,
-            "max_heal_failures": self.max_heal_failures,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "HealPolicy":
-        spec = dict(spec)
-        spec["drift_triggers"] = tuple(
-            DriftTrigger.from_dict(t) for t in spec.get("drift_triggers", [])
-        )
-        if spec.get("regression_trigger") is not None:
-            spec["regression_trigger"] = RegressionTrigger.from_dict(
-                spec["regression_trigger"]
-            )
-        if "retrain" in spec:
-            spec["retrain"] = RetrainPlan.from_dict(spec["retrain"])
-        if "gate" in spec:
-            spec["gate"] = PromotionGate.from_dict(spec["gate"])
-        return cls(**spec)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "HealPolicy":
-        """Load a policy from a JSON file (the ``repro autopilot`` path)."""
-        try:
-            spec = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise AutopilotError(f"cannot read policy {path}: {exc}") from exc
-        if not isinstance(spec, dict):
-            raise AutopilotError("policy file must hold a JSON object")
-        return cls.from_dict(spec)

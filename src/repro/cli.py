@@ -108,10 +108,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     app = _application(args)
     dataset = Dataset.from_file(app.schema, args.data)
-    try:
-        spec = TuningSpec.from_file(args.spec)
-    except (OSError, ValueError) as exc:  # missing file or malformed JSON
-        raise ReproError(f"cannot read tuning spec {args.spec}: {exc}") from exc
+    spec = TuningSpec.from_file(args.spec)
     executor = app.tuning_executor(
         dataset, workers=args.workers, cache_dir=args.cache_dir or None
     )
@@ -319,12 +316,12 @@ def cmd_autopilot(args: argparse.Namespace) -> int:
         import repro.obs
 
         repro.obs.enable()
+    policy = HealPolicy.from_file(args.policy) if args.policy else HealPolicy()
     app = _application(args)
     reference = Dataset.from_file(app.schema, args.data)
     if not args.store or not args.model:
         raise ReproError("autopilot needs --store DIR and --model NAME")
     pool = ReplicaPool.from_store(ModelStore(args.store), args.model)
-    policy = HealPolicy.from_file(args.policy) if args.policy else HealPolicy()
     journal = DecisionJournal(args.journal or None)
     config = GatewayConfig(
         max_batch_size=args.batch, max_wait_s=args.max_wait_ms / 1000.0

@@ -13,15 +13,15 @@ independence, §1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from repro.core.codec import Spec
 from repro.core.schema_def import Schema
 from repro.errors import SchemaError
 
 
 @dataclass(frozen=True)
-class TaskSignature:
+class TaskSignature(Spec, error=SchemaError):
     """Output contract for one task."""
 
     name: str
@@ -29,17 +29,9 @@ class TaskSignature:
     granularity: str  # singleton | sequence | set
     classes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.type,
-            "granularity": self.granularity,
-            "classes": list(self.classes),
-        }
-
 
 @dataclass(frozen=True)
-class InputSignature:
+class InputSignature(Spec, error=SchemaError):
     """Input contract for one payload that serving must supply."""
 
     name: str
@@ -48,18 +40,9 @@ class InputSignature:
     max_members: int | None
     dim: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "type": self.type,
-            "max_length": self.max_length,
-            "max_members": self.max_members,
-            "dim": self.dim,
-        }
-
 
 @dataclass(frozen=True)
-class ServingSignature:
+class ServingSignature(Spec, error=SchemaError):
     """Full serving contract: inputs, outputs, and the schema fingerprint."""
 
     inputs: tuple[InputSignature, ...]
@@ -105,44 +88,3 @@ class ServingSignature:
             if out.name == task_name:
                 return out
         raise SchemaError(f"signature has no output for task {task_name!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "inputs": [i.to_dict() for i in self.inputs],
-            "outputs": [o.to_dict() for o in self.outputs],
-            "schema_fingerprint": self.schema_fingerprint,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ServingSignature":
-        inputs = tuple(
-            InputSignature(
-                name=i["name"],
-                type=i["type"],
-                max_length=i.get("max_length"),
-                max_members=i.get("max_members"),
-                dim=i.get("dim"),
-            )
-            for i in spec["inputs"]
-        )
-        outputs = tuple(
-            TaskSignature(
-                name=o["name"],
-                type=o["type"],
-                granularity=o["granularity"],
-                classes=tuple(o["classes"]),
-            )
-            for o in spec["outputs"]
-        )
-        return cls(
-            inputs=inputs,
-            outputs=outputs,
-            schema_fingerprint=spec["schema_fingerprint"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServingSignature":
-        return cls.from_dict(json.loads(text))

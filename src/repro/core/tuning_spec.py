@@ -12,11 +12,12 @@ the tuning controller (:mod:`repro.tuning`) evaluates them.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from repro.core.codec import Spec
 from repro.errors import TuningError
 
 ENCODER_CHOICES = ("bow", "cnn", "lstm", "bilstm", "gru", "attention")
@@ -24,7 +25,7 @@ AGGREGATION_CHOICES = ("mean", "max", "attention")
 
 
 @dataclass(frozen=True)
-class PayloadConfig:
+class PayloadConfig(Spec, error=TuningError):
     """Concrete architecture choices for one payload."""
 
     embedding: str = "learned"  # "learned" or a named pretrained product
@@ -34,23 +35,9 @@ class PayloadConfig:
     attention_heads: int = 2
     dropout: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "embedding": self.embedding,
-            "encoder": self.encoder,
-            "size": self.size,
-            "aggregation": self.aggregation,
-            "attention_heads": self.attention_heads,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "PayloadConfig":
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(Spec, error=TuningError):
     """Concrete trainer hyperparameters."""
 
     optimizer: str = "adam"
@@ -63,26 +50,9 @@ class TrainerConfig:
     slice_weight: float = 0.5
     patience: int = 0  # 0 disables early stopping
 
-    def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay,
-            "clip_norm": self.clip_norm,
-            "seed": self.seed,
-            "slice_weight": self.slice_weight,
-            "patience": self.patience,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "TrainerConfig":
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Spec, error=TuningError):
     """One fully concrete candidate: per-payload choices + trainer + dtype.
 
     ``dtype`` is the float precision the compiler stamps into the model —
@@ -99,29 +69,9 @@ class ModelConfig:
     def for_payload(self, name: str) -> PayloadConfig:
         return self.payloads.get(name, PayloadConfig())
 
-    def to_dict(self) -> dict:
-        return {
-            "payloads": {k: v.to_dict() for k, v in self.payloads.items()},
-            "trainer": self.trainer.to_dict(),
-            "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "ModelConfig":
-        return cls(
-            payloads={
-                k: PayloadConfig.from_dict(v) for k, v in spec.get("payloads", {}).items()
-            },
-            trainer=TrainerConfig.from_dict(spec.get("trainer", {})),
-            dtype=spec.get("dtype", "float64"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
-class TuningSpec:
+class TuningSpec(Spec, error=TuningError):
     """A search space: per-payload lists of options + trainer lists.
 
     JSON format mirrors Fig. 2a::
@@ -136,28 +86,15 @@ class TuningSpec:
         }
     """
 
-    payload_options: dict[str, dict[str, list]] = field(default_factory=dict)
-    trainer_options: dict[str, list] = field(default_factory=dict)
+    payload_options: dict[str, dict[str, list]] = field(
+        default_factory=dict, metadata={"json": "payloads"}
+    )
+    trainer_options: dict[str, list] = field(
+        default_factory=dict, metadata={"json": "trainer"}
+    )
 
-    _PAYLOAD_KEYS = (
-        "embedding",
-        "encoder",
-        "size",
-        "aggregation",
-        "attention_heads",
-        "dropout",
-    )
-    _TRAINER_KEYS = (
-        "optimizer",
-        "lr",
-        "epochs",
-        "batch_size",
-        "weight_decay",
-        "clip_norm",
-        "seed",
-        "slice_weight",
-        "patience",
-    )
+    _PAYLOAD_KEYS = tuple(f.name for f in dataclasses.fields(PayloadConfig))
+    _TRAINER_KEYS = tuple(f.name for f in dataclasses.fields(TrainerConfig))
 
     def __post_init__(self) -> None:
         for payload, options in self.payload_options.items():
@@ -222,22 +159,6 @@ class TuningSpec:
             total *= max(len(values), 1)
         return total
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, spec: dict) -> "TuningSpec":
-        unknown = set(spec) - {"payloads", "trainer"}
-        if unknown:
-            raise TuningError(f"unknown top-level tuning fields {sorted(unknown)}")
-        return cls(
-            payload_options=spec.get("payloads", {}),
-            trainer_options=spec.get("trainer", {}),
-        )
-
-    def to_dict(self) -> dict:
-        return {"payloads": self.payload_options, "trainer": self.trainer_options}
-
     def fingerprint(self) -> str:
         """Stable short hash identifying this search space.
 
@@ -247,15 +168,4 @@ class TuningSpec:
         which space proposed the config, and widening a space must keep
         its old candidates' cache entries valid.
         """
-        import hashlib
-
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_json(cls, text: str) -> "TuningSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TuningSpec":
-        return cls.from_json(Path(path).read_text())
+        return hashlib.sha256(self.to_json(indent=None).encode()).hexdigest()[:16]

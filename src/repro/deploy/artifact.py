@@ -137,12 +137,12 @@ class ModelArtifact:
         with np.load(directory / _WEIGHTS) as data:
             state = {key: data[key] for key in data.files}
         schema = Schema.from_json((directory / _SCHEMA).read_text())
-        signature = ServingSignature.from_json((directory / _SIGNATURE).read_text())
+        signature = ServingSignature.from_file(directory / _SIGNATURE)
         if signature.schema_fingerprint != schema.fingerprint():
             raise DeploymentError(
                 "artifact corrupt: signature fingerprint does not match schema"
             )
-        config = ModelConfig.from_dict(json.loads((directory / _CONFIG).read_text()))
+        config = ModelConfig.from_file(directory / _CONFIG)
         vocabs = {
             name: Vocab.from_dict(spec)
             for name, spec in json.loads((directory / _VOCABS).read_text()).items()

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.codec import Spec, replacing
 from repro.deploy.artifact import ModelArtifact
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.faults import fault_point
 
 # Chaos hook: fires per artifact load, inside fetch's error handling, so
@@ -28,21 +28,13 @@ _FP_FETCH = fault_point("store.fetch")
 
 
 @dataclass(frozen=True)
-class StoredVersion:
+class StoredVersion(Spec, error=StoreError):
     """One immutable pushed version."""
 
     model_name: str
     version: str  # content hash
     pushed_at: float
     metadata: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "version": self.version,
-            "pushed_at": self.pushed_at,
-            "metadata": self.metadata,
-        }
 
 
 class ModelStore:
@@ -113,7 +105,7 @@ class ModelStore:
             artifact = ModelArtifact.load(target)
         except StoreError:
             raise
-        except (OSError, ValueError, KeyError, TypeError, EOFError) as exc:
+        except (ReproError, OSError, ValueError, KeyError, TypeError, EOFError) as exc:
             raise StoreError(
                 f"corrupt artifact for model {name!r} version {version!r} "
                 f"at {target}: {type(exc).__name__}: {exc}"
@@ -135,15 +127,7 @@ class ModelStore:
 
     def versions(self, name: str) -> list[StoredVersion]:
         index = self._read_index(name)
-        return [
-            StoredVersion(
-                model_name=v["model_name"],
-                version=v["version"],
-                pushed_at=v["pushed_at"],
-                metadata=v["metadata"],
-            )
-            for v in index["versions"]
-        ]
+        return [StoredVersion.from_dict(v) for v in index["versions"]]
 
     def latest_version(self, name: str) -> str:
         index = self._read_index(name)
@@ -217,12 +201,5 @@ class ModelStore:
         """
         path = self.root / name / "index.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f".index.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        try:
-            tmp.write_text(json.dumps(index, indent=2))
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        with replacing(path) as handle:
+            json.dump(index, handle, indent=2)

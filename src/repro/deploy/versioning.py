@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.codec import Spec, replacing
 from repro.deploy.store import ModelStore
 from repro.errors import DeploymentError
 
 
 @dataclass
-class VersionRecord:
+class VersionRecord(Spec, error=DeploymentError):
     """One semantic version bound to a store content hash."""
 
     semver: str
@@ -29,22 +30,6 @@ class VersionRecord:
     schema_fingerprint: str | None = None
     notes: str = ""
     status: str = "candidate"  # candidate | released | rolled_back
-
-    def to_dict(self) -> dict:
-        return {
-            "semver": self.semver,
-            "content_version": self.content_version,
-            "parent": self.parent,
-            "created_at": self.created_at,
-            "data_fingerprint": self.data_fingerprint,
-            "schema_fingerprint": self.schema_fingerprint,
-            "notes": self.notes,
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "VersionRecord":
-        return cls(**spec)
 
 
 class VersionLog:
@@ -147,7 +132,8 @@ class VersionLog:
 
     def _write(self, entries: list[dict]) -> None:
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._path.write_text(json.dumps(entries, indent=2))
+        with replacing(self._path) as handle:
+            json.dump(entries, handle, indent=2)
 
 
 def _next_semver(current: str | None, bump: str) -> str:

@@ -21,19 +21,18 @@ never leave a torn entry; unreadable entries are treated as misses.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.codec import Spec, replacing
 from repro.core.tuning_spec import ModelConfig
+from repro.errors import TuningError
 from repro.obs import get_registry
 
 _log = logging.getLogger("repro.exec.cache")
@@ -96,7 +95,7 @@ def tuning_namespace(
 
 
 @dataclass
-class CacheEntry:
+class CacheEntry(Spec, error=TuningError):
     """One recorded trial outcome."""
 
     key: str
@@ -105,24 +104,13 @@ class CacheEntry:
     duration_s: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "score": self.score,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "CacheEntry":
-        return cls(
-            key=spec["key"],
-            score=float(spec["score"]),
-            seed=int(spec.get("seed", 0)),
-            duration_s=float(spec.get("duration_s", 0.0)),
-            meta=dict(spec.get("meta", {})),
-        )
+    def __post_init__(self) -> None:
+        # Entries are read back from disk: a score that is not a number is
+        # a corrupt entry, not a result to rank.
+        if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
+            raise TuningError(
+                f"cache entry score must be a number, got {self.score!r}"
+            )
 
 
 class TrialCache:
@@ -159,8 +147,8 @@ class TrialCache:
             self.misses += 1
             return None
         try:
-            entry = CacheEntry.from_dict(json.loads(raw))
-        except (ValueError, KeyError, TypeError) as exc:
+            entry = CacheEntry.from_json(raw)
+        except TuningError as exc:
             self._note_corrupt(path, f"{type(exc).__name__}: {exc}")
             return None
         if entry.key != key:
@@ -194,22 +182,9 @@ class TrialCache:
             key=key, score=float(score), seed=seed, duration_s=duration_s,
             meta=dict(meta or {}),
         )
-        with self._replacing(self._path(key), "w") as handle:
+        with replacing(self._path(key)) as handle:
             json.dump(entry.to_dict(), handle)
         return entry
-
-    @contextlib.contextmanager
-    def _replacing(self, path: Path, mode: str):
-        """Write a temp file in the cache directory, then rename it to ``path``."""
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, mode) as handle:
-                yield handle
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
 
     # ------------------------------------------------------------------
     # States: named arrays + a JSON record, one file per key
@@ -220,7 +195,7 @@ class TrialCache:
     def put_state(self, key: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
         """Atomically record the state for ``key`` (replacing any other)."""
         record = np.array(json.dumps(meta))
-        with self._replacing(self._state_path(key), "wb") as handle:
+        with replacing(self._state_path(key), "wb") as handle:
             np.savez(handle, **arrays, **{_STATE_META: record})
 
     def get_state(self, key: str) -> tuple[dict[str, np.ndarray], dict] | None:

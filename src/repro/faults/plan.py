@@ -16,10 +16,9 @@ while no plan is installed (the ``repro.obs`` cost discipline).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
+from repro.core.codec import Spec
 from repro.errors import FaultError
 
 #: Fault kinds a rule may inject.
@@ -27,7 +26,7 @@ KINDS = ("error", "latency", "crash", "io_error")
 
 
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Spec, error=FaultError):
     """One fault declaration against one named fault point.
 
     ``kind`` selects the injected failure: ``"error"`` raises
@@ -76,35 +75,23 @@ class FaultRule:
         """Whether a hit carrying ``labels`` is eligible for this rule."""
         return all(str(labels.get(key)) == value for key, value in self.match)
 
+    # ``match`` is a ``{label: value}`` object in JSON, sorted pairs here.
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "kind": self.kind,
-            "rate": self.rate,
-            "after": self.after,
-            "max_fires": self.max_fires,
-            "latency_s": self.latency_s,
-            "message": self.message,
-            "match": {key: value for key, value in self.match},
-        }
+        return {**super().to_dict(), "match": dict(self.match)}
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FaultRule":
-        spec = dict(spec)
-        match = spec.get("match") or {}
-        if not isinstance(match, dict):
-            raise FaultError("match must be a {label: value} object")
-        spec["match"] = tuple(
-            sorted((str(key), str(value)) for key, value in match.items())
-        )
-        try:
-            return cls(**spec)
-        except TypeError as exc:
-            raise FaultError(f"bad fault rule {spec!r}: {exc}") from exc
+        if isinstance(spec, dict) and "match" in spec:
+            match = spec["match"] or {}
+            if not isinstance(match, dict):
+                raise FaultError("match must be a {label: value} object")
+            pairs = sorted((str(key), str(value)) for key, value in match.items())
+            spec = {**spec, "match": tuple(pairs)}
+        return super().from_dict(spec)
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec, error=FaultError):
     """A named, seeded set of fault rules — one whole storm, as data."""
 
     name: str = "chaos"
@@ -127,35 +114,3 @@ class FaultPlan:
             if rule.point not in seen:
                 seen.append(rule.point)
         return seen
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "FaultPlan":
-        spec = dict(spec)
-        spec["rules"] = tuple(
-            FaultRule.from_dict(rule) for rule in spec.get("rules", [])
-        )
-        try:
-            return cls(**spec)
-        except TypeError as exc:
-            raise FaultError(f"bad fault plan: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "FaultPlan":
-        """Load a plan from a JSON file (the ``--fault-plan`` CLI path)."""
-        try:
-            spec = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FaultError(f"cannot read fault plan {path}: {exc}") from exc
-        if not isinstance(spec, dict):
-            raise FaultError("fault plan file must hold a JSON object")
-        return cls.from_dict(spec)

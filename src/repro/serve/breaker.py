@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.codec import Spec
 from repro.errors import ServeError
 
 CLOSED = "closed"
@@ -31,7 +32,7 @@ HALF_OPEN = "half_open"
 
 
 @dataclass(frozen=True)
-class BreakerPolicy:
+class BreakerPolicy(Spec, error=ServeError):
     """When a tier's circuit opens, and how it earns its way back.
 
     ``failure_threshold`` consecutive replica failures open the circuit;
@@ -51,17 +52,6 @@ class BreakerPolicy:
             raise ServeError("reset_timeout_s must be positive")
         if self.half_open_successes < 1:
             raise ServeError("half_open_successes must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "failure_threshold": self.failure_threshold,
-            "reset_timeout_s": self.reset_timeout_s,
-            "half_open_successes": self.half_open_successes,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "BreakerPolicy":
-        return cls(**spec)
 
 
 class CircuitBreaker:

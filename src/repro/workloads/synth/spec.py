@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.codec import Spec
 from repro.errors import SchemaError
 
 #: Weak-source families the generator knows how to attach.  Order matters:
@@ -39,7 +39,7 @@ HARD_SLICE = "hard_arg"
 
 
 @dataclass(frozen=True)
-class DriftPhase:
+class DriftPhase(Spec, error=SchemaError):
     """One segment of a concept-drift schedule.
 
     ``start`` is the stream-position fraction (0..1) where the phase
@@ -62,32 +62,9 @@ class DriftPhase:
                 f"drift phase oov_rate must be in [0, 1], got {self.oov_rate}"
             )
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form."""
-        return {
-            "start": self.start,
-            "oov_rate": self.oov_rate,
-            "length_delta": self.length_delta,
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "DriftPhase":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        unknown = set(spec) - {"start", "oov_rate", "length_delta"}
-        if unknown:
-            raise SchemaError(f"unknown drift phase keys {sorted(unknown)}")
-        return cls(
-            start=float(spec.get("start", 0.0)),
-            oov_rate=float(spec.get("oov_rate", 0.0)),
-            length_delta=int(spec.get("length_delta", 0)),
-        )
-
-
-_SPEC_FIELDS = None  # populated after the dataclass is defined
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec, error=SchemaError):
     """Every knob of one synthetic workload, frozen and serializable.
 
     Difficulty knobs and what they control:
@@ -244,55 +221,6 @@ class WorkloadSpec:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON form; tuples become lists, drift phases nest."""
-        spec = dataclasses.asdict(self)
-        spec["sources"] = list(self.sources)
-        spec["drift"] = [p.to_dict() for p in self.drift]
-        for key in ("intent_names", "role_names", "type_names"):
-            if spec[key] is not None:
-                spec[key] = list(spec[key])
-        return spec
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "WorkloadSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        global _SPEC_FIELDS
-        if _SPEC_FIELDS is None:
-            _SPEC_FIELDS = {f.name for f in dataclasses.fields(cls)}
-        if not isinstance(spec, dict):
-            raise SchemaError(
-                f"workload spec must be an object, got {type(spec).__name__}"
-            )
-        unknown = set(spec) - _SPEC_FIELDS
-        if unknown:
-            raise SchemaError(f"unknown workload spec keys {sorted(unknown)}")
-        kwargs = dict(spec)
-        if "drift" in kwargs:
-            kwargs["drift"] = tuple(
-                DriftPhase.from_dict(p) for p in kwargs["drift"] or ()
-            )
-        if "sources" in kwargs:
-            kwargs["sources"] = tuple(kwargs["sources"])
-        for key in ("intent_names", "role_names", "type_names"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Stable JSON text (sorted keys) for files and fingerprints."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "WorkloadSpec":
-        """Load a spec from a JSON file."""
-        path = Path(path)
-        try:
-            spec = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read workload spec {path}: {exc}") from exc
-        return cls.from_dict(spec)
-
     def save(self, path: str | Path) -> Path:
         """Write the spec as JSON; returns the path."""
         path = Path(path)

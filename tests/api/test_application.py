@@ -85,7 +85,7 @@ class TestApplicationSpec:
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError, match="unknown application spec keys"):
             Application.from_spec({**app_spec(), "modle": {}})
-        with pytest.raises(SchemaError, match="unknown supervision policy keys"):
+        with pytest.raises(SchemaError, match=r"unknown SupervisionPolicy keys \[.gold.\]"):
             Application.from_spec(
                 {**app_spec(), "supervision": {"gold": "gold"}}
             )

@@ -18,7 +18,7 @@ from repro.autopilot import (
 )
 from repro.data.record import Record
 from repro.data.vocab import Vocab
-from repro.errors import AutopilotError
+from repro.errors import AutopilotError, TuningError
 from repro.serve import TelemetryRing
 from repro.training.reports import QualityReport, ReportRow
 
@@ -59,6 +59,23 @@ class TestPolicySerialization:
         path.write_text("[]")
         with pytest.raises(AutopilotError):
             HealPolicy.from_file(path)
+
+    def test_typo_in_a_retrain_candidate_is_rejected(self):
+        # The candidate is a ModelConfig, so its own TuningError names it.
+        spec = {"retrain": {"candidates": [{"trainr": {"epochs": 1}}]}}
+        with pytest.raises(TuningError, match=r"RetrainPlan.candidates.*'trainr'"):
+            HealPolicy.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"cooldown": 60}, "cooldown"),
+            ({"gate": {"max_disagreement": 0.1}}, "max_disagreement"),
+        ],
+    )
+    def test_unknown_keys_are_autopilot_errors(self, spec, key):
+        with pytest.raises(AutopilotError, match=f"'{key}'"):
+            HealPolicy.from_dict(spec)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -45,8 +45,3 @@ class TestServingSignature:
         schema = factoid_schema()
         sig = ServingSignature.from_schema(schema)
         assert sig.schema_fingerprint == schema.fingerprint()
-
-    def test_json_roundtrip(self):
-        sig = ServingSignature.from_schema(factoid_schema())
-        again = ServingSignature.from_json(sig.to_json())
-        assert again == sig

@@ -93,6 +93,20 @@ class TestSerialization:
         assert again.payload_options == spec.payload_options
         assert again.trainer_options == spec.trainer_options
 
+    def test_unknown_model_config_keys_are_rejected(self):
+        with pytest.raises(TuningError, match=r"unknown ModelConfig keys \['trainr'\]"):
+            ModelConfig.from_dict({"trainr": {"epochs": 1}})
+        with pytest.raises(TuningError, match=r"ModelConfig.trainer.*\['epoch'\]"):
+            ModelConfig.from_dict({"trainer": {"epoch": 1}})
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[]"])
+    def test_from_file_errors_are_tuning_errors(self, tmp_path, text):
+        path = tmp_path / "tuning.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(TuningError, match="TuningSpec"):
+            TuningSpec.from_file(path)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "tuning.json"
         path.write_text('{"payloads": {"tokens": {"size": [8]}}, "trainer": {}}')

@@ -154,6 +154,50 @@ class TestVersioning:
         with pytest.raises(DeploymentError):
             log.lineage("9.9.9")
 
+    def test_a_write_dying_midway_keeps_the_previous_log(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        store = ModelStore(tmp_path / "store")
+        contents = self.push_n(store, 2)
+        log = VersionLog(store, "qa")
+        first = log.record(contents[0])
+        real_open = io.open
+
+        class DiesMidWrite:
+            """A file handle whose first write lands half its text, then fails."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, text):
+                self._handle.write(text[: len(text) // 2])
+                self._handle.flush()
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        def dying_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return DiesMidWrite(handle) if "w" in mode else handle
+
+        # ``Path.write_text`` opens through ``io.open``, ``open()`` through
+        # builtins: patch both so any writer's handle dies.
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", dying_open)
+            patch.setattr(builtins, "open", dying_open)
+            with pytest.raises(OSError):
+                log.record(contents[1])
+        assert log.records() == [first]
+        assert [p.name for p in log._path.parent.glob("*.tmp")] == []
+
     def test_unknown_version_operations(self, tmp_path):
         store = ModelStore(tmp_path / "store")
         self.push_n(store, 1)

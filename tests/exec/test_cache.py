@@ -49,11 +49,16 @@ class TestTrialCache:
         assert cache.get("nope") is None
         assert cache.misses == 1
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[]", '{"score": 1.0}', '{"key": "KEY", "score": "high"}'],
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, text):
         cache = TrialCache(tmp_path)
         key = trial_key("ns", config())
-        (tmp_path / f"{key}.json").write_text("{not json")
+        (tmp_path / f"{key}.json").write_text(text.replace("KEY", key))
         assert cache.get(key) is None
+        assert cache.corrupt == 1
 
     def test_entry_with_wrong_key_is_a_miss(self, tmp_path):
         cache = TrialCache(tmp_path)

@@ -134,12 +134,8 @@ class TestRoundTrip:
         assert rule.match == (("role", "stable"), ("tier", "small"))
 
     def test_unknown_rule_key_is_a_fault_error(self):
-        with pytest.raises(FaultError, match="bad fault rule"):
+        with pytest.raises(FaultError, match=r"unknown FaultRule keys \[.blast_radius.\]"):
             FaultRule.from_dict({"point": "x", "blast_radius": 1})
-
-    def test_missing_file_is_a_fault_error(self, tmp_path):
-        with pytest.raises(FaultError, match="cannot read"):
-            FaultPlan.from_file(tmp_path / "nope.json")
 
     def test_non_object_file_is_a_fault_error(self, tmp_path):
         path = tmp_path / "list.json"

@@ -177,7 +177,7 @@ class TestTune:
             ]
         )
         assert code == 1
-        assert "cannot read tuning spec" in capsys.readouterr().err
+        assert "cannot read TuningSpec" in capsys.readouterr().err
 
 
 class TestServe:
@@ -324,6 +324,51 @@ class TestServe:
         code = main(["serve", "--port", "0"])
         assert code == 1
         assert "--artifact" in capsys.readouterr().err
+
+
+class TestAutopilotPolicy:
+    """A typo in a policy file is a one-line error naming the key."""
+
+    @pytest.fixture()
+    def store(self, project):
+        from repro.core import ModelConfig, PayloadConfig
+        from repro.deploy import ModelArtifact, ModelStore
+        from repro.model import compile_from_dataset
+
+        dataset = mini_dataset(n=40, seed=0)
+        config = ModelConfig(payloads={"tokens": PayloadConfig(size=8)})
+        model, vocabs = compile_from_dataset(dataset, config, seed=0)
+        root = project["tmp"] / "store"
+        ModelStore(root).push("factoid-qa", ModelArtifact.from_model(model, vocabs))
+        return str(root)
+
+    @pytest.mark.parametrize(
+        "policy, key",
+        [
+            ({"cooldown": 60}, "cooldown"),
+            ({"gate": {"max_disagreement": 0.1}}, "max_disagreement"),
+            ({"retrain": {"candidates": [{"trainr": {"epochs": 1}}]}}, "trainr"),
+        ],
+        ids=["top-level", "nested", "candidate-config"],
+    )
+    def test_typo_exits_1_naming_the_key(self, project, store, policy, key, capsys):
+        path = project["tmp"] / "policy.json"
+        path.write_text(json.dumps(policy))
+        code = main(
+            [
+                "autopilot",
+                "--schema", project["schema"],
+                "--data", project["data"],
+                "--store", store,
+                "--model", "factoid-qa",
+                "--policy", str(path),
+                "--max-seconds", "0.1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"'{key}'" in err
 
 
 class TestQuery:

@@ -8,8 +8,11 @@ put in backticks still resolves.
 
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,3 +135,21 @@ class TestDocumentedNames:
         assert not _resolves("repro.TrainedModel")
         assert not _resolves("repro.exec.parallel_quality_report")
         assert _resolves("repro.exec.WorkerTeam")
+
+
+class TestDocumentedSpecs:
+    """The JSON a document shows an operator loads as the spec it names."""
+
+    @pytest.mark.parametrize(
+        "document, module, name",
+        [
+            ("robustness.md", "repro.faults", "FaultPlan"),
+            ("tuning.md", "repro.core", "TuningSpec"),
+        ],
+    )
+    def test_example_json_loads(self, document, module, name):
+        text = (ROOT / "docs" / document).read_text()
+        example = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+        spec_class = getattr(importlib.import_module(module), name)
+        spec = spec_class.from_dict(example)
+        assert spec_class.from_dict(spec.to_dict()) == spec
