@@ -96,6 +96,9 @@ class Endpoint:
         self._schema = artifact.schema
         self.artifact = artifact
         self.signature = artifact.signature
+        # What validate_payload checks every payload against, built once
+        # per signature rather than once per payload.
+        self._input_names = frozenset(i.name for i in artifact.signature.inputs)
 
     @property
     def store(self) -> "ModelStore | None":
@@ -217,15 +220,15 @@ class Endpoint:
                 f"{_request_label(index)} must be a payload object, "
                 f"got {type(payload).__name__}"
             )
-        known = {i.name for i in self.signature.inputs}
-        unknown = set(payload) - known
+        known = self._input_names
+        unknown = payload.keys() - known
         if unknown:
             raise DeploymentError(
                 f"{_request_label(index)} has unknown payloads {sorted(unknown)}; "
                 f"signature inputs: {sorted(known)}"
             )
         if self.strict:
-            missing = known - set(payload)
+            missing = known - payload.keys()
             if missing:
                 raise DeploymentError(
                     f"{_request_label(index)} is missing payloads {sorted(missing)}; "
@@ -256,7 +259,9 @@ class Endpoint:
         Serving never takes gradients, so the forward runs tape-free: the
         ``no_grad`` guard here is belt-and-braces on top of
         ``MultitaskModel.predict`` (and keeps the fast path even if a
-        custom model's ``predict`` forgets it).
+        custom model's ``predict`` forgets it).  Tape-free also means
+        dropout-free: the forward neither reads nor changes the model's
+        train/eval mode, so its bytes do not depend on it.
 
         This is the only piece of serving that needs the model, which is
         why it is the slice :mod:`repro.serve.pool_worker` runs inside a

@@ -68,7 +68,10 @@ class MultitaskModel(Module):
         """Construct encoders and heads (runs under the model's dtype)."""
         self.encoders: dict[str, Module] = {}
         sizes: dict[str, int] = {}
-        for payload in schema.topological_payload_order():
+        # The schema is immutable: its dataflow order is computed once here,
+        # not on every forward.
+        self._payload_order = schema.topological_payload_order()
+        for payload in self._payload_order:
             p_config = config.for_payload(payload.name)
             if payload.type == "sequence":
                 vocab = vocabs.get(payload.name)
@@ -143,7 +146,7 @@ class MultitaskModel(Module):
         """
         reps: dict[str, Tensor] = {}
         masks: dict[str, np.ndarray] = {}
-        for payload in self.schema.topological_payload_order():
+        for payload in self._payload_order:
             encoder = self.encoders[payload.name]
             inputs = batch.payloads.get(payload.name)
             if payload.type == "sequence":
@@ -210,21 +213,20 @@ class MultitaskModel(Module):
             return total
 
     def predict(self, batch: Batch) -> dict[str, TaskOutput]:
-        """Inference-mode forward pass: eval mode *and* tape-free.
+        """Inference forward pass: tape-free, and so without dropout.
 
         Runs under :func:`repro.tensor.no_grad`, so no vjp closures are
         recorded anywhere in the forward graph — every serving caller
         (``Endpoint``, the gateway's replica lanes) and the evaluation
-        harness inherit the fast path through this method.
+        harness inherit the fast path through this method.  The module
+        mode is neither read nor changed: :class:`~repro.nn.Dropout` is off
+        whenever tape recording is off, so a model in train mode (the
+        trainer's dev evaluation between epochs) predicts exactly what it
+        would in eval mode, leaves every submodule's ``training`` flag as
+        it was and draws nothing from any dropout generator.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                return self.forward(batch)
-        finally:
-            if was_training:
-                self.train()
+        with no_grad():
+            return self.forward(batch)
 
     def to_dtype(self, dtype) -> "MultitaskModel":
         """Cast parameters *and* the model's forward/loss policy to ``dtype``.

@@ -105,7 +105,7 @@ class SequencePayloadEncoder(Module):
             rep = self.encoder(embedded, inputs.mask)
         rep = self.dropout(rep)
         # Zero padded positions so downstream pooling stays clean.
-        return rep * Tensor(inputs.mask[:, :, None])
+        return rep * inputs.mask[:, :, None]
 
 
 class SingletonPayloadEncoder(Module):
@@ -208,8 +208,8 @@ class SetPayloadEncoder(Module):
         # (batch x members) python loop.  Empty or inverted spans (end <=
         # start after clipping) get an all-zero row, i.e. a zero span
         # summary, matching how masked members are treated.
-        starts = np.clip(inputs.spans[..., 0], 0, length)  # (B, M)
-        ends = np.clip(inputs.spans[..., 1], 0, length)
+        starts = np.minimum(np.maximum(inputs.spans[..., 0], 0), length)  # (B, M)
+        ends = np.minimum(np.maximum(inputs.spans[..., 1], 0), length)
         positions = np.arange(length)
         in_span = (positions >= starts[..., None]) & (positions < ends[..., None])
         widths = np.maximum(ends - starts, 1)[..., None]
@@ -222,4 +222,4 @@ class SetPayloadEncoder(Module):
             member_emb = self.member_proj(member_emb)
         rep = rep + member_emb
         rep = self.dropout(rep)
-        return rep * Tensor(inputs.member_mask[:, :, None])
+        return rep * inputs.member_mask[:, :, None]

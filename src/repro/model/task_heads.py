@@ -117,7 +117,7 @@ class BitvectorTaskHead(Module):
 
     def forward(self, rep: Tensor, mask: np.ndarray | None = None) -> TaskOutput:
         logits = self.head(rep)
-        x = np.clip(logits.data, -60, 60)
+        x = np.minimum(np.maximum(logits.data, -60), 60)
         probs = 1.0 / (1.0 + np.exp(-x))
         preds = (probs >= 0.5).astype(np.int64)
         return TaskOutput(logits=logits, probs=probs, predictions=preds)

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform, xavier_uniform, zeros
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, is_grad_enabled
 
 
 class Linear(Module):
@@ -44,9 +44,15 @@ class Linear(Module):
         self._activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
+        if is_grad_enabled():
+            out = x @ self.weight
+            if self.bias is not None:
+                out = out + self.bias
+        else:  # the same two numpy ops, without a Tensor per op
+            out = x.data @ self.weight.data
+            if self.bias is not None:
+                out = out + self.bias.data
+            out = Tensor._wrap(out, "linear")
         if self._activation == "relu":
             out = out.relu()
         elif self._activation == "tanh":

@@ -33,6 +33,13 @@ class Module:
     def __init__(self) -> None:
         self._training = True
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # ``module(x)`` is ``module.forward(x)``: bind the call straight to
+        # the class's own forward, so a call costs one Python frame, not two.
+        super().__init_subclass__(**kwargs)
+        if "forward" in vars(cls):
+            cls.__call__ = cls.forward
+
     # ------------------------------------------------------------------
     # Parameter discovery
     # ------------------------------------------------------------------
@@ -99,7 +106,7 @@ class Module:
         return self._training
 
     def train(self) -> "Module":
-        """Enable training mode (dropout active) recursively."""
+        """Enable training mode (dropout active in taped forwards) recursively."""
         self._set_mode(True)
         return self
 

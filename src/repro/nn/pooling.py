@@ -21,8 +21,8 @@ class MeanPooling(Module):
             return x.mean(axis=1)
         m = np.asarray(mask, dtype=x.data.dtype)
         counts = np.maximum(m.sum(axis=1, keepdims=True), 1.0)
-        weighted = x * Tensor(m[:, :, None])
-        return weighted.sum(axis=1) / Tensor(counts)
+        weighted = x * m[:, :, None]
+        return weighted.sum(axis=1) / counts
 
 
 class MaxPooling(Module):

@@ -27,6 +27,8 @@ and an expert logit's gradient with the ``+ 0.0`` of the tape's scatter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn import Linear, Module
@@ -48,8 +50,8 @@ _CLASS_WEIGHTED = ("base", "indicators", "residual", "transforms")
 
 def _unpack(flat: np.ndarray, blocks: dict, name: str) -> np.ndarray:
     """The named block of a packed array, as a view."""
-    start, shape = blocks[name]
-    return flat[start : start + int(np.prod(shape))].reshape(shape)
+    span, shape = blocks[name]
+    return flat[span].reshape(shape)
 
 
 class SliceForward:
@@ -216,19 +218,20 @@ class SliceAwareHead(Module):
         """The whole head in numpy: packed logits, their layout, attention
         and what the backward needs."""
         x, taped = rep.data, is_grad_enabled()
-        n, k, s = x.shape[0], self.num_classes, self.num_slices
-        base = _affine(x, self.base_head)
+        n, k, s = x.shape[0], self.num_classes, len(self.slice_names)
         blocks, offset = {}, 0
         for name, shape in (
             ("final", (n, k)), ("base", (n, k)), ("indicator", (n, s)), ("expert", (n, s, k))
         ):
-            blocks[name] = (offset, shape)
-            offset += int(np.prod(shape))
+            size = math.prod(shape)
+            blocks[name] = (slice(offset, offset + size), shape)
+            offset += size
+        base = _affine(x, self.base_head)
         packed = np.empty(offset, dtype=base.dtype)
         _unpack(packed, blocks, "base")[...] = base
         indicator = _unpack(packed, blocks, "indicator")
         expert = _unpack(packed, blocks, "expert")
-        feats, masks, confidences = [], [], []
+        feats, masks = [], []
         for i in range(s):
             indicator[:, i] = _affine(x, self.indicator_heads[i])[:, 0]
             pre = _affine(x, self.expert_transforms[i])
@@ -237,16 +240,18 @@ class SliceAwareHead(Module):
             del pre  # freed before the next op, as the per-op relu freed it
             if taped:
                 masks.append(mask)
-            logits = expert[:, i] = _affine(feats[i], self.expert_heads[i])  # (n, k)
-            # Expert confidence: max log-probability (high when the expert
-            # is decisive).  Detached — attention should not push experts
-            # toward overconfidence.
-            shifted = logits - _as_array(logits.max(axis=-1, keepdims=True))
-            log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-            confidences.append((shifted - log_norm).max(axis=-1))
+            expert[:, i] = _affine(feats[i], self.expert_heads[i])  # (n, k)
+
+        # Expert confidence: max log-probability (high when the expert is
+        # decisive), every slice at once — each is a reduction over its own
+        # k logits, so the whole (n, s, k) block gives the per-slice bits.
+        # Detached — attention should not push experts toward overconfidence.
+        shifted = expert - _as_array(expert.max(axis=-1, keepdims=True))
+        log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        confidence = (shifted - log_norm).max(axis=-1)  # (n, s)
 
         # Attention over slices: membership likelihood + expert confidence.
-        raw = indicator + np.stack(confidences, axis=1)  # (n, s)
+        raw = indicator + confidence  # (n, s)
         # Stable softmax over slices with an implicit "no slice" option of
         # score 0, so examples in no slice keep the backbone representation.
         padded = np.concatenate([np.zeros((n, 1)), raw], axis=1)
@@ -255,7 +260,8 @@ class SliceAwareHead(Module):
         weights = weights / weights.sum(axis=1, keepdims=True)
         attention = weights[:, 1:]  # (n, s)
 
-        columns = [_as_array(attention[:, i : i + 1]) for i in range(s)]
+        scales = _as_array(attention)
+        columns = [scales[:, i : i + 1] for i in range(s)]
         combined = x
         for i in range(s):
             combined = combined + _affine(feats[i], self.reconstruct) * columns[i]
@@ -404,4 +410,4 @@ def predicted_membership(forward: SliceForward) -> np.ndarray | None:
     if forward.blocks is None:
         return None
     x = forward.block("indicator")
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60), 60)))

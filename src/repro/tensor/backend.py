@@ -39,6 +39,11 @@ _DTYPES: dict[str, np.dtype] = {
     "float64": np.dtype(np.float64),
 }
 
+# A supported dtype resolves to itself; looked up before the ``.name``
+# property (three Python calls), since the hot callers pass a model's
+# already resolved dtype.
+_RESOLVED: dict[np.dtype, np.dtype] = {dtype: dtype for dtype in _DTYPES.values()}
+
 DEFAULT_DTYPE_NAME = "float64"
 
 
@@ -56,6 +61,8 @@ def resolve_dtype(spec) -> np.dtype:
     if spec is None:
         return default_dtype()
     if isinstance(spec, np.dtype):
+        if spec in _RESOLVED:
+            return _RESOLVED[spec]
         name = spec.name
     elif isinstance(spec, str):
         name = spec

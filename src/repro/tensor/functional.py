@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.tensor.tensor import Array, Tensor, _as_array, _unbroadcast
+from repro.tensor.tensor import Array, Tensor, _as_array, _unbroadcast, is_grad_enabled
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -23,8 +23,17 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``."""
-    return log_softmax(logits, axis=axis).exp()
+    """Softmax along ``axis``.
+
+    Off the tape it runs :func:`log_softmax`'s numpy ops and ``exp`` in
+    order, so the same bits, without a Tensor per op.
+    """
+    if is_grad_enabled():
+        return log_softmax(logits, axis=axis).exp()
+    x = logits.data
+    shifted = x - _as_array(x.max(axis=axis, keepdims=True))
+    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return Tensor._wrap(np.exp(shifted - log_norm), "softmax")
 
 
 def cross_entropy(

@@ -544,7 +544,7 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
-        if self.ndim == 0 or other_t.ndim == 0:
+        if self.data.ndim == 0 or other_t.data.ndim == 0:
             raise ShapeError("matmul requires tensors with ndim >= 1")
         out = self.data @ other_t.data
         if not getattr(_GRAD_STATE, "enabled", True):

@@ -11,6 +11,7 @@ from repro.errors import DeploymentError, SchemaError
 from repro.slicing import SliceSet, SliceSpec
 
 from tests.fixtures import factoid_schema, mini_dataset
+from tests.helpers import python_calls
 
 
 def fast_config(size: int = 16, epochs: int = 4) -> ModelConfig:
@@ -209,6 +210,43 @@ class TestEndpoint:
         with pytest.raises(DeploymentError, match="request 1"):
             endpoint.predict([good, {"bogus": 1}])
         assert endpoint.requests_served == 0
+
+    @pytest.mark.parametrize(
+        "payload, index, message",
+        [
+            (
+                {"tokens": ["hi"], "entities": [], "bogus": 1, "alpha": 2},
+                0,
+                "request 0 has unknown payloads ['alpha', 'bogus']; "
+                "signature inputs: ['entities', 'tokens']",
+            ),
+            (
+                {"tokens": ["hi"]},
+                None,
+                "request is missing payloads ['entities']; "
+                "signature inputs: ['entities', 'tokens']",
+            ),
+            (
+                {},
+                3,
+                "request 3 is missing payloads ['entities', 'tokens']; "
+                "signature inputs: ['entities', 'tokens']",
+            ),
+        ],
+    )
+    def test_validation_messages_are_exact(self, fitted, payload, index, message):
+        app, ds, run = fitted
+        with pytest.raises(DeploymentError) as caught:
+            run.endpoint().validate_payload(payload, index=index)
+        assert str(caught.value) == message
+
+    def test_validating_a_payload_is_per_signature_work(self, fitted):
+        """The known input names are built once per signature: checking a
+        valid payload makes no Python call beyond the check itself."""
+        app, ds, run = fitted
+        endpoint = run.endpoint()
+        good = {"tokens": ["hi"], "entities": []}
+        assert python_calls(endpoint.validate_payload, good) == 1
 
     def test_version_pinning_against_store(self, fitted, tmp_path):
         app, ds, run = fitted

@@ -14,9 +14,23 @@ from repro.model import (
     compile_from_dataset,
     compile_model,
 )
+from repro.nn import Dropout, Module
 from repro.supervision import combine_supervision
 
 from tests.fixtures import factoid_schema, sample_record
+
+
+def submodules(module: Module) -> list[Module]:
+    """``module`` and every module below it, depth first."""
+    found = [module]
+    for value in vars(module).values():
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (list, tuple)) else [value]
+        )
+        for item in items:
+            if isinstance(item, Module):
+                found += submodules(item)
+    return found
 
 
 def dataset(n=4) -> Dataset:
@@ -123,6 +137,38 @@ class TestForward:
         p2 = model.predict(batch)["Intent"].probs
         np.testing.assert_allclose(p1, p2)  # dropout off during predict
         assert model.training  # restored
+
+    def test_predict_in_train_mode_is_the_eval_forward_and_touches_no_mode(self):
+        """``predict`` neither reads nor flips module modes: it returns the
+        eval-mode bytes, leaves every ``training`` flag as it was and draws
+        nothing from any dropout generator; a taped train-mode forward
+        still draws."""
+        ds = dataset(3)
+        config = small_config()
+        config.payloads["tokens"] = PayloadConfig(size=8, dropout=0.5)
+        config.payloads["query"] = PayloadConfig(size=8, dropout=0.3)
+        model, vocabs = compile_from_dataset(ds, config)
+        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        dropouts = [m for m in submodules(model) if isinstance(m, Dropout) and m.rate]
+        assert len(dropouts) == 2
+
+        model.eval()
+        expected = model.predict(batch)
+        model.train()
+        model.encoders["query"].eval()  # a mixed tree: nothing may overwrite it
+        modes = [m.training for m in submodules(model)]
+        states = [d._rng.bit_generator.state for d in dropouts]
+
+        got = model.predict(batch)
+        assert [m.training for m in submodules(model)] == modes
+        assert [d._rng.bit_generator.state for d in dropouts] == states
+        for task, out in expected.items():
+            assert got[task].probs.tobytes() == out.probs.tobytes(), task
+            assert got[task].predictions.tobytes() == out.predictions.tobytes(), task
+
+        model(batch)  # taped, train mode: the tokens encoder's dropout draws
+        drawn = [d._rng.bit_generator.state != s for d, s in zip(dropouts, states)]
+        assert drawn == [d is model.encoders["tokens"].dropout for d in dropouts]
 
     def test_describe(self):
         model, _ = compile_from_dataset(dataset(), small_config())

@@ -2,8 +2,9 @@
 
 The numbers are a host's; what is pinned is the stage table's shape, that
 every ``Tensor._make`` call finds a call site, a recurrent layer shows up as
-one node per step, every profiled second lands in a family, and the script
-stays ``print()``-free.
+one node per step, every profiled second lands in a family, the tape-free
+forward table has a batch-of-1 and a batch-of-32 row, and the script stays
+``print()``-free.
 """
 
 import sys
@@ -57,3 +58,14 @@ def test_the_stage_table_leads_with_every_stage_of_the_step(result):
     start = lines.index("| stage | ms / step, min over fits |")
     rows = [line.split(" | ")[0].lstrip("| ") for line in lines[start + 2 : start + 9]]
     assert rows == [*step_profile.STAGES, "**total**"]
+
+
+def test_the_tape_free_forward_rows_are_one_row_and_a_full_batch(result):
+    sizes = [size for size, _, _ in result["forward"]]
+    assert sizes == list(step_profile.FORWARD_SIZES) == [1, 32]
+    assert all(micros > 0 and calls > 0 for _, micros, calls in result["forward"])
+    lines = step_profile.render(result).splitlines()
+    start = lines.index(step_profile.FORWARD_HEADER)
+    assert [line.split(" | ")[0] for line in lines[start + 2 : start + 4]] == [
+        "| batch of 1", "| batch of 32"
+    ]

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Where one optimizer step goes: by stage, tape nodes by call site, by op family.
+"""Where one optimizer step goes: by stage, tape nodes by call site, by op family;
+and what one tape-free forward costs.
 
     python tools/step_profile.py --workload synth-medium --scale 800 \\
         --encoder lstm --size 64
@@ -7,7 +8,7 @@
 Trains the model ``Application.fit`` would (the ``fit`` benchmark's config:
 ``--encoder``/``--size`` on every sequence payload, ``--size`` on the rest)
 on the workload's train split with no dev set, so everything measured is
-the step loop, and prints three markdown tables:
+the step loop, and prints four markdown tables:
 
 * **Time per step by stage** — batch, forward, loss, backward, clip and
   optimizer, timed around each stage of ``Trainer.fit``'s step loop with
@@ -24,6 +25,11 @@ the step loop, and prints three markdown tables:
   only compose ops are *glue*.  ``cProfile`` charges every Python call and
   no native work, so Python-heavy families read high; the unprofiled wall
   time is printed next to the profiled one to size that.
+* **The tape-free forward, batch of 1 and of 32** — ``MultitaskModel.predict``
+  on one row and on a full batch: unprofiled µs per forward (the minimum
+  over ``FORWARD_ROUNDS`` rounds of ``FORWARD_REPEATS`` calls) and Python
+  function calls per forward under ``sys.setprofile`` (a count: it repeats
+  exactly on any host).  A serving request is the batch of 1.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ TENSOR_OPS = {
 STAGES = ("batch", "forward", "loss", "backward", "clip", "optimizer")
 STAGE_FITS = 3
 STAGE_HEADER = "| stage | ms / step, min over fits |"
+FORWARD_SIZES = (1, 32)
+FORWARD_ROUNDS, FORWARD_REPEATS = 5, 40
+FORWARD_HEADER = "| tape-free forward | µs / forward, unprofiled | Python calls / forward |"
 
 # Shared kernels charged, like numpy, to whichever family called them.
 INLINED = {"logistic"}
@@ -203,6 +212,39 @@ def nodes_by_call_site(fn) -> Counter:
     return sites
 
 
+def python_calls(fn) -> int:
+    """Python function calls while ``fn()`` runs."""
+    calls = 0
+
+    def on_event(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def forward_rows(model, encoded) -> list[tuple[int, float, int]]:
+    """``(rows, µs per forward, Python calls per forward)`` of
+    ``model.predict`` on the first ``FORWARD_SIZES`` rows of ``encoded``."""
+    rows = []
+    for size in FORWARD_SIZES:
+        batch = encoded.batch(np.arange(min(size, len(encoded))))
+        model.predict(batch)  # warm
+        best = float("inf")
+        for _ in range(FORWARD_ROUNDS):
+            begin = time.perf_counter()
+            for _ in range(FORWARD_REPEATS):
+                model.predict(batch)
+            best = min(best, (time.perf_counter() - begin) / FORWARD_REPEATS)
+        rows.append((size, 1e6 * best, python_calls(lambda: model.predict(batch))))
+    return rows
+
+
 def stage_seconds(model, config: TrainerConfig, encoded, targets) -> list[float]:
     """Seconds per step in each of ``STAGES`` over one fit of ``model``: the
     step loop of ``Trainer.fit`` (cached batches, no dev set), unprofiled."""
@@ -304,11 +346,12 @@ def profile_steps(workload: str, scale: int, seed: int, encoder: str, size: int,
         "free_wall_s": wall(predict_all),
         "taped": profiled(train),
         "free": profiled(predict_all),
+        "forward": forward_rows(model, encoded),
     }
 
 
 def render(result: dict) -> str:
-    """The three markdown tables."""
+    """The four markdown tables."""
     steps, batches = result["steps"], result["batches"]
     sites: Counter = result["sites"]
     lines = [
@@ -321,6 +364,13 @@ def render(result: dict) -> str:
         lines.append(f"| {stage} | {1e3 * seconds:.3f} |")
     lines += [
         f"| **total** | **{1e3 * sum(result['stages']):.3f}** |",
+        "",
+        FORWARD_HEADER,
+        "|---|---|---|",
+    ]
+    for size, micros, calls in result["forward"]:
+        lines.append(f"| batch of {size} | {micros:.1f} | {calls} |")
+    lines += [
         "",
         "| call site | `Tensor._make` calls per step |",
         "|---|---|",
