@@ -9,8 +9,10 @@ On top of the bare request/response loop the endpoint owns the serving
 session concerns:
 
 * **up-front payload validation** against the serving signature — missing
-  and unknown fields raise :class:`DeploymentError` naming the fields,
-  before any model work happens;
+  and unknown fields raise :class:`DeploymentError` naming the fields, and
+  values the schema forbids raise :class:`DataError`, before any model
+  work happens (the gateway runs the same check at submit, so encoding
+  never re-checks);
 * **micro-batching** — arbitrarily large request lists are served in
   fixed-size model batches, so one caller cannot blow up memory;
 * **version pinning** — an endpoint built via :meth:`from_store` remembers
@@ -24,7 +26,10 @@ each ``predict()`` call runs as one model batch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+import numpy as np
 
 from repro.data.batching import encode_inputs
 from repro.data.record import Record
@@ -99,6 +104,15 @@ class Endpoint:
         # What validate_payload checks every payload against, built once
         # per signature rather than once per payload.
         self._input_names = frozenset(i.name for i in artifact.signature.inputs)
+        # What finalize_outputs formats each task with, also per signature:
+        # (task, payload whose lengths bound its positions or members or
+        # None, the column formatter).
+        self._columns = [
+            (out_sig.name, *_column_formatter(out_sig, artifact.schema))
+            for out_sig in artifact.signature.outputs
+        ]
+        self._tasks = [task for task, _, _ in self._columns]
+        self._length_payloads = {p for _, p, _ in self._columns if p is not None}
 
     @property
     def store(self) -> "ModelStore | None":
@@ -198,7 +212,7 @@ class Endpoint:
             return []
         # Validate the whole batch up front: fail before any model work.
         for i, payload in enumerate(payloads):
-            self.validate_payload(payload, index=i)
+            self.admit_payload(payload, index=i)
         chunk = self.micro_batch_size or len(payloads)
         responses: list[dict[str, Any]] = []
         for start in range(0, len(payloads), chunk):
@@ -235,20 +249,33 @@ class Endpoint:
                     f"signature inputs: {sorted(known)}"
                 )
 
+    def admit_payload(self, payload: dict[str, Any], index: int | None = None) -> None:
+        """The whole check a payload passes before it may be encoded.
+
+        :meth:`validate_payload`'s field names, then the values against the
+        schema (:meth:`Record.validate`: sequence lengths, set members,
+        vector sizes), which raise :class:`DataError` naming the field.
+        :meth:`predict` runs it on every request up front and the gateway
+        on every submit, so :meth:`encode_requests` trusts its input.
+        """
+        self.validate_payload(payload, index=index)
+        Record(payloads=payload).validate(self._schema)
+
     # ------------------------------------------------------------------
     # The encode-then-forward path (shared with repro.serve's batcher)
     # ------------------------------------------------------------------
     def encode_requests(
         self, payloads: Sequence[dict[str, Any]]
     ) -> tuple[list[Record], dict]:
-        """Turn validated payloads into records + one encoded model batch.
+        """Turn admitted payloads into records + one encoded model batch.
 
-        Encoding runs under the model's dtype policy so float batch arrays
-        (masks, raw features) are born in the serving dtype instead of
-        being cast on every forward.
+        The payloads must have passed :meth:`admit_payload`; nothing here
+        checks them again.  Encoding runs under the model's dtype policy so
+        float batch arrays (masks, raw features) are born in the serving
+        dtype instead of being cast on every forward.
         """
         with get_tracer().span("endpoint.encode", child_only=True, n=len(payloads)):
-            records = [self._to_record(p) for p in payloads]
+            records = [Record(payloads=p) for p in payloads]
             with dtype_policy(self._model.dtype):
                 batch = encode_inputs(records, self._schema, self.artifact.vocabs)
         return records, batch
@@ -288,12 +315,18 @@ class Endpoint:
         """
         if self._constraints is not None and len(self._constraints):
             self._apply_constraints(outputs, records)
-        responses: list[dict[str, Any]] = [{} for _ in records]
-        for out_sig in self.signature.outputs:
-            task_out = outputs[out_sig.name]
-            for i, record in enumerate(records):
-                responses[i][out_sig.name] = self._format(out_sig, task_out, i, record)
-        return responses
+        # Each task is formatted once per batch, as one column of
+        # per-record values; the columns are then zipped into responses.
+        lengths = {
+            name: [len(r.payloads.get(name) or ()) for r in records]
+            for name in self._length_payloads
+        }
+        columns = [
+            column(outputs[task], lengths.get(payload))
+            for task, payload, column in self._columns
+        ]
+        tasks = self._tasks
+        return [dict(zip(tasks, row)) for row in zip(*columns)]
 
     def forward_encoded(
         self, records: list[Record], batch: dict
@@ -336,50 +369,68 @@ class Endpoint:
             for task, (before, after) in result.changed.items():
                 outputs[task].predictions[i] = after
 
-    def _to_record(self, payload: dict[str, Any]) -> Record:
-        record = Record(payloads=dict(payload))
-        record.validate(self._schema)
-        return record
 
-    def _format(self, out_sig, task_out, i: int, record: Record) -> dict[str, Any]:
-        if out_sig.type == "multiclass" and out_sig.granularity == "sequence":
-            seq_payload = self._schema.task(out_sig.name).payload
-            tokens = record.payloads.get(seq_payload) or []
-            labels = [
-                out_sig.classes[int(c)] for c in task_out.predictions[i][: len(tokens)]
-            ]
-            return {"labels": labels}
-        if out_sig.type == "multiclass":
-            probs = task_out.probs[i]
-            label = out_sig.classes[int(task_out.predictions[i])]
-            return {
-                "label": label,
-                "scores": {c: float(p) for c, p in zip(out_sig.classes, probs)},
-            }
-        if out_sig.type == "bitvector":
-            bits = task_out.predictions[i]
-            if out_sig.granularity == "sequence":
-                seq_payload = self._schema.task(out_sig.name).payload
-                tokens = record.payloads.get(seq_payload) or []
-                return {
-                    "labels": [
-                        [out_sig.classes[k] for k in range(len(out_sig.classes)) if row[k]]
-                        for row in bits[: len(tokens)]
-                    ]
-                }
-            return {
-                "labels": [
-                    out_sig.classes[k] for k in range(len(out_sig.classes)) if bits[k]
-                ]
-            }
-        # select
-        set_payload = self._schema.task(out_sig.name).payload
-        members = record.payloads.get(set_payload) or []
-        scores = task_out.probs[i][: len(members)]
-        return {
-            "index": int(task_out.predictions[i]) if members else None,
-            "scores": [float(s) for s in scores],
-        }
+def _column_formatter(out_sig, schema) -> tuple[str | None, Callable]:
+    """How one task's outputs become a column of per-record responses.
+
+    Returns the payload whose per-record lengths the column needs (the
+    sequence a sequence task labels, the set a select task picks from) or
+    ``None``, and ``column(task_out, lengths) -> [response per record]``.
+    """
+    names = np.array(out_sig.classes, dtype=object)
+    payload = schema.task(out_sig.name).payload
+    sequence = out_sig.granularity == "sequence"
+    if out_sig.type == "multiclass":
+        if sequence:
+            return payload, partial(_sequence_labels, names)
+        return None, partial(_label_and_scores, names, out_sig.classes)
+    if out_sig.type == "bitvector":
+        return (payload if sequence else None), partial(_set_bits, names)
+    return payload, _select
+
+
+def _label_and_scores(names, classes, task_out, _lengths) -> list[dict]:
+    labels = names[task_out.predictions].tolist()
+    return [
+        {"label": label, "scores": dict(zip(classes, probs))}
+        for label, probs in zip(labels, task_out.probs.tolist())
+    ]
+
+
+def _sequence_labels(names, task_out, lengths) -> list[dict]:
+    rows = names[task_out.predictions].tolist()  # (n, positions)
+    return [{"labels": row[:length]} for row, length in zip(rows, lengths)]
+
+
+def _set_bits(names, task_out, lengths) -> list[dict]:
+    """Bitvector predictions as the class names each row sets.
+
+    A row is one record, or one (record, position) of a sequence.  One
+    pass over the block's set bits appends each bit's class name to its
+    row, in class order; a sequence then answers its first ``length`` rows.
+    """
+    bits = task_out.predictions
+    block = bits.reshape(-1, bits.shape[-1])
+    rows: list[list] = [[] for _ in range(len(block))]
+    set_rows, set_classes = block.nonzero()
+    for row, name in zip(set_rows.tolist(), names[set_classes].tolist()):
+        rows[row].append(name)
+    if lengths is None:
+        return [{"labels": row} for row in rows]
+    positions = bits.shape[1]
+    return [
+        {"labels": rows[start : start + min(length, positions)]}
+        for start, length in zip(range(0, len(rows), positions), lengths)
+    ]
+
+
+def _select(task_out, lengths) -> list[dict]:
+    return [
+        {"index": index if members else None, "scores": probs[:members]}
+        for index, probs, members in zip(
+            task_out.predictions.tolist(), task_out.probs.tolist(), lengths
+        )
+    ]
 
 
 def _request_label(index: int | None) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.init import zeros
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.normalization import LayerNorm
@@ -86,13 +87,13 @@ class AttentionPooling(Module):
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator) -> None:
         super().__init__()
-        self.seed_query = Parameter(np.zeros((1, 1, dim)))
+        self.seed_query = Parameter(zeros((1, 1, dim)))
         self.attention = MultiHeadAttention(dim, num_heads, rng)
 
     def forward(self, sequence: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """(batch, time, dim) -> (batch, dim)."""
         batch = sequence.shape[0]
-        query = self.seed_query + Tensor(np.zeros((batch, 1, sequence.shape[2])))
+        query = self.seed_query + Tensor(zeros((batch, 1, sequence.shape[2])))
         pooled = self.attention(query, sequence, mask)
         return pooled.squeeze(1)
 

@@ -63,7 +63,7 @@ class Conv1d(Module):
         """Shift the time axis by ``offset``, zero-filling the gap."""
         if offset == 0:
             return x
-        zeros_pad = Tensor(np.zeros((batch, abs(offset), x.shape[2])))
+        zeros_pad = Tensor(zeros((batch, abs(offset), x.shape[2])))
         from repro.tensor import concat
 
         if offset > 0:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.init import zeros
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, default_dtype
 
 
 class LayerNorm(Module):
@@ -13,8 +14,8 @@ class LayerNorm(Module):
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         super().__init__()
-        self.gain = Parameter(np.ones(dim))
-        self.bias = Parameter(np.zeros(dim))
+        self.gain = Parameter(np.ones(dim, dtype=default_dtype()))
+        self.bias = Parameter(zeros(dim))
         self.eps = eps
         self.dim = dim
 

@@ -12,7 +12,7 @@ batch-mates is opt-in: with ``max_wait_s > 0`` a partial batch stays open
 until it is full **or** its oldest request has waited that long.
 
 These pieces are deliberately tiny and lock-disciplined: a
-:class:`PendingResponse` (a settable one-shot future), a
+:class:`PendingResponse` (a settable one-shot future on one lock), a
 :class:`QueuedRequest` (payload + future + arrival time), and the
 :class:`RequestQueue` whose :meth:`~RequestQueue.pop_batch` implements the
 size-or-deadline policy.  The gateway owns the consumer threads.
@@ -31,15 +31,23 @@ from repro.errors import ServeError, ServeOverloadError, ServeTimeout
 class PendingResponse:
     """A one-shot, thread-safe future for a single request's response.
 
+    One lock and a done flag carry it.  A :class:`threading.Event` (a
+    Condition and two more locks) is made only for a caller that blocks in
+    :meth:`result` before the response arrives; the asyncio front never
+    does, it waits through :meth:`on_done`.
+
     ``trace_id`` is stamped at submission when tracing is enabled, so a
     caller holding only the future can fetch the request's full span tree
     (``GET /trace/<id>``) after — or while — it is served.
     """
 
-    __slots__ = ("_event", "_result", "_exception", "trace_id", "_callbacks", "_lock")
+    __slots__ = (
+        "_done", "_waiter", "_result", "_exception", "trace_id", "_callbacks", "_lock"
+    )
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._done = False
+        self._waiter: threading.Event | None = None
         self._result: Any = None
         self._exception: BaseException | None = None
         self.trace_id: str | None = None
@@ -56,8 +64,11 @@ class PendingResponse:
 
     def _finish(self) -> None:
         with self._lock:
-            self._event.set()
+            self._done = True
+            waiter = self._waiter
             callbacks, self._callbacks = self._callbacks, []
+        if waiter is not None:
+            waiter.set()
         for callback in callbacks:
             try:
                 callback(self)
@@ -72,18 +83,23 @@ class PendingResponse:
         bridge a future into an event loop via ``call_soon_threadsafe``.
         """
         with self._lock:
-            if not self._event.is_set():
+            if not self._done:
                 self._callbacks.append(callback)
                 return
         callback(self)
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: float | None = None) -> Any:
         """Block until the response arrives; re-raises serving failures."""
-        if not self._event.wait(timeout):
-            raise ServeTimeout(f"request not answered within {timeout}s")
+        if not self._done:
+            with self._lock:
+                if not self._done and self._waiter is None:
+                    self._waiter = threading.Event()
+                waiter = self._waiter
+            if waiter is not None and not waiter.wait(timeout):
+                raise ServeTimeout(f"request not answered within {timeout}s")
         if self._exception is not None:
             raise self._exception
         return self._result

@@ -5,7 +5,9 @@ One object owns the production serving loop:
 
 * requests enter through :meth:`ServingGateway.submit` /
   :meth:`~ServingGateway.submit_async` and are validated *in the caller's
-  thread* (bad payloads never occupy queue space);
+  thread*, fully (field names and values, :meth:`Endpoint.admit_payload`):
+  a bad payload never occupies queue space, never reaches a replica, and
+  so never counts against a tier's circuit breaker;
 * each request is routed to a **tier** (by latency budget, via the
   :class:`~repro.serve.replica.ReplicaPool`) and a **role** (stable or
   canary, via the :class:`~repro.serve.rollout.RolloutController`), which
@@ -181,7 +183,8 @@ class ServingGateway:
         """Enqueue one request; returns its future immediately.
 
         Validation happens here, synchronously, against the replica that
-        will answer — malformed requests raise before queueing.
+        will answer — malformed requests raise before queueing, and the
+        lane encodes what was admitted without checking it again.
         """
         if self._stopped:
             raise ServeError("gateway is stopped")
@@ -208,7 +211,7 @@ class ServingGateway:
                 )
             replica_role = CANDIDATE if role == "canary" else STABLE
             replica = self.pool.replica(tier, replica_role)
-            replica.endpoint.validate_payload(payload)
+            replica.endpoint.admit_payload(payload)
             item = QueuedRequest(payload, request_id, trace=ctx)
             item.future.trace_id = root.trace_id
             lane = self._lane(tier, role)

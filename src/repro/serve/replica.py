@@ -309,6 +309,8 @@ class ReplicaPool:
             with replica.lock:
                 endpoint = replica.endpoint
                 version = endpoint.version
+                for payload in payloads:
+                    endpoint.admit_payload(payload)
                 _, batch = endpoint.encode_requests(payloads)
                 with self._transport.unlocked(replica.lock):
                     times = self._transport.probe(

@@ -254,7 +254,7 @@ class SliceAwareHead(Module):
         raw = indicator + confidence  # (n, s)
         # Stable softmax over slices with an implicit "no slice" option of
         # score 0, so examples in no slice keep the backbone representation.
-        padded = np.concatenate([np.zeros((n, 1)), raw], axis=1)
+        padded = np.concatenate([np.zeros((n, 1), dtype=raw.dtype), raw], axis=1)
         shifted = padded - padded.max(axis=1, keepdims=True)
         weights = np.exp(shifted)
         weights = weights / weights.sum(axis=1, keepdims=True)

@@ -10,7 +10,10 @@ rewrite of the head, the encoders or the module glue that moves one bit of
 one float fails here.
 
 The digests hash IEEE bit patterns and hold for the numpy/BLAS build they
-were pinned under (numpy 2.4.6, scipy-openblas 0.3.31, x86-64).
+were pinned under (numpy 2.4.6, scipy-openblas 0.3.31, x86-64).  The
+float32 digests were re-pinned once the slice head's attention pad was
+allocated in the scores' dtype: before, a float64 pad promoted the float32
+slice softmax to float64.
 """
 
 from __future__ import annotations
@@ -37,29 +40,29 @@ FORWARD_RAW = {
     "bow-float64-n1": "6110c79b33a9520ab8efad5556dcaa4107773ce37ffb269c30fb0bdc8c1537ff",
     "bow-float64-n2": "86ea0bfadc85d037fae2f49283f9aa8b88ffa1fab7aa23c7ba50c6641e0eb5dc",
     "bow-float64-n32": "927ebc82d60e5d5928d46a4bd40ba822c64a54581dcc56d927445a403753d0f3",
-    "bow-float32-n1": "0bfdd289def07817debced405a1e5c4858b7fa3df6656f3ef0b8aec0fa44e2e4",
-    "bow-float32-n2": "346d23273c71cf56bade1a341321bc5bf3b6ff5bcef1ef9d0fd8245c495e30a6",
-    "bow-float32-n32": "f77522910e4dea8edda421095e8c1e41cac7ce1740a4294fc525acfe96617096",
+    "bow-float32-n1": "97567c1a7a4818223d3f58d9f282a3d108189ba29973ac29bd665f56faef7a9f",
+    "bow-float32-n2": "066eaf6f4e6624f4ba6efbbe8240360e1409483410bc7d6e9c5c3f55677aac6a",
+    "bow-float32-n32": "8ac3aa001d41ff1afc3393efc9dc0f11084bbc5d67ed277d9d5cf7f54e6023d3",
     "lstm-float64-n1": "14d93701dfa1fc1ac4ed1c07e3add0f1323e4a51b8b8f31ee340e4c792cfee8e",
     "lstm-float64-n2": "6fcc48d84033e486f1d6413f05b49e1415324986d59213e3e8c98a3406e6a3b0",
     "lstm-float64-n32": "5724e99dfb8703bd6526314dcff1812d78ca1ba02482fdb35e3a8f5192d9e19b",
-    "lstm-float32-n1": "6f923a33511354236bfd548cb8ae254508071c1e80083b9bb0c1316e63752a1c",
-    "lstm-float32-n2": "826bf03bad4ad4072a14ec0c2835afa0c1ff134f3a73eb2d0ddd392c75511d97",
-    "lstm-float32-n32": "ca7b1ba4ed51ff3848dc21cc2f748ab07a7174c500c66b8f93a5b5242dcc774c",
+    "lstm-float32-n1": "990f46138ba14c3fe9bc76dbc401217ac37d5a16573c8b22bcb5d1c674f5160f",
+    "lstm-float32-n2": "1d2cdad71072e44adfa0d8bf3f9134680529dddbe701754273304cde997fc9e3",
+    "lstm-float32-n32": "a8b9fcd85f9d325615c5767ca2974393257cb75ad44dae3f79ab3ef592c426b3",
 }
 TAPED = {
     "bow-float64-n1": "09d05ff2f389169d2795990e25b0b33c272552d9dd9661c72a267fe788da59c8",
     "bow-float64-n2": "1186051ca03e3d41a5f061c8b3e7a3662308664f290b478492c40ee511d864e0",
     "bow-float64-n32": "7a0c6ff6eddd8f067e73e29e65f8d99b0f3faacaf2dbc61c81af5b39a81012ed",
-    "bow-float32-n1": "e00457a8c1e955799fe697878faeca12c4212db64efcde6aabaa2f4f6b68d5eb",
-    "bow-float32-n2": "c7db5a3818dc83d5a9e576045d6ea709c41e690cc79ecdc3227735510fd5d9e3",
-    "bow-float32-n32": "ce2659524a087c6649af8a95396d11033c2910fd8ea3520a99fd5c46b9dccb1f",
+    "bow-float32-n1": "70bca8d2d4b8084457cb9efbf494d5aa0e7fc03ea17a581303e2344a358edca5",
+    "bow-float32-n2": "783543a2ed6e24df775b559cdcd0542f615189bbf7668bb98917f02667e47fd9",
+    "bow-float32-n32": "442b88436262fd27ea24dd35c71056b499e16373b0eee16d146354270ccb8cf0",
     "lstm-float64-n1": "adbfe9a6ba7f6af8dfde94b311957578ed7e155159405ad3e80536a7cf89fe2f",
     "lstm-float64-n2": "8f58bb1adc2e03fa42a46c90c3954963a3d6ae4f31eb7e7f969c516203731127",
     "lstm-float64-n32": "f60fef23774db0d4ead12779ac21e3be9304f9a41d62bf5ff17814658d3165f2",
-    "lstm-float32-n1": "0355ee2405b77f453e50f0c1d93e7be21c599124fd4a9bbf8865628c28ae8d06",
-    "lstm-float32-n2": "f81a9cbe82b4b79e13d879fe07fb7d55cac5c2531068ba43f4ce22652ef58a86",
-    "lstm-float32-n32": "77915c54b167f82b4ffcbfdfaa480393421f80270d8549eaa7fb1b95815e9326",
+    "lstm-float32-n1": "9d39262d0ede14fe3d7492fd29728a7433c114ba4774c372ddfcdc682134df4d",
+    "lstm-float32-n2": "900ac4d791eb4da426f0d0fb241da8d73e29a4fa48a5fab5cae24fdd174f3617",
+    "lstm-float32-n32": "cc8c36cb65adff007940cd6da586209a0cbe04eb925c8ed73108633bf8bfe9df",
 }
 
 
@@ -170,3 +173,21 @@ def test_forward_raw_python_calls_are_pinned(trained, n):
     endpoint = Endpoint(artifact)
     batch = encoded(endpoint, data.train_records, n)
     assert python_calls(endpoint.forward_raw, batch) <= FORWARD_RAW_CALLS[encoder]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_slice_attention_runs_in_the_serving_dtype(trained, dtype):
+    """The slice softmax stays in the serving precision: no float64 pad
+    promotes a float32 forward."""
+    _, _, data, artifact = trained
+    endpoint = Endpoint(artifact, dtype=dtype)
+    outputs = endpoint.forward_raw(encoded(endpoint, data.train_records, 2))
+    attentions = {
+        task: out.extra["slice_forward"].attention
+        for task, out in outputs.items()
+        if "slice_forward" in out.extra
+    }
+    assert attentions and all(a is not None for a in attentions.values())
+    assert {task: a.dtype for task, a in attentions.items()} == {
+        task: np.dtype(dtype) for task in attentions
+    }

@@ -156,6 +156,27 @@ class TestPredict:
         assert "no_such_field" in body["error"]
 
 
+    def test_over_long_payloads_are_400_and_never_reach_the_breaker(self, front):
+        """A payload the schema forbids is refused at submit, naming the
+        field: it is never queued, so it cannot fail a batch, isolate its
+        batch-mates or count against the tier's circuit breaker."""
+        gateway, server, payloads = front
+        limit = gateway.pool.replica("default").endpoint.artifact.schema.payload(
+            "tokens"
+        ).max_length
+        too_long = dict(payloads[0], tokens=["w"] * (limit + 1))
+        for body in [too_long] * 5 + [[payloads[1], too_long]]:
+            status, body, _ = post(server.url + "/predict", body)
+            assert status == 400
+            assert "'tokens'" in body["error"] and "max_length" in body["error"]
+        status, body, _ = post(server.url + "/predict", payloads[0])
+        assert status == 200 and "Intent" in body
+        breaker = gateway.stats()["breakers"]["default"]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+        assert gateway.telemetry.isolated.value(tier="default") == 0
+
+
 class TestFailures:
     def test_failing_item_fails_the_post_with_its_status(self, served, single_store):
         # Batches of one: exactly one of the four items hits the fault.

@@ -1,11 +1,12 @@
 """Tests for the dynamic batching primitives (no model involved)."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ServeError, ServeTimeout
 from repro.serve import GatewayConfig, PendingResponse, QueuedRequest, RequestQueue
 
 DEFAULT_WAIT_S = GatewayConfig().max_wait_s
@@ -32,6 +33,98 @@ class TestPendingResponse:
     def test_timeout_raises_serve_error(self):
         with pytest.raises(ServeError, match="not answered"):
             PendingResponse().result(timeout=0.01)
+
+
+    def test_on_done_before_and_after_settle(self):
+        future, seen = PendingResponse(), []
+        future.on_done(lambda f: seen.append(("early", f.result(timeout=0))))
+        assert seen == []
+        future.set_result(7)
+        future.on_done(lambda f: seen.append(("late", f.result(timeout=0))))
+        assert seen == [("early", 7), ("late", 7)]
+
+    def test_a_raising_callback_does_not_stop_the_others(self):
+        future, seen = PendingResponse(), []
+
+        def bad(_):
+            raise RuntimeError("callback bug")
+
+        future.on_done(bad)
+        future.on_done(lambda f: seen.append(f.done()))
+        future.set_exception(ValueError("boom"))
+        assert seen == [True]
+        with pytest.raises(ValueError, match="boom"):
+            future.result()
+
+    def test_timeout_then_late_result(self):
+        future = PendingResponse()
+        with pytest.raises(ServeTimeout):
+            future.result(timeout=0.01)
+        future.set_result("late")
+        assert future.result(timeout=0) == "late"
+
+    def test_blocked_waiter_is_woken_from_another_thread(self):
+        future, got = PendingResponse(), []
+        waiter = threading.Thread(target=lambda: got.append(future.result(timeout=10)))
+        waiter.start()
+        deadline = time.monotonic() + 10
+        while future._waiter is None and time.monotonic() < deadline:
+            time.sleep(0.001)  # until the waiter blocks
+        threading.Thread(target=future.set_result, args=({"ok": 2},)).start()
+        waiter.join(timeout=10)
+        assert got == [{"ok": 2}]
+
+    def test_racing_waiters_callbacks_and_settlers(self):
+        """Under a tiny switch interval, every blocked waiter wakes with the
+        result and every callback fires exactly once, however registration,
+        waiting and settling interleave."""
+        futures = [PendingResponse() for _ in range(200)]
+        fired = [0] * len(futures)
+        woke: list = []
+        lock = threading.Lock()
+
+        def count(i):
+            def callback(_):
+                with lock:
+                    fired[i] += 1
+
+            return callback
+
+        def wait_all():
+            got = [f.result(timeout=10) for f in futures]
+            with lock:
+                woke.append(got)
+
+        def register_all():
+            for i, f in enumerate(futures):
+                f.on_done(count(i))
+
+        def settle_all():
+            for i, f in enumerate(futures):
+                f.set_result(i)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=wait_all) for _ in range(3)]
+            threads += [threading.Thread(target=register_all) for _ in range(2)]
+            threads.append(threading.Thread(target=settle_all))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert woke == [list(range(len(futures)))] * 3
+        assert fired == [2] * len(futures)
+
+    def test_settled_futures_build_no_event(self):
+        """Only a caller that blocks before the answer gets an Event."""
+        future = PendingResponse()
+        future.on_done(lambda _: None)
+        future.set_result(1)
+        assert future.result() == 1 and future._waiter is None
 
 
 class TestPopBatch:

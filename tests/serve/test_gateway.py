@@ -1,13 +1,16 @@
 """Integration tests for the serving gateway: batching, tiers, rollout."""
 
+import threading
 import time
 
 import pytest
 
 from repro.api import Endpoint
-from repro.errors import DeploymentError, ServeError
+from repro.errors import DataError, DeploymentError, ServeError
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.serve import GatewayConfig, ReplicaPool, ServingGateway
+
+from tests.helpers import python_calls
 
 
 def hard_outputs(response: dict) -> dict:
@@ -150,6 +153,31 @@ class TestServing:
                 gateway.submit({"bogus": [1]})
             # Nothing was queued or served.
             assert gateway.stats()["telemetry"]["total_requests"] == 0
+
+    def test_schema_violations_fail_fast_in_caller(self, served, single_store):
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        with make_gateway(store) as gateway:
+            with pytest.raises(DataError, match="'entities' has 5 members"):
+                gateway.submit(dict(payloads[0], entities=[{}] * 5))
+            assert gateway.stats()["telemetry"]["total_requests"] == 0
+
+    def test_submits_build_no_condition(self, served, single_store):
+        """A future is one lock and a flag: 64 submits construct no
+        ``threading.Condition`` (an Event per future built one, and the
+        asyncio front never waits on it)."""
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        bulk = (payloads * 4)[:64]
+        with make_gateway(store, max_batch_size=32, max_wait_s=0.0) as gateway:
+            gateway.submit(payloads[0])  # the lane and its threads exist
+
+            def submit_bulk():
+                futures.extend(gateway.submit_async(p) for p in bulk)
+
+            futures: list = []
+            assert python_calls(submit_bulk, of=threading.Condition.__init__) == 0
+            assert len([f.result(timeout=30) for f in futures]) == 64
 
     def test_stopped_gateway_rejects_requests(self, served, single_store):
         app, ds, run, payloads = served

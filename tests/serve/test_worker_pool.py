@@ -298,6 +298,21 @@ class TestParity:
                 assert got == expected
                 assert pool.replica(tier).endpoint.dtype_name == "float32"
 
+    @pytest.mark.parametrize("dtype", [None, "float32"])
+    def test_one_worker_replies_byte_equal(self, single_store, served, dtype):
+        """Replies, not just arrays: what a worker's outputs finalize to is
+        ``json.dumps``-equal to the in-process reply, batch for batch."""
+        store, _, _ = single_store
+        payloads = served[3]
+        inproc = ReplicaPool.from_store(store, "factoid-qa", dtype=dtype)
+        with ReplicaPool.from_store(
+            store, "factoid-qa", dtype=dtype, workers=1
+        ) as pool:
+            for size in (1, 7, len(payloads)):
+                expected, _ = inproc.replica("default").serve(payloads[:size])
+                got, _ = pool.replica("default").serve(payloads[:size])
+                assert json.dumps(got) == json.dumps(expected)
+
     def test_single_request_batches(self, pair_store, served, worker_pool):
         store, _ = pair_store
         _, _, _, payloads = served

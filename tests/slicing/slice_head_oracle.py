@@ -8,7 +8,9 @@ was before it became one node.  One ``Tensor`` op — one tape node — per
 matmul, bias add, activation, stack, product, residual add and loss step.
 They are the reference the fused head must reproduce bit for bit (loss,
 every gradient, and which parameters get none), so they live in the tests
-and are not to be "optimized".
+and are not to be "optimized".  One fix has been made to both: the
+attention softmax's "no slice" pad is allocated in the scores' dtype, so a
+float32 forward no longer runs its slice softmax in float64.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def forward(head, rep: Tensor) -> SliceForward:
     membership_score = indicator_logits.data  # (n, s), detached
     confidence_score = np.stack(confidences, axis=1)  # (n, s)
     raw = membership_score + confidence_score
-    padded = np.concatenate([np.zeros((rep.shape[0], 1)), raw], axis=1)
+    pad = np.zeros((rep.shape[0], 1), dtype=raw.dtype)
+    padded = np.concatenate([pad, raw], axis=1)
     shifted = padded - padded.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     weights = weights / weights.sum(axis=1, keepdims=True)
