@@ -20,8 +20,8 @@ import tempfile
 from pathlib import Path
 
 from repro import ModelConfig, ModelStore, PayloadConfig, TrainerConfig
-from repro.api import Application, Endpoint
-from repro.deploy import VersionLog, check_pair, push_pair
+from repro.api import Application, Endpoint, check_pair
+from repro.deploy import VersionLog, push_pair
 from repro.workloads import (
     FactoidGenerator,
     WorkloadConfig,

@@ -9,7 +9,9 @@ One declarative surface for the paper's whole loop (Figure 1):
   ``save()``/``load()`` round-trip;
 * :class:`Endpoint` — a serving session over one artifact: validated
   payloads, micro-batched ``predict()``, version pinning against a
-  :class:`repro.deploy.ModelStore`.
+  :class:`repro.deploy.ModelStore`;
+* :func:`check_pair` — verify a deployed large/small pair (§2.4) and
+  measure how often its halves agree.
 
 ``TrainedModel`` is the record a :class:`Run` carries: the trained model
 plus everything needed to evaluate and deploy it (``run.trained``).
@@ -18,6 +20,7 @@ plus everything needed to evaluate and deploy it (``run.trained``).
 from repro.api.application import Application, SupervisionPolicy
 from repro.api.endpoint import Endpoint
 from repro.api.run import Run, TrainedModel
+from repro.api.sync import SyncCheck, check_pair, predictions_match
 
 __all__ = [
     "Application",
@@ -25,4 +28,7 @@ __all__ = [
     "Run",
     "TrainedModel",
     "Endpoint",
+    "SyncCheck",
+    "check_pair",
+    "predictions_match",
 ]

@@ -12,7 +12,7 @@ reproduce.
 from __future__ import annotations
 
 import tempfile
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,64 +101,71 @@ def run_soak(
     config = config or reference_config(size=12, epochs=2)
     run = application.fit(reference, config)
 
-    if store_dir is None:
-        store_dir = Path(tempfile.mkdtemp(prefix="synth-soak-")) / "store"
-    store = ModelStore(Path(store_dir))
-    run.deploy(store)
-    pool = ReplicaPool.from_store(store, application.name)
-    gateway = ServingGateway(
-        pool,
-        GatewayConfig(max_batch_size=8, max_wait_s=0.001, payload_sample_every=1),
-    )
-
-    live_n = ticks * requests_per_tick
-    live_spec = spec.scaled(live_n).reseeded(spec.seed + 1)
-    live = SynthGenerator(live_spec)
-
-    now = [0.0]
-    journal = DecisionJournal(path=journal_path)
-    supervisor = Supervisor(
-        gateway,
-        application,
-        store,
-        reference,
-        policy,
-        labeler=live_labeler(live.world),
-        journal=journal,
-        clock=lambda: now[0],
-    )
-    report = SoakReport(spec=spec, journal=journal)
-    # The storm arms *after* setup (reference fit, deploy, pool creation):
-    # chaos tests target the live loop — serving, heals, candidate fetches
-    # — not the fixture-building preamble.
-    storm = injected(fault_plan) if fault_plan is not None else nullcontext(None)
-    with storm as injector, gateway:
-        for tick in range(ticks):
-            start = tick * requests_per_tick
-            for index in range(start, start + requests_per_tick):
-                try:
-                    gateway.submit(live.payload(index, live_n))
-                except ServeOverloadError:
-                    report.shed += 1
-                except InjectedFault:
-                    report.request_errors += 1
-            gateway.drain()
-            now[0] += tick_seconds
-            fraction = min(1.0, (tick + 1) * requests_per_tick / live_n)
-            phase = live_spec.phase_at(fraction)
-            outcome = supervisor.step()
-            report.ticks.append(
-                SoakTick(
-                    tick=tick,
-                    fraction=fraction,
-                    oov_rate=phase.oov_rate if phase else 0.0,
-                    action=outcome.get("action", "unknown"),
-                    detail=outcome,
-                )
+    with ExitStack() as scope:
+        if store_dir is None:
+            # A store the harness makes is the harness's to remove.
+            scratch = scope.enter_context(
+                tempfile.TemporaryDirectory(prefix="synth-soak-")
             )
-    report.promotions = supervisor.promotions
-    report.rejections = supervisor.rejections
-    report.heals_started = supervisor.heals_started
-    if injector is not None:
-        report.fault_decisions = injector.decisions()
+            store_dir = Path(scratch) / "store"
+        store = ModelStore(Path(store_dir))
+        run.deploy(store)
+        pool = ReplicaPool.from_store(store, application.name)
+        gateway = ServingGateway(
+            pool,
+            GatewayConfig(
+                max_batch_size=8, max_wait_s=0.001, payload_sample_every=1
+            ),
+        )
+
+        live_n = ticks * requests_per_tick
+        live_spec = spec.scaled(live_n).reseeded(spec.seed + 1)
+        live = SynthGenerator(live_spec)
+
+        now = [0.0]
+        journal = DecisionJournal(path=journal_path)
+        supervisor = Supervisor(
+            gateway,
+            application,
+            store,
+            reference,
+            policy,
+            labeler=live_labeler(live.world),
+            journal=journal,
+            clock=lambda: now[0],
+        )
+        report = SoakReport(spec=spec, journal=journal)
+        # The storm arms *after* setup (reference fit, deploy, pool
+        # creation): chaos tests target the live loop — serving, heals,
+        # candidate fetches — not the fixture-building preamble.
+        storm = nullcontext(None) if fault_plan is None else injected(fault_plan)
+        with storm as injector, gateway:
+            for tick in range(ticks):
+                start = tick * requests_per_tick
+                for index in range(start, start + requests_per_tick):
+                    try:
+                        gateway.submit(live.payload(index, live_n))
+                    except ServeOverloadError:
+                        report.shed += 1
+                    except InjectedFault:
+                        report.request_errors += 1
+                gateway.drain()
+                now[0] += tick_seconds
+                fraction = min(1.0, (tick + 1) * requests_per_tick / live_n)
+                phase = live_spec.phase_at(fraction)
+                outcome = supervisor.step()
+                report.ticks.append(
+                    SoakTick(
+                        tick=tick,
+                        fraction=fraction,
+                        oov_rate=phase.oov_rate if phase else 0.0,
+                        action=outcome.get("action", "unknown"),
+                        detail=outcome,
+                    )
+                )
+        report.promotions = supervisor.promotions
+        report.rejections = supervisor.rejections
+        report.heals_started = supervisor.heals_started
+        if injector is not None:
+            report.fault_decisions = injector.decisions()
     return report

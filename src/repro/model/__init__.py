@@ -15,8 +15,7 @@ from repro.model.task_heads import (
     build_task_head,
 )
 from repro.model.multitask import MultitaskModel
-from repro.model.compiler import compile_from_dataset, compile_model
-from repro.model.harvest import harvest_embedding_product
+from repro.model.compiler import compile_model
 
 __all__ = [
     "EmbeddingProduct",
@@ -31,7 +30,5 @@ __all__ = [
     "TaskTargets",
     "build_task_head",
     "MultitaskModel",
-    "compile_from_dataset",
     "compile_model",
-    "harvest_embedding_product",
 ]

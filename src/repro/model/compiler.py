@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.core.schema_def import Schema
 from repro.core.tuning_spec import ModelConfig
-from repro.data.dataset import Dataset
 from repro.data.vocab import Vocab
 from repro.errors import CompilationError
 from repro.model.embeddings_registry import EmbeddingRegistry
@@ -38,22 +37,6 @@ def compile_model(
         registry=registry,
         seed=seed,
     )
-
-
-def compile_from_dataset(
-    dataset: Dataset,
-    config: ModelConfig,
-    slice_names: list[str] | None = None,
-    registry: EmbeddingRegistry | None = None,
-    seed: int = 0,
-    min_count: int = 1,
-) -> tuple[MultitaskModel, dict[str, Vocab]]:
-    """Convenience: build vocabs from the dataset, then compile."""
-    vocabs = dataset.build_vocabs(min_count=min_count)
-    model = compile_model(
-        dataset.schema, config, vocabs, slice_names, registry, seed
-    )
-    return model, vocabs
 
 
 def _validate(

@@ -1,7 +1,7 @@
 """Neural network layers built on the repro.tensor autodiff substrate."""
 
-from repro.nn.module import Module, ModuleDict, Parameter, Sequential
-from repro.nn.linear import Linear, MLP
+from repro.nn.module import Module, Parameter
+from repro.nn.linear import Linear
 from repro.nn.embedding import Embedding
 from repro.nn.recurrent import LSTM, GRU, BiLSTM
 from repro.nn.conv import Conv1d, CNNEncoder
@@ -18,11 +18,8 @@ from repro.nn import init
 
 __all__ = [
     "Module",
-    "ModuleDict",
     "Parameter",
-    "Sequential",
     "Linear",
-    "MLP",
     "Embedding",
     "LSTM",
     "GRU",

@@ -60,27 +60,3 @@ class Linear(Module):
         elif self._activation == "sigmoid":
             out = out.sigmoid()
         return out
-
-
-class MLP(Module):
-    """A small multi-layer perceptron with ReLU hidden layers."""
-
-    def __init__(
-        self,
-        in_features: int,
-        hidden_sizes: list[int],
-        out_features: int,
-        rng: np.random.Generator,
-    ) -> None:
-        super().__init__()
-        sizes = [in_features] + list(hidden_sizes)
-        self.hidden = [
-            Linear(sizes[i], sizes[i + 1], rng, activation="relu")
-            for i in range(len(sizes) - 1)
-        ]
-        self.out = Linear(sizes[-1], out_features, rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.hidden:
-            x = layer(x)
-        return self.out(x)

@@ -165,45 +165,3 @@ class Module:
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
-class ModuleDict(Module):
-    """A dict of named submodules (used for per-task and per-slice heads)."""
-
-    def __init__(self, modules: dict[str, Module] | None = None) -> None:
-        super().__init__()
-        self.items_ = dict(modules or {})
-
-    def __getitem__(self, key: str) -> Module:
-        return self.items_[key]
-
-    def __setitem__(self, key: str, module: Module) -> None:
-        self.items_[key] = module
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.items_
-
-    def keys(self):
-        return self.items_.keys()
-
-    def values(self):
-        return self.items_.values()
-
-    def items(self):
-        return self.items_.items()
-
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError("ModuleDict is a container; call its members")

@@ -4,7 +4,7 @@ Three pillars, all off by default and one-branch-cheap while off:
 
 * **tracing** (:mod:`repro.obs.trace`) — thread-local spans with
   cross-thread propagation and batch fan-out, exported to a bounded
-  in-memory ring (behind ``GET /trace/<id>``) and optionally JSONL;
+  in-memory ring (behind ``GET /trace/<id>``);
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of thread-safe
   counters / gauges / fixed-bucket histograms the serve, train, tune,
   and autopilot layers report into;
@@ -12,14 +12,11 @@ Three pillars, all off by default and one-branch-cheap while off:
   ``GET /metrics``, plus ``render_spans`` in
   :mod:`repro.monitoring.dashboards` and the ``repro obs`` CLI.
 
-Turn the whole subsystem on with :func:`enable` (or scoped, in tests,
-with :func:`activated`); both the global tracer and registry share the
-switch.
+Turn the whole subsystem on with :func:`enable`; the global tracer and
+registry share the switch.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.obs.expo import CONTENT_TYPE, render_prometheus
 from repro.obs.metrics import (
@@ -31,7 +28,6 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.obs.trace import (
-    JsonlSpanExporter,
     Span,
     SpanContext,
     SpanRing,
@@ -47,20 +43,17 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "JsonlSpanExporter",
     "MetricsRegistry",
     "Span",
     "SpanContext",
     "SpanRing",
     "Tracer",
-    "activated",
     "current_trace_id",
     "disable",
     "enable",
     "exponential_buckets",
     "get_registry",
     "get_tracer",
-    "is_active",
     "render_prometheus",
     "span",
     "traced",
@@ -86,24 +79,3 @@ def disable() -> None:
     """Turn off the global tracer and metrics registry (data is kept)."""
     get_tracer().enabled = False
     get_registry().enabled = False
-
-
-def is_active() -> bool:
-    """Whether the global observability switch is currently on."""
-    return get_tracer().enabled or get_registry().enabled
-
-
-@contextmanager
-def activated():
-    """Scoped enable for tests: on entry enable; on exit restore the
-    previous switch state, zero every metric series, and clear the span
-    ring so no state leaks between tests."""
-    tracer, registry = get_tracer(), get_registry()
-    prev = (tracer.enabled, registry.enabled, tracer.sample_every)
-    enable()
-    try:
-        yield
-    finally:
-        tracer.enabled, registry.enabled, tracer.sample_every = prev
-        registry.reset()
-        tracer.ring.clear()

@@ -21,20 +21,17 @@ Three properties drive the design:
   *per participating trace*, keeping every request's trace complete.
 
 Exporters receive each span the moment it ends: the bounded in-memory
-:class:`SpanRing` backs ``GET /trace/<id>``, and the
-:class:`JsonlSpanExporter` appends to a file that survives the process.
+:class:`SpanRing` backs ``GET /trace/<id>``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 # Ids are a random per-process base plus an atomic counter: unique within
@@ -186,31 +183,6 @@ class SpanRing:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-class JsonlSpanExporter:
-    """Appends every finished span to a JSONL file (one object per line)."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def export(self, span: Span) -> None:
-        line = json.dumps(span.to_dict()) + "\n"
-        with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
-
-    @staticmethod
-    def read(path: str | Path) -> list[dict]:
-        """Load spans written by a (possibly dead) process."""
-        spans = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-        return spans
 
 
 class _NoopSpan:

@@ -3,7 +3,7 @@
 from repro.optim.optimizer import Optimizer, clip_grad_norm, grad_norm
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam, AdamW
-from repro.optim.schedule import ConstantSchedule, Schedule, StepDecay, WarmupCosine
+from repro.optim.schedule import ConstantSchedule, Schedule
 
 __all__ = [
     "Optimizer",
@@ -14,6 +14,4 @@ __all__ = [
     "AdamW",
     "Schedule",
     "ConstantSchedule",
-    "StepDecay",
-    "WarmupCosine",
 ]

@@ -6,7 +6,6 @@ called; training loops call the schedule once per optimizer step.
 
 from __future__ import annotations
 
-import math
 
 from repro.optim.optimizer import Optimizer
 
@@ -32,45 +31,3 @@ class ConstantSchedule(Schedule):
 
     def lr_at(self, step: int) -> float:
         return self.base_lr
-
-
-class StepDecay(Schedule):
-    """Multiply lr by ``gamma`` every ``period`` steps."""
-
-    def __init__(self, optimizer: Optimizer, period: int, gamma: float = 0.5) -> None:
-        super().__init__(optimizer)
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.period = period
-        self.gamma = gamma
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.period)
-
-
-class WarmupCosine(Schedule):
-    """Linear warmup then cosine decay to ``min_lr`` over ``total_steps``."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        warmup_steps: int,
-        total_steps: int,
-        min_lr: float = 0.0,
-    ) -> None:
-        super().__init__(optimizer)
-        if total_steps <= warmup_steps:
-            raise ValueError(
-                f"total_steps ({total_steps}) must exceed warmup_steps ({warmup_steps})"
-            )
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def lr_at(self, step: int) -> float:
-        if self.warmup_steps > 0 and step <= self.warmup_steps:
-            return self.base_lr * step / self.warmup_steps
-        progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
-        progress = min(progress, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine

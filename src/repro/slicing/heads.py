@@ -403,11 +403,3 @@ def slice_loss(
     else:  # the forward ran off the tape: nothing to differentiate
         inputs = []
     return Tensor._make_joint(value, inputs, vjp, "slice_loss")
-
-
-def predicted_membership(forward: SliceForward) -> np.ndarray | None:
-    """Learned membership probabilities (n, s), or None without slices."""
-    if forward.blocks is None:
-        return None
-    x = forward.block("indicator")
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60), 60)))

@@ -108,18 +108,3 @@ class SliceSet:
                 if is_slice_tag(tag) and slice_name(tag) not in names:
                     names.append(slice_name(tag))
         return cls([SliceSpec(name=n) for n in sorted(names)])
-
-
-def expand_membership_to_items(
-    membership: np.ndarray, item_index: np.ndarray
-) -> np.ndarray:
-    """Lift record-level membership to item granularity.
-
-    Sequence tasks train on (record, position) items; a slice defined on
-    records applies to every position of member records.  ``item_index`` is
-    the ``(n_items, 2)`` map from :class:`repro.supervision.LabelMatrix`.
-    """
-    if membership.ndim != 2:
-        raise SliceError(f"membership must be 2-D, got {membership.shape}")
-    record_ids = item_index[:, 0]
-    return membership[record_ids]

@@ -25,7 +25,7 @@ from repro.supervision.label_model import (
     LabelModelResult,
     model_confidence,
 )
-from repro.supervision.rebalance import class_weights_from_probs, effective_counts
+from repro.supervision.rebalance import class_weights_from_probs
 from repro.supervision.combine import (
     METHODS,
     CombinedSupervision,
@@ -35,22 +35,9 @@ from repro.supervision.augmentation import (
     AUGMENT_TAG,
     AugmentationPolicy,
     Augmenter,
-    synonym_swap,
     token_dropout,
 )
 from repro.supervision.synthesis import SYNTHETIC_TAG, Template, TemplateGenerator
-from repro.supervision.active import (
-    AnnotationBatch,
-    AnnotationCandidate,
-    build_annotation_batch,
-    simulate_annotation,
-)
-from repro.supervision.policy_search import (
-    PolicySearchResult,
-    PolicyTrial,
-    apply_selected_policies,
-    search_augmentation_policies,
-)
 
 __all__ = [
     "SOURCE_KINDS",
@@ -72,24 +59,14 @@ __all__ = [
     "LabelModelResult",
     "model_confidence",
     "class_weights_from_probs",
-    "effective_counts",
     "METHODS",
     "CombinedSupervision",
     "combine_supervision",
     "AUGMENT_TAG",
     "AugmentationPolicy",
     "Augmenter",
-    "synonym_swap",
     "token_dropout",
     "SYNTHETIC_TAG",
     "Template",
     "TemplateGenerator",
-    "PolicySearchResult",
-    "PolicyTrial",
-    "apply_selected_policies",
-    "search_augmentation_policies",
-    "AnnotationBatch",
-    "AnnotationCandidate",
-    "build_annotation_batch",
-    "simulate_annotation",
 ]

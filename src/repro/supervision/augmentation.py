@@ -77,28 +77,6 @@ def token_dropout(payload: str = "tokens", rate: float = 0.15) -> AugmentationPo
     return AugmentationPolicy(name="token_dropout", fn=fn)
 
 
-def synonym_swap(
-    synonyms: dict[str, list[str]], payload: str = "tokens"
-) -> AugmentationPolicy:
-    """Replace tokens with synonyms from a provided dictionary."""
-
-    def fn(record: Record, rng: np.random.Generator) -> Record | None:
-        tokens = record.payloads.get(payload)
-        if not tokens:
-            return None
-        replaceable = [i for i, t in enumerate(tokens) if t in synonyms]
-        if not replaceable:
-            return None
-        i = int(rng.choice(replaceable))
-        options = synonyms[tokens[i]]
-        tokens = list(tokens)
-        tokens[i] = options[int(rng.integers(len(options)))]
-        record.payloads[payload] = tokens
-        return record
-
-    return AugmentationPolicy(name="synonym_swap", fn=fn)
-
-
 def _filter_aligned_labels(
     record: Record, payload: str, original_tokens: list, keep_idx: list[int]
 ) -> None:

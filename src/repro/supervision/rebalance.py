@@ -52,10 +52,3 @@ def class_weights_from_probs(
     floor = weights.max() / max_ratio
     weights = np.maximum(weights, floor)
     return weights * (k / weights.sum())
-
-
-def effective_counts(probs: np.ndarray) -> np.ndarray:
-    """Expected per-class example counts under the soft labels."""
-    if probs.size == 0:
-        return np.zeros(probs.shape[-1] if probs.ndim else 0)
-    return probs.sum(axis=0)

@@ -9,12 +9,10 @@ from repro.tensor.backend import (
     default_dtype,
     dtype_policy,
     resolve_dtype,
-    set_default_dtype,
     supported_dtypes,
 )
 from repro.tensor.tensor import (
     Tensor,
-    tensor,
     zeros,
     ones,
     no_grad,
@@ -29,7 +27,6 @@ from repro.tensor.ops import (
     gather_rows,
     masked_fill,
     dropout_mask,
-    pad_sequences,
 )
 from repro.tensor.functional import (
     log_softmax,
@@ -37,7 +34,6 @@ from repro.tensor.functional import (
     cross_entropy,
     binary_cross_entropy_with_logits,
     select_loss,
-    l2_penalty,
     accuracy,
 )
 
@@ -45,10 +41,8 @@ __all__ = [
     "default_dtype",
     "dtype_policy",
     "resolve_dtype",
-    "set_default_dtype",
     "supported_dtypes",
     "Tensor",
-    "tensor",
     "zeros",
     "ones",
     "no_grad",
@@ -61,12 +55,10 @@ __all__ = [
     "gather_rows",
     "masked_fill",
     "dropout_mask",
-    "pad_sequences",
     "log_softmax",
     "softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
     "select_loss",
-    "l2_penalty",
     "accuracy",
 ]

@@ -93,18 +93,6 @@ def default_dtype() -> np.dtype:
     return getattr(_POLICY, "dtype", _PROCESS_DEFAULT)
 
 
-def set_default_dtype(spec) -> np.dtype:
-    """Set the calling thread's default float dtype; returns the previous.
-
-    Prefer the scoped :func:`dtype_policy` in library code — an unmatched
-    ``set_default_dtype`` leaks the policy to everything else the thread
-    runs afterwards.
-    """
-    previous = default_dtype()
-    _POLICY.dtype = resolve_dtype(spec)
-    return previous
-
-
 class dtype_policy:
     """Context manager scoping the thread's default float dtype.
 

@@ -197,17 +197,6 @@ def select_loss(
     return -(log_probs * weighted).sum()
 
 
-def l2_penalty(params: list[Tensor]) -> Tensor:
-    """Sum of squared parameter values, for weight decay via the loss."""
-    total: Tensor | None = None
-    for p in params:
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
 def accuracy(logits: Array, targets: Array) -> float:
     """Plain accuracy for hard integer targets (numpy arrays, no autodiff)."""
     preds = np.asarray(logits).argmax(axis=-1)

@@ -140,24 +140,3 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
         return np.ones(shape, dtype=dtype)
     keep = rng.random(shape) >= rate
     return keep.astype(dtype) / (1.0 - rate)
-
-
-def pad_sequences(arrays: Sequence[np.ndarray], pad_value: float = 0.0) -> tuple[Array, Array]:
-    """Pad a list of 1-D arrays to a common length.
-
-    Returns ``(padded, mask)`` where ``mask`` is 1.0 at real positions.  Used
-    by the batching layer; works on plain numpy (inputs to the model, not
-    differentiated).  The fill is vectorized: one mask comparison plus one
-    fancy-index assignment of the concatenated values, instead of a python
-    loop over rows.
-    """
-    dtype = default_dtype()
-    if not arrays:
-        return np.zeros((0, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype)
-    lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=len(arrays))
-    max_len = int(lengths.max())
-    valid = np.arange(max_len) < lengths[:, None]
-    padded = np.full((len(arrays), max_len), pad_value, dtype=dtype)
-    if lengths.sum():
-        padded[valid] = np.concatenate([np.asarray(a, dtype=dtype) for a in arrays])
-    return padded, valid.astype(dtype)

@@ -724,11 +724,6 @@ class Tensor:
         return Tensor._make(out, [(self, lambda g: g * sign)], "abs")
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=requires_grad)
 

@@ -3,7 +3,6 @@
 from repro.training.metrics import (
     PRF,
     accuracy,
-    confusion_matrix,
     macro_f1,
     micro_f1_multilabel,
     per_class_prf,
@@ -14,20 +13,17 @@ from repro.training.evaluation import (
     mean_primary,
     predict_all,
 )
-from repro.training.hooks import MetricsTrainerHooks, TrainerHooks
+from repro.training.hooks import TrainerHooks
 from repro.training.trainer import EpochStats, Trainer, TrainHistory
 from repro.training.reports import (
     QualityReport,
     ReportRow,
-    confusion_for_tag,
     quality_report,
-    render_confusion,
 )
 
 __all__ = [
     "PRF",
     "accuracy",
-    "confusion_matrix",
     "macro_f1",
     "micro_f1_multilabel",
     "per_class_prf",
@@ -36,13 +32,10 @@ __all__ = [
     "mean_primary",
     "predict_all",
     "EpochStats",
-    "MetricsTrainerHooks",
     "Trainer",
     "TrainerHooks",
     "TrainHistory",
     "QualityReport",
     "ReportRow",
-    "confusion_for_tag",
     "quality_report",
-    "render_confusion",
 ]

@@ -1,4 +1,4 @@
-"""Opt-in trainer instrumentation: the hooks protocol and its metrics sink.
+"""Opt-in trainer instrumentation: the hooks protocol.
 
 ``Trainer.fit`` stays silent by default — training emits no signals and
 pays no measurement cost.  A caller who wants machine-readable training
@@ -6,17 +6,11 @@ telemetry passes a :class:`TrainerHooks` implementation; the trainer then
 times each epoch and measures gradient norms (once per batch, averaged)
 and hands both to the hook alongside the epoch's
 :class:`~repro.training.trainer.EpochStats`.
-
-:class:`MetricsTrainerHooks` is the standard sink: it forwards everything
-into the :mod:`repro.obs` metrics registry, making training progress
-scrapeable from ``GET /metrics`` next to the serving numbers.
 """
 
 from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
-
-from repro.obs import get_registry
 
 
 @runtime_checkable
@@ -28,34 +22,3 @@ class TrainerHooks(Protocol):
     ) -> None:
         """One finished epoch: its stats, wall-clock, and mean grad norm."""
         ...
-
-
-class MetricsTrainerHooks:
-    """Feeds epoch stats into the metrics registry under a model label."""
-
-    def __init__(self, model: str = "default") -> None:
-        self.model = model
-        registry = get_registry()
-        self._m_epochs = registry.counter(
-            "repro_train_epochs_total", "Training epochs completed", ("model",)
-        )
-        self._m_epoch_s = registry.histogram(
-            "repro_train_epoch_seconds", "Wall-clock per training epoch", ("model",)
-        )
-        self._m_loss = registry.gauge(
-            "repro_train_loss", "Most recent epoch's mean train loss", ("model",)
-        )
-        self._m_grad_norm = registry.gauge(
-            "repro_train_grad_norm",
-            "Most recent epoch's mean gradient L2 norm",
-            ("model",),
-        )
-
-    def on_epoch(
-        self, stats: Any, *, duration_s: float, grad_norm: float | None
-    ) -> None:
-        self._m_epochs.inc(model=self.model)
-        self._m_epoch_s.observe(duration_s, model=self.model)
-        self._m_loss.set(stats.train_loss, model=self.model)
-        if grad_norm is not None:
-            self._m_grad_norm.set(grad_norm, model=self.model)

@@ -1,7 +1,7 @@
-"""Classification metrics: accuracy, precision/recall/F1, confusion matrices.
+"""Classification metrics: accuracy and precision/recall/F1.
 
 "Overton allows report per-tag monitoring, such as the accuracy, precision
-and recall, or confusion matrices, as appropriate" (§2.2).
+and recall ... as appropriate" (§2.2).
 """
 
 from __future__ import annotations
@@ -100,21 +100,6 @@ def micro_f1_multilabel(
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
-
-
-def confusion_matrix(
-    predictions: np.ndarray,
-    gold: np.ndarray,
-    num_classes: int,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """(num_classes, num_classes) counts: rows = gold, cols = predicted."""
-    predictions, gold = _flatten_pair(predictions, gold)
-    keep = _resolve_mask(valid, gold.shape)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for g, p in zip(gold[keep], predictions[keep]):
-        matrix[int(g), int(p)] += 1
-    return matrix
 
 
 def _flatten_pair(predictions: np.ndarray, gold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

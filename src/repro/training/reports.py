@@ -104,51 +104,3 @@ def quality_report(
                 ReportRow(tag=tag, task=task.name, n=scored.n, metrics=scored.metrics)
             )
     return report
-
-
-def confusion_for_tag(
-    model: MultitaskModel,
-    records: Sequence[Record],
-    schema: Schema,
-    vocabs: dict[str, Vocab],
-    task_name: str,
-    tag: str | None = None,
-    gold_source: str = "gold",
-) -> np.ndarray:
-    """Confusion matrix for one multiclass task, restricted to ``tag``.
-
-    "Overton allows report per-tag monitoring, such as ... confusion
-    matrices, as appropriate" (§2.2).  Rows are gold classes, columns
-    predictions; only positions the gold source labeled are counted.
-    """
-    from repro.training.metrics import confusion_matrix
-
-    task = schema.task(task_name)
-    if task.type != "multiclass":
-        raise ValueError(
-            f"confusion matrices apply to multiclass tasks, not {task.type!r}"
-        )
-    subset = list(records)
-    if tag is not None:
-        rows = TagTable([r.tags for r in subset]).indices(tag)
-        subset = [subset[i] for i in rows]
-    if not subset:
-        return np.zeros((task.num_classes, task.num_classes), dtype=np.int64)
-    outputs = predict_all(model, subset, schema, vocabs)
-    gold = extract_targets(subset, schema, task_name, gold_source)
-    return confusion_matrix(
-        outputs[task_name]["predictions"],
-        gold["labels"],
-        task.num_classes,
-        gold["valid"],
-    )
-
-
-def render_confusion(matrix: np.ndarray, classes: Sequence[str]) -> str:
-    """Text table of a confusion matrix (rows gold, columns predicted)."""
-    from repro.monitoring.dashboards import format_table
-
-    columns: dict[str, list] = {"gold \\ pred": list(classes)}
-    for j, name in enumerate(classes):
-        columns[name] = [int(matrix[i, j]) for i in range(len(classes))]
-    return format_table(columns)

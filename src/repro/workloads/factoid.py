@@ -309,15 +309,6 @@ class FactoidGenerator:
         )
 
 
-def generate_dataset(
-    n: int = 1000,
-    seed: int = 0,
-    **kwargs,
-) -> Dataset:
-    """One-call convenience wrapper."""
-    return FactoidGenerator(WorkloadConfig(n=n, seed=seed, **kwargs)).generate()
-
-
 def factoid_constraints(weight: float = 5.0):
     """The application's natural constraint set (SRL future work, §5).
 

@@ -157,10 +157,3 @@ def build_product(spec: ProductSpec, seed: int = 0) -> BuiltProduct:
         arg_crowd_coverage=spec.crowd_arg_coverage,
     )
     return BuiltProduct(spec=spec, dataset=dataset, sources=sources)
-
-
-def product_by_name(name: str) -> ProductSpec:
-    for spec in PRODUCTS:
-        if spec.name == name:
-            return spec
-    raise KeyError(f"unknown product {name!r}; known: {[p.name for p in PRODUCTS]}")

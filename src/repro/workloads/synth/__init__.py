@@ -40,7 +40,6 @@ from repro.workloads.synth.registry import (
     resolve_workload,
     workload_names,
 )
-from repro.workloads.synth.soak import SoakReport, SoakTick, run_soak
 from repro.workloads.synth.sources import live_labeler
 from repro.workloads.synth.spec import (
     HARD_SLICE,
@@ -73,9 +72,6 @@ __all__ = [
     "resolve_workload",
     "workload_names",
     "live_labeler",
-    "SoakReport",
-    "SoakTick",
-    "run_soak",
     "MeasuredDifficulty",
     "CalibrationReport",
     "CalibrationRow",

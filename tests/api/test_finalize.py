@@ -22,11 +22,10 @@ from repro.core.constraints import Constraint, ConstraintSet
 from repro.data import Dataset
 from repro.data.record import Record
 from repro.deploy.artifact import ModelArtifact
-from repro.model.compiler import compile_from_dataset
 from repro.serve.shm import RawTaskOutput
 
 from tests.api.finalize_oracle import format_responses
-from tests.fixtures import factoid_schema, mini_dataset
+from tests.fixtures import compile_from_dataset, factoid_schema, mini_dataset
 from tests.helpers import python_calls
 
 SIZES = (1, 2, 7, 32)

@@ -7,6 +7,7 @@ import repro.obs as obs
 from repro.autopilot import DecisionJournal, Supervisor
 
 from tests.autopilot.conftest import clean_payload, lenient_policy
+from tests.helpers import obs_activated
 
 
 def make_supervisor(ap_world, ap_gateway) -> Supervisor:
@@ -18,7 +19,7 @@ def make_supervisor(ap_world, ap_gateway) -> Supervisor:
 class TestTickTracing:
     def test_each_tick_is_one_root_span(self, ap_world, ap_gateway):
         supervisor = make_supervisor(ap_world, ap_gateway)
-        with obs.activated():
+        with obs_activated():
             supervisor.step()
             supervisor.step()
             ticks = [
@@ -34,7 +35,7 @@ class TestTickTracing:
         app, ds, run = ap_world
         store, gateway = ap_gateway
         supervisor = make_supervisor(ap_world, ap_gateway)
-        with obs.activated():
+        with obs_activated():
             # Enough clean traffic to clear min_live_window: the step
             # journals a "trigger"-free tick only when something happens,
             # so force a decision via the kill switch instead.
@@ -49,7 +50,7 @@ class TestTickTracing:
         self, ap_world, ap_gateway, monkeypatch
     ):
         supervisor = make_supervisor(ap_world, ap_gateway)
-        with obs.activated():
+        with obs_activated():
             # A quiet gateway's tick journals nothing, so journal from
             # inside the tick via a wrapped idle step — what matters is
             # that record() picks the tick span's trace id up implicitly.
@@ -72,7 +73,7 @@ class TestTickTracing:
 
     def test_tick_counter_mirrors_ticks(self, ap_world, ap_gateway):
         supervisor = make_supervisor(ap_world, ap_gateway)
-        with obs.activated():
+        with obs_activated():
             for _ in range(3):
                 supervisor.step()
             counter = obs.get_registry().get("repro_autopilot_ticks_total")
@@ -84,7 +85,7 @@ class TestJournalTraceColumn:
     def test_every_entry_carries_the_column(self, tmp_path):
         journal = DecisionJournal(tmp_path / "journal.jsonl")
         journal.record("start", reason="test")
-        with obs.activated():
+        with obs_activated():
             with obs.span("autopilot.tick"):
                 journal.record("inside")
         rows = DecisionJournal.read(tmp_path / "journal.jsonl")
@@ -96,7 +97,7 @@ class TestServeTraffic:
     def test_supervised_gateway_traffic_is_traced(self, ap_world, ap_gateway):
         app, ds, run = ap_world
         store, gateway = ap_gateway
-        with obs.activated():
+        with obs_activated():
             future = gateway.submit_async(clean_payload(ds.records[0]))
             future.result(timeout=30)
             gateway.drain()

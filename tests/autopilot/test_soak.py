@@ -12,6 +12,7 @@ whole decision journal.
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 
@@ -23,8 +24,10 @@ from repro.autopilot import (
     RetrainPlan,
     check_consistency,
 )
+from repro.autopilot.soak import SoakReport, SoakTick, run_soak
+from repro.autopilot.supervisor import Supervisor
 from repro.faults import FaultPlan, FaultRule
-from repro.workloads.synth import DriftPhase, preset, run_soak
+from repro.workloads.synth import DriftPhase, preset
 
 SOAK = os.environ.get("REPRO_SOAK", "") == "1"
 
@@ -103,6 +106,57 @@ def test_calm_drift_never_triggers(tmp_path):
     )
     assert report.actions() == ["no_trigger"] * 6, report.actions()
     assert report.heals_started == 0
+
+
+
+def test_default_store_is_removed_on_return_and_on_error(tmp_path, monkeypatch):
+    """Without ``store_dir`` the harness makes a store and removes it."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    spec = preset("synth-drift-calm").scaled(60)
+    report = run_soak(spec, ticks=1, requests_per_tick=4, policy=_soak_policy())
+    assert report.actions() == ["no_trigger"]
+    assert list(scratch.iterdir()) == []
+
+    def fail(self):
+        raise RuntimeError("tick failed")
+
+    monkeypatch.setattr(Supervisor, "step", fail)
+    with pytest.raises(RuntimeError, match="tick failed"):
+        run_soak(spec, ticks=1, requests_per_tick=4, policy=_soak_policy())
+    assert list(scratch.iterdir()) == []
+
+
+def test_a_given_store_dir_is_kept(tmp_path, monkeypatch):
+    """A store the caller names is the caller's: the harness leaves it."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    spec = preset("synth-drift-calm").scaled(60)
+    run_soak(
+        spec,
+        ticks=1,
+        requests_per_tick=4,
+        policy=_soak_policy(),
+        store_dir=tmp_path / "store",
+    )
+    assert any((tmp_path / "store").iterdir())
+    assert list(scratch.iterdir()) == []
+
+
+def test_report_reads_actions_in_tick_order():
+    report = SoakReport(
+        spec=preset("synth-drift-calm"),
+        ticks=[
+            SoakTick(tick=0, fraction=0.0, oov_rate=0.0, action="no_trigger"),
+            SoakTick(tick=1, fraction=0.5, oov_rate=0.4, action="heal_started"),
+            SoakTick(tick=2, fraction=1.0, oov_rate=0.4, action="promoted"),
+        ],
+    )
+    assert report.actions() == ["no_trigger", "heal_started", "promoted"]
+    assert report.first_action_tick("promoted") == 2
+    assert report.first_action_tick("paused") is None
 
 
 def _chaos_policy(max_heal_failures: int = 3) -> HealPolicy:

@@ -13,10 +13,9 @@ from repro.data.tags import slice_tag
 from repro.workloads import (
     HARD_DISAMBIGUATION_SLICE,
     apply_standard_weak_supervision,
-    generate_dataset,
 )
 
-from tests.fixtures import factoid_schema as small_schema
+from tests.fixtures import factoid_schema as small_schema, generate_dataset
 
 
 class TestHeuristicPipeline:

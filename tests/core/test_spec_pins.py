@@ -12,10 +12,9 @@ import json
 
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.deploy import ModelArtifact, ModelStore
-from repro.model import compile_from_dataset
 from repro.workloads import SYNTH_PRESETS
 
-from tests.fixtures import mini_dataset
+from tests.fixtures import compile_from_dataset, mini_dataset
 
 PRESET_FINGERPRINTS = {
     "synth-easy": "f9d4c62a67ffdf1c",

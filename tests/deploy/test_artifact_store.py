@@ -8,9 +8,8 @@ from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.data import encode_inputs
 from repro.deploy import ModelArtifact, ModelStore
 from repro.errors import DeploymentError, StoreError
-from repro.model import compile_from_dataset
 
-from tests.fixtures import mini_dataset
+from tests.fixtures import compile_from_dataset, mini_dataset
 
 
 def small_config():

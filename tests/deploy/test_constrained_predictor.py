@@ -6,12 +6,13 @@ import pytest
 from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.deploy import ModelArtifact
-from repro.model import compile_from_dataset
 from repro.workloads import (
     FactoidGenerator,
     WorkloadConfig,
     factoid_constraints,
 )
+
+from tests.fixtures import compile_from_dataset
 
 
 def permissive(artifact, constraints=None) -> Endpoint:

@@ -2,20 +2,20 @@
 
 import pytest
 
+from repro.api import check_pair
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.deploy import (
     ModelArtifact,
     ModelStore,
     VersionLog,
-    check_pair,
     data_fingerprint,
     fetch_pair,
     push_pair,
 )
+from repro.deploy.sync import data_fingerprints
 from repro.errors import DeploymentError
-from repro.model import compile_from_dataset
 
-from tests.fixtures import mini_dataset
+from tests.fixtures import compile_from_dataset, mini_dataset
 
 
 def config(size: int) -> ModelConfig:
@@ -91,6 +91,38 @@ class TestSync:
         ds = mini_dataset(n=10, seed=3)
         assert data_fingerprint(ds.records) == data_fingerprint(ds.records)
         assert data_fingerprint(ds.records[:5]) != data_fingerprint(ds.records)
+
+    def test_data_fingerprint_follows_record_order(self):
+        records = mini_dataset(n=10, seed=3).records
+        assert data_fingerprint(records[::-1]) != data_fingerprint(records)
+
+    def test_data_fingerprints_hash_a_subset_as_its_own_set(self):
+        records = mini_dataset(n=10, seed=3).records
+        subset = [r for i, r in enumerate(records) if i % 3 == 0]
+        assert data_fingerprints(records, subset) == (
+            data_fingerprint(records),
+            data_fingerprint(subset),
+        )
+
+    def test_data_fingerprints_of_an_empty_subset(self):
+        records = mini_dataset(n=10, seed=3).records
+        whole, part = data_fingerprints(records, [])
+        assert whole == data_fingerprint(records)
+        assert part == data_fingerprint([])
+
+    def test_mismatched_schemas_rejected(self, tmp_path):
+        from repro.workloads import FactoidGenerator, WorkloadConfig
+
+        store = ModelStore(tmp_path / "store")
+        large, _, _ = artifact_pair()
+        other = FactoidGenerator(WorkloadConfig(n=20, seed=0)).generate()
+        small = ModelArtifact.from_model(
+            *compile_from_dataset(other, config(8)),
+            extra_metadata={"data_fingerprint": large.metadata["data_fingerprint"]},
+        )
+        with pytest.raises(DeploymentError, match="different schemas"):
+            push_pair(store, "qa", large, small)
+        assert store.models() == []
 
 
 class TestVersioning:

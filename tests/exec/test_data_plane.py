@@ -40,7 +40,7 @@ from repro.training import Trainer
 from repro.workloads import resolve_workload
 
 from tests.fixtures import mini_dataset
-from tests.helpers import child_pids, process_running, python_calls
+from tests.helpers import child_pids, obs_activated, process_running, python_calls
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +282,7 @@ class TestUntrustedState:
         key = path.name.removesuffix(".state.npz")
         self._damage(kind, path, TrialCache(tmp_path), key)
 
-        with obs.activated(), caplog.at_level(logging.WARNING, "repro.exec.cache"):
+        with obs_activated(), caplog.at_level(logging.WARNING, "repro.exec.cache"):
             healed, executor = self._warm(app, dataset, tmp_path)
             counted = obs.get_registry().get("repro_trial_cache_corrupt_total").value()
         assert executor.stats.restored == 0

@@ -10,7 +10,7 @@ from repro.errors import TuningError
 from repro.exec import TrialExecutor, trial_seed
 from repro.tuning import grid_search
 
-from tests.helpers import process_running
+from tests.helpers import obs_activated, process_running
 
 
 def spec_4() -> TuningSpec:
@@ -249,7 +249,7 @@ class TestObservability:
         from repro.exec import TrialCache
 
         configs = spec_4().expand()
-        with obs.activated():
+        with obs_activated():
             registry = obs.get_registry()
             cache = TrialCache(tmp_path / "cache")
             executor = TrialExecutor(score_trial, workers=1, cache=cache)
@@ -268,7 +268,7 @@ class TestObservability:
     def test_failed_trials_are_counted(self):
         import repro.obs as obs
 
-        with obs.activated():
+        with obs_activated():
             executor = TrialExecutor(failing_trial, workers=1)
             with pytest.raises(TuningError):
                 executor.evaluate(spec_4().expand())
@@ -280,7 +280,7 @@ class TestObservability:
     def test_evaluate_is_traced(self):
         import repro.obs as obs
 
-        with obs.activated():
+        with obs_activated():
             executor = TrialExecutor(score_trial, workers=1)
             executor.evaluate(spec_4().expand())
             (span,) = [

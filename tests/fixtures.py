@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's Fig. 2a factoid schema and sample records.
+"""Shared fixtures: the paper's Fig. 2a factoid schema, sample records,
+generated datasets, and a model compiled straight from a dataset.
 
 ``mini_dataset`` builds from a small parametric synth spec
 (:mod:`repro.workloads.synth`), so the fixture corpus exercises the same
@@ -7,8 +8,10 @@ generator the benches and soak tests use.
 
 from __future__ import annotations
 
-from repro.core import Schema
-from repro.data import Record
+from repro.core import ModelConfig, Schema
+from repro.data import Dataset, Record
+from repro.model import compile_model
+from repro.workloads import FactoidGenerator, WorkloadConfig
 
 POS_CLASSES = ["NOUN", "VERB", "ADJ", "ADV", "DET", "ADP", "PRON", "PUNCT"]
 ENTITY_TYPE_CLASSES = ["person", "location", "country", "title", "food"]
@@ -113,3 +116,20 @@ def sample_record() -> Record:
             "tags": ["train"],
         }
     )
+
+
+def compile_from_dataset(
+    dataset: Dataset,
+    config: ModelConfig,
+    slice_names: list[str] | None = None,
+    seed: int = 0,
+):
+    """Build vocabs from ``dataset``, then compile: ``(model, vocabs)``."""
+    vocabs = dataset.build_vocabs()
+    model = compile_model(dataset.schema, config, vocabs, slice_names, seed=seed)
+    return model, vocabs
+
+
+def generate_dataset(n: int = 1000, seed: int = 0, **kwargs) -> Dataset:
+    """A generated factoid dataset of ``n`` records."""
+    return FactoidGenerator(WorkloadConfig(n=n, seed=seed, **kwargs)).generate()

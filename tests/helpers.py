@@ -1,5 +1,5 @@
 """Shared test utilities: gradient checking, call counting, process liveness,
-and search executors over plain score functions.
+search executors over plain score functions, and scoped observability.
 
 Both gradient helpers accept a ``dtype`` so the gradcheck suites can run under the
 float32 policy too: the function under test is evaluated inside
@@ -11,12 +11,14 @@ step is below the noise floor) with correspondingly relaxed tolerances.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from repro.exec import TrialExecutor
+from repro.obs import enable, get_registry, get_tracer
 from repro.tensor import Tensor, dtype_policy
 
 # Finite-difference steps and comparison tolerances per dtype policy.
@@ -148,3 +150,24 @@ def scoring_executor(score: Callable) -> TrialExecutor:
     ``score`` as ``config.trainer.epochs``.
     """
     return TrialExecutor(lambda _context, config, _seed, _budget: score(config))
+
+
+def obs_active() -> bool:
+    """Whether the global observability switch is on."""
+    return get_tracer().enabled or get_registry().enabled
+
+
+@contextmanager
+def obs_activated():
+    """Scoped ``repro.obs.enable()``: on exit restore the previous switch
+    state, zero every metric series, and clear the span ring so no state
+    leaks between tests."""
+    tracer, registry = get_tracer(), get_registry()
+    prev = (tracer.enabled, registry.enabled, tracer.sample_every)
+    enable()
+    try:
+        yield
+    finally:
+        tracer.enabled, registry.enabled, tracer.sample_every = prev
+        registry.reset()
+        tracer.ring.clear()

@@ -14,7 +14,8 @@ from repro import (
     SliceSpec,
     TrainerConfig,
 )
-from repro.deploy import VersionLog, check_pair, push_pair
+from repro.api import check_pair
+from repro.deploy import VersionLog, push_pair
 from repro.monitoring import compare_reports
 from repro.supervision import LFApplier, labeling_function
 from repro.workloads import (

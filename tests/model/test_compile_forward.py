@@ -11,13 +11,12 @@ from repro.model import (
     EmbeddingRegistry,
     MultitaskModel,
     TaskTargets,
-    compile_from_dataset,
     compile_model,
 )
 from repro.nn import Dropout, Module
 from repro.supervision import combine_supervision
 
-from tests.fixtures import factoid_schema, sample_record
+from tests.fixtures import compile_from_dataset, factoid_schema, sample_record
 
 
 def submodules(module: Module) -> list[Module]:

@@ -17,7 +17,6 @@ from repro.nn import (
     LSTM,
     MaxPooling,
     MeanPooling,
-    MLP,
     MultiHeadAttention,
     TransformerEncoder,
     make_pooling,
@@ -60,10 +59,6 @@ class TestLinear:
         layer(Tensor(np.ones((2, 3)))).sum().backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
-
-    def test_mlp_shape(self):
-        mlp = MLP(4, [8, 8], 2, rng())
-        assert mlp(Tensor(np.ones((3, 4)))).shape == (3, 2)
 
 
 class TestEmbedding:

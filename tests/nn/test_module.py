@@ -4,12 +4,28 @@ import numpy as np
 import pytest
 
 from repro.errors import DeploymentError
-from repro.nn import Dropout, Linear, Module, ModuleDict, Parameter, Sequential
+from repro.nn import Dropout, Linear, Module, Parameter
 from repro.tensor import Tensor
 
 
 def make_rng():
     return np.random.default_rng(0)
+
+
+class Stack(Module):
+    """Children held in a list attribute."""
+
+    def __init__(self, *layers: Module) -> None:
+        super().__init__()
+        self.layers = list(layers)
+
+
+class Named(Module):
+    """Children held in a dict attribute."""
+
+    def __init__(self, **members: Module) -> None:
+        super().__init__()
+        self.members = dict(members)
 
 
 class Nested(Module):
@@ -54,16 +70,16 @@ class TestParameterDiscovery:
 
 class TestModes:
     def test_train_eval_recursive(self):
-        seq = Sequential(Linear(2, 2, make_rng()), Dropout(0.5))
+        seq = Stack(Linear(2, 2, make_rng()), Dropout(0.5))
         seq.eval()
         assert not seq.layers[1].training
         seq.train()
         assert seq.layers[1].training
 
     def test_mode_reaches_dict_members(self):
-        md = ModuleDict({"d": Dropout(0.5)})
+        md = Named(d=Dropout(0.5))
         md.eval()
-        assert not md["d"].training
+        assert not md.members["d"].training
 
 
 class TestStateDict:
@@ -102,24 +118,6 @@ class TestStateDict:
 
 
 class TestContainers:
-    def test_sequential_applies_in_order(self):
-        rng = make_rng()
-        seq = Sequential(Linear(2, 3, rng), Linear(3, 1, rng))
-        out = seq(Tensor(np.ones((4, 2))))
-        assert out.shape == (4, 1)
-
-    def test_module_dict_access(self):
-        md = ModuleDict({"x": Linear(1, 1, make_rng())})
-        assert "x" in md
-        md["y"] = Linear(1, 1, make_rng())
-        assert set(md.keys()) == {"x", "y"}
-        assert len(list(md.values())) == 2
-        assert len(list(md.items())) == 2
-
-    def test_module_dict_forward_raises(self):
-        with pytest.raises(NotImplementedError):
-            ModuleDict()(1)
-
     def test_base_forward_raises(self):
         with pytest.raises(NotImplementedError):
             Module()(1)

@@ -9,13 +9,14 @@ import pytest
 import repro.obs as obs
 from repro.obs.trace import (
     NOOP_SPAN,
-    JsonlSpanExporter,
     Span,
     SpanContext,
     SpanRing,
     Tracer,
     _new_id,
 )
+
+from tests.helpers import obs_activated, obs_active
 
 
 class FakeClock:
@@ -306,25 +307,6 @@ def test_stacks_are_thread_local(tracer):
 
 
 # ----------------------------------------------------------------------
-# Exporters
-# ----------------------------------------------------------------------
-def test_jsonl_exporter_roundtrip(tmp_path, tracer):
-    path = tmp_path / "spans" / "trace.jsonl"
-    exporter = JsonlSpanExporter(path)
-    tracer.add_exporter(exporter)
-    with tracer.span("persisted", tier="large"):
-        pass
-    tracer.remove_exporter(exporter)
-    with tracer.span("not-persisted"):
-        pass
-    rows = JsonlSpanExporter.read(path)
-    assert len(rows) == 1
-    assert rows[0]["name"] == "persisted"
-    assert rows[0]["attrs"] == {"tier": "large"}
-    assert rows[0]["duration_s"] == pytest.approx(1.0)
-
-
-# ----------------------------------------------------------------------
 # Module-level conveniences against the global tracer
 # ----------------------------------------------------------------------
 def test_traced_decorator_is_late_binding():
@@ -337,7 +319,7 @@ def test_traced_decorator_is_late_binding():
 
     assert work(1) == 2  # tracing off: no span, still runs
     assert calls == [None]
-    with obs.activated():
+    with obs_activated():
         assert work(2) == 3
         span = obs.get_tracer().ring.spans()[-1]
         assert span.name == "custom.name" and span.attrs == {"kind": "test"}
@@ -349,13 +331,13 @@ def test_traced_default_label_is_qualname():
     def some_function():
         return None
 
-    with obs.activated():
+    with obs_activated():
         some_function()
         assert "some_function" in obs.get_tracer().ring.spans()[-1].name
 
 
 def test_module_level_span_uses_global_tracer():
-    with obs.activated():
+    with obs_activated():
         with obs.span("global.op") as span:
             assert obs.current_trace_id() == span.trace_id
         assert obs.get_tracer().ring.trace(span.trace_id)
@@ -366,10 +348,10 @@ def test_module_level_span_uses_global_tracer():
 # ----------------------------------------------------------------------
 def test_enable_disable_flip_both_pillars():
     tracer, registry = obs.get_tracer(), obs.get_registry()
-    assert not obs.is_active()
+    assert not obs_active()
     obs.enable(sample_every=8)
     try:
-        assert tracer.enabled and registry.enabled and obs.is_active()
+        assert tracer.enabled and registry.enabled and obs_active()
         assert tracer.sample_every == 8
     finally:
         obs.disable()
@@ -379,7 +361,7 @@ def test_enable_disable_flip_both_pillars():
 def test_activated_restores_state_and_clears_data():
     tracer, registry = obs.get_tracer(), obs.get_registry()
     tracer.sample_every = 7
-    with obs.activated():
+    with obs_activated():
         assert tracer.enabled and tracer.sample_every == 1
         with obs.span("scoped"):
             pass

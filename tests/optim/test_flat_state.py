@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
-from repro.model import TaskTargets, compile_from_dataset
+from repro.model import TaskTargets
 from repro.nn import Module, Parameter
 from repro.optim import SGD, Adam, AdamW
 from repro.supervision import combine_supervision
 from repro.tensor import SparseRowGrad, Tensor, dtype_policy, gather_rows
 from repro.training import Trainer
-from tests.fixtures import mini_dataset
+from tests.fixtures import compile_from_dataset, mini_dataset
 from tests.helpers import python_calls
 from tests.optim.optimizer_oracle import OracleAdam, OracleSGD
 

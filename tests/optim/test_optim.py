@@ -1,4 +1,4 @@
-"""Tests for optimizers, gradient clipping, and LR schedules."""
+"""Tests for optimizers, gradient clipping, and the LR schedule."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.optim import (
     AdamW,
     ConstantSchedule,
     SGD,
-    StepDecay,
-    WarmupCosine,
     clip_grad_norm,
 )
 from repro.tensor import Tensor
@@ -127,32 +125,3 @@ class TestSchedules:
         for _ in range(5):
             sched.step()
         assert opt.lr == 0.5
-
-    def test_step_decay(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepDecay(opt, period=2, gamma=0.1)
-        sched.step()  # step 1
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()  # step 2 -> decayed once
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_step_decay_validates_period(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepDecay(opt, period=0)
-
-    def test_warmup_cosine_profile(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = WarmupCosine(opt, warmup_steps=10, total_steps=100, min_lr=0.0)
-        # During warmup lr rises linearly.
-        assert sched.lr_at(5) == pytest.approx(0.5)
-        assert sched.lr_at(10) == pytest.approx(1.0)
-        # At the end lr reaches min.
-        assert sched.lr_at(100) == pytest.approx(0.0, abs=1e-9)
-        # Beyond the end it stays clamped.
-        assert sched.lr_at(150) == pytest.approx(0.0, abs=1e-9)
-
-    def test_warmup_cosine_validates_lengths(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            WarmupCosine(opt, warmup_steps=10, total_steps=10)

@@ -9,7 +9,6 @@ from repro.tensor import (
     concat,
     cross_entropy,
     log_softmax,
-    pad_sequences,
     softmax,
 )
 
@@ -114,21 +113,3 @@ class TestLossProperties:
         targets = np.full((3, k), 1.0 / k)
         loss = cross_entropy(Tensor(logits), targets)
         assert loss.item() >= np.log(k) - 1e-9
-
-
-class TestPadSequencesProperties:
-    @given(
-        st.lists(
-            st.lists(finite_floats, min_size=1, max_size=7).map(np.array),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_mask_counts_lengths(self, seqs):
-        padded, mask = pad_sequences(seqs)
-        assert padded.shape == mask.shape
-        np.testing.assert_allclose(mask.sum(axis=1), [len(s) for s in seqs])
-        # Unmasked region reproduces the data.
-        for i, s in enumerate(seqs):
-            np.testing.assert_allclose(padded[i, : len(s)], s)

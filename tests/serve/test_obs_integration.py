@@ -19,6 +19,8 @@ import pytest
 import repro.obs as obs
 from repro.serve import AsyncGatewayServer, GatewayConfig, ReplicaPool, ServingGateway
 
+from tests.helpers import obs_activated, obs_active
+
 # The full causal chain one served request must leave behind.
 EXPECTED_SPANS = {
     "gateway.enqueue",
@@ -53,7 +55,7 @@ def get_json(url: str):
 class TestTracePropagation:
     def test_one_request_leaves_a_complete_trace(self, gateway):
         gw, payloads = gateway
-        with obs.activated():
+        with obs_activated():
             future = gw.submit_async(payloads[0])
             future.result(timeout=30)
             gw.drain()
@@ -82,7 +84,7 @@ class TestTracePropagation:
             pool, GatewayConfig(max_batch_size=4, max_wait_s=0.02)
         ) as gw:
             gw.set_canary(candidate.version, fraction=1.0)
-            with obs.activated():
+            with obs_activated():
                 future = gw.submit_async(payloads[0], request_id="canary-q")
                 future.result(timeout=30)
                 gw.drain()
@@ -94,7 +96,7 @@ class TestTracePropagation:
 
     def test_batchmates_share_the_batch_span_but_not_a_trace(self, gateway):
         gw, payloads = gateway
-        with obs.activated():
+        with obs_activated():
             futures = [gw.submit_async(p) for p in payloads[:4]]
             for f in futures:
                 f.result(timeout=30)
@@ -128,7 +130,7 @@ class TestTracePropagation:
 
     def test_disabled_obs_leaves_no_trace(self, gateway):
         gw, payloads = gateway
-        assert not obs.is_active()
+        assert not obs_active()
         future = gw.submit_async(payloads[0])
         future.result(timeout=30)
         assert future.trace_id is None
@@ -138,7 +140,7 @@ class TestTracePropagation:
 class TestHTTPExposition:
     def test_trace_endpoint_serves_the_acceptance_path(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
+        with obs_activated(), AsyncGatewayServer(gw, port=0) as http:
             future = gw.submit_async(payloads[0])
             future.result(timeout=30)
             gw.drain()
@@ -158,7 +160,7 @@ class TestHTTPExposition:
 
     def test_metrics_endpoint_renders_per_tier_histograms(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
+        with obs_activated(), AsyncGatewayServer(gw, port=0) as http:
             for future in [gw.submit_async(p) for p in payloads[:4]]:
                 future.result(timeout=30)
             gw.drain()
@@ -182,7 +184,7 @@ class TestHTTPExposition:
 
     def test_predict_response_carries_trace_header(self, gateway):
         gw, payloads = gateway
-        with obs.activated(), AsyncGatewayServer(gw, port=0) as http:
+        with obs_activated(), AsyncGatewayServer(gw, port=0) as http:
             request = urllib.request.Request(
                 f"{http.url}/predict",
                 data=json.dumps(payloads[0]).encode("utf-8"),

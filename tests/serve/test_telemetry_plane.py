@@ -17,7 +17,6 @@ from collections import defaultdict
 
 import pytest
 
-import repro.obs as obs
 from repro.errors import ServeOverloadError
 from repro.faults import FaultPlan, FaultRule, InjectedFault, injected
 from repro.obs.metrics import Counter, Histogram
@@ -31,7 +30,7 @@ from repro.serve import (
 )
 from repro.serve.batcher import QueuedRequest, RequestQueue
 
-from tests.helpers import python_calls
+from tests.helpers import obs_active, python_calls
 
 _SAMPLE = re.compile(r"^(\w+)\{(.*)\} (\S+)$")
 
@@ -153,7 +152,7 @@ EXPECTED_KEYS = {
 def traffic(served, single_store):
     app, ds, run, payloads = served
     store, stable, candidate = single_store
-    assert not obs.is_active()
+    assert not obs_active()
     with make_gateway(store, app.name) as gateway, AsyncGatewayServer(
         gateway, port=0
     ) as http:

@@ -10,8 +10,6 @@ from repro.slicing import (
     SliceAwareHead,
     SliceSet,
     SliceSpec,
-    expand_membership_to_items,
-    predicted_membership,
     slice_loss,
 )
 from repro.tensor import Tensor
@@ -66,16 +64,6 @@ class TestSliceSet:
         sliceset = SliceSet.from_tags(records)
         assert sliceset.names == ["apple", "zebra"]
 
-    def test_expand_membership_to_items(self):
-        membership = np.array([[1.0, 0.0], [0.0, 1.0]])
-        item_index = np.array([[0, 0], [0, 1], [1, 0]])
-        expanded = expand_membership_to_items(membership, item_index)
-        np.testing.assert_allclose(expanded, [[1, 0], [1, 0], [0, 1]])
-
-    def test_expand_requires_2d(self):
-        with pytest.raises(SliceError):
-            expand_membership_to_items(np.zeros(3), np.zeros((3, 2), dtype=int))
-
 
 class TestSliceAwareHead:
     def rng(self):
@@ -102,16 +90,6 @@ class TestSliceAwareHead:
         out = head(Tensor(np.random.default_rng(3).normal(size=(6, 8))))
         assert (out.attention >= 0).all()
         assert (out.attention.sum(axis=1) <= 1.0 + 1e-9).all()
-
-    def test_predicted_membership(self):
-        head = SliceAwareHead(8, 2, ["a"], self.rng())
-        out = head(Tensor(np.random.default_rng(4).normal(size=(3, 8))))
-        probs = predicted_membership(out)
-        assert probs.shape == (3, 1)
-        assert ((probs >= 0) & (probs <= 1)).all()
-        assert predicted_membership(
-            SliceAwareHead(8, 2, [], self.rng())(Tensor(np.zeros((1, 8))))
-        ) is None
 
     def test_loss_backward_reaches_all_params(self):
         head = SliceAwareHead(6, 2, ["a", "b"], self.rng())

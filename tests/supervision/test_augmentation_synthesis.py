@@ -6,11 +6,11 @@ import pytest
 from repro.errors import SupervisionError
 from repro.supervision import (
     AUGMENT_TAG,
+    AugmentationPolicy,
     Augmenter,
     SYNTHETIC_TAG,
     Template,
     TemplateGenerator,
-    synonym_swap,
     token_dropout,
 )
 
@@ -68,26 +68,22 @@ class TestTokenDropout:
         assert policy.apply(record, np.random.default_rng(0)) is None
 
 
-class TestSynonymSwap:
-    def test_swaps_known_token(self):
-        policy = synonym_swap({"tall": ["high"]})
-        new = policy.apply(sample_record(), np.random.default_rng(0))
-        assert new.payloads["tokens"][1] == "high"
-
-    def test_no_synonym_returns_none(self):
-        policy = synonym_swap({"zzz": ["yyy"]})
-        assert policy.apply(sample_record(), np.random.default_rng(0)) is None
-
+class TestAugmentationPolicy:
     def test_original_untouched(self):
-        policy = synonym_swap({"tall": ["high"]})
+        policy = token_dropout(rate=0.4)
         record = sample_record()
-        policy.apply(record, np.random.default_rng(0))
-        assert record.payloads["tokens"][1] == "tall"
+        before = list(record.payloads["tokens"])
+        rng = np.random.default_rng(0)
+        new = None
+        while new is None:
+            new = policy.apply(record, rng)
+        assert record.payloads["tokens"] == before
 
 
 class TestAugmenter:
     def test_multiplies_data(self):
-        augmenter = Augmenter([synonym_swap({"tall": ["high", "big"]})], seed=0)
+        identity = AugmentationPolicy(name="identity", fn=lambda record, rng: record)
+        augmenter = Augmenter([identity], seed=0)
         out = augmenter.augment([sample_record()] * 3, copies=2)
         assert len(out) == 6
 

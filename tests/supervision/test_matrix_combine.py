@@ -11,7 +11,6 @@ from repro.supervision import (
     build_label_matrix,
     class_weights_from_probs,
     combine_supervision,
-    effective_counts,
 )
 
 from tests.fixtures import factoid_schema, sample_record
@@ -181,7 +180,3 @@ class TestRebalancing:
     def test_requires_2d(self):
         with pytest.raises(SupervisionError):
             class_weights_from_probs(np.zeros(3))
-
-    def test_effective_counts(self):
-        probs = np.array([[0.5, 0.5], [1.0, 0.0]])
-        np.testing.assert_allclose(effective_counts(probs), [1.5, 0.5])

@@ -19,9 +19,7 @@ from repro.tensor import (
     dropout_mask,
     gather_rows,
     ones,
-    pad_sequences,
     resolve_dtype,
-    set_default_dtype,
     supported_dtypes,
     zeros,
 )
@@ -68,15 +66,6 @@ class TestPolicyScoping:
                 raise RuntimeError("boom")
         assert default_dtype() == F64
 
-    def test_set_default_dtype_returns_previous(self):
-        prev = set_default_dtype("float32")
-        try:
-            assert prev == F64
-            assert default_dtype() == F32
-        finally:
-            set_default_dtype(prev)
-        assert default_dtype() == F64
-
     def test_policy_is_thread_local(self):
         seen = {}
 
@@ -101,11 +90,7 @@ class TestTensorDtype:
 
     def test_allocation_honors_policy(self):
         with dtype_policy("float32"):
-            padded, mask = pad_sequences([np.arange(2), np.arange(3)], pad_value=3.0)
-            assert padded.dtype == F32 and mask.dtype == F32
-            assert [a.dtype for a in pad_sequences([])] == [F32, F32]
             assert Tensor([1, 2]).dtype == F32
-        assert pad_sequences([np.arange(2)])[0].dtype == F64
         layer = Linear(2, 2, np.random.default_rng(0))
         assert layer.to_dtype("float32").weight.dtype == F32
 
@@ -167,8 +152,6 @@ class TestTensorDtype:
         with dtype_policy("float32"):
             mask = dropout_mask((4, 4), 0.5, np.random.default_rng(0))
             assert mask.dtype == F32
-            padded, valid = pad_sequences([np.array([1.0]), np.array([1.0, 2.0])])
-            assert padded.dtype == F32 and valid.dtype == F32
 
     def test_gather_rows_sparse_grad_keeps_dtype(self):
         with dtype_policy("float32"):

@@ -11,7 +11,6 @@ from repro.tensor import (
     cross_entropy,
     binary_cross_entropy_with_logits,
     select_loss,
-    l2_penalty,
     accuracy,
 )
 
@@ -171,20 +170,6 @@ class TestSelectLoss:
             sample_weights=np.zeros(1),
         )
         assert loss.item() == 0.0
-
-
-class TestL2Penalty:
-    def test_value(self):
-        penalty = l2_penalty([Tensor([1.0, 2.0]), Tensor([[3.0]])])
-        assert penalty.item() == 1 + 4 + 9
-
-    def test_empty(self):
-        assert l2_penalty([]).item() == 0.0
-
-    def test_grad(self):
-        t = Tensor([2.0], requires_grad=True)
-        l2_penalty([t]).backward()
-        np.testing.assert_allclose(t.grad, [4.0])
 
 
 class TestAccuracy:

@@ -13,7 +13,6 @@ from repro.tensor import (
     gather_rows,
     masked_fill,
     dropout_mask,
-    pad_sequences,
 )
 
 from tests.helpers import check_grad
@@ -152,19 +151,3 @@ class TestDropoutMask:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             dropout_mask((3,), 1.0, np.random.default_rng(0))
-
-
-class TestPadSequences:
-    def test_basic(self):
-        padded, mask = pad_sequences([np.array([1.0, 2.0]), np.array([3.0])])
-        np.testing.assert_allclose(padded, [[1.0, 2.0], [3.0, 0.0]])
-        np.testing.assert_allclose(mask, [[1.0, 1.0], [1.0, 0.0]])
-
-    def test_custom_pad_value(self):
-        padded, _ = pad_sequences([np.array([1.0]), np.array([2.0, 3.0])], pad_value=-1)
-        assert padded[0, 1] == -1
-
-    def test_empty(self):
-        padded, mask = pad_sequences([])
-        assert padded.shape == (0, 0)
-        assert mask.shape == (0, 0)

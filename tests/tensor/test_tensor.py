@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GradientError, ShapeError
-from repro.tensor import Tensor, no_grad, tensor, zeros, ones
+from repro.tensor import Tensor, no_grad, zeros, ones
 
 from tests.helpers import check_grad
 
@@ -31,7 +31,6 @@ class TestConstruction:
     def test_zeros_ones_helpers(self):
         assert zeros(2, 3).shape == (2, 3)
         assert ones(4).data.sum() == 4.0
-        assert tensor([1.0], requires_grad=True).requires_grad
 
     def test_detach_cuts_graph(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

@@ -333,7 +333,7 @@ class TestAutopilotPolicy:
     def store(self, project):
         from repro.core import ModelConfig, PayloadConfig
         from repro.deploy import ModelArtifact, ModelStore
-        from repro.model import compile_from_dataset
+        from tests.fixtures import compile_from_dataset
 
         dataset = mini_dataset(n=40, seed=0)
         config = ModelConfig(payloads={"tokens": PayloadConfig(size=8)})

@@ -1,9 +1,9 @@
 """Tier-1 wiring for the documentation suite.
 
-Three guarantees: the docstring lint (``tools/check_docs.py``) stays green
+Four guarantees: the docstring lint (``tools/check_docs.py``) stays green
 on ``src/repro``, the user-facing documents the README links to actually
-exist and cover what they claim, and every ``repro.<dotted>`` name they
-put in backticks still resolves.
+exist and cover what they claim, every ``repro.<dotted>`` name they put
+in backticks still resolves, and every file they point at exists.
 """
 
 import importlib
@@ -135,6 +135,66 @@ class TestDocumentedNames:
         assert not _resolves("repro.TrainedModel")
         assert not _resolves("repro.exec.parallel_quality_report")
         assert _resolves("repro.exec.WorkerTeam")
+
+
+# A relative markdown link target, and a backticked path into the repo.
+_LINK = re.compile(r"\]\(([^)\s]+)\)")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_REPO_PATH = re.compile(
+    r"(?<![\w/])((?:src/repro|tools|benchmarks|tests|examples)/[\w./-]*\.(?:py|md|json))"
+)
+_POINTING_DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+
+def _relative_links(text: str) -> list[str]:
+    """Link targets that point into the repo, without their ``#anchor``."""
+    return [
+        target.split("#")[0]
+        for target in _LINK.findall(text)
+        if not re.match(r"[a-z]+:|#", target)
+    ]
+
+
+def _repo_paths(text: str) -> list[str]:
+    """Repo paths put in backticks in prose (fenced blocks are examples)."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    return [path for span in _CODE_SPAN.findall(prose) for path in _REPO_PATH.findall(span)]
+
+
+class TestDocumentedPaths:
+    @pytest.mark.parametrize("doc", _POINTING_DOCS, ids=lambda doc: doc.name)
+    def test_relative_links_resolve(self, doc):
+        missing = [t for t in _relative_links(doc.read_text()) if not (doc.parent / t).exists()]
+        assert missing == []
+
+    @pytest.mark.parametrize("doc", _POINTING_DOCS, ids=lambda doc: doc.name)
+    def test_backticked_repo_paths_exist(self, doc):
+        missing = [p for p in _repo_paths(doc.read_text()) if not (ROOT / p).exists()]
+        assert missing == []
+
+    def test_every_relative_link_and_repo_path_is_seen(self):
+        texts = [doc.read_text() for doc in _POINTING_DOCS]
+        assert sum(len(_relative_links(t)) for t in texts) > 50
+        assert sum(len(_repo_paths(t)) for t in texts) > 80
+
+    def test_external_and_anchor_links_are_not_files(self):
+        text = (
+            "[a](https://arxiv.org/abs/1909.05372) [b](#layers) "
+            "[c](mailto:x@y.z) [d](docs/serving.md#canary)"
+        )
+        assert _relative_links(text) == ["docs/serving.md"]
+
+    def test_fenced_examples_are_not_scanned(self):
+        text = "See `tools/arch.py`.\n```bash\npython `tools/gone.py`\n```\n"
+        assert _repo_paths(text) == ["tools/arch.py"]
+
+    def test_a_path_inside_a_longer_path_is_not_taken(self):
+        text = "`/opt/x/tools/a.py` and `build/src/repro/b.py` but `src/repro/cli.py`"
+        assert _repo_paths(text) == ["src/repro/cli.py"]
+
+    def test_a_path_is_found_inside_a_command(self):
+        text = "Run `python benchmarks/e2e/run.py --quick` then `pytest tests/test_arch.py`."
+        assert _repo_paths(text) == ["benchmarks/e2e/run.py", "tests/test_arch.py"]
 
 
 class TestDocumentedSpecs:

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import TrainingError
 from repro.training import (
     accuracy,
-    confusion_matrix,
     macro_f1,
     micro_f1_multilabel,
     per_class_prf,
@@ -97,17 +96,3 @@ class TestMicroF1Multilabel:
     def test_shape_mismatch(self):
         with pytest.raises(TrainingError):
             micro_f1_multilabel(np.zeros((1, 2)), np.zeros((1, 3)))
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        preds = np.array([0, 1, 1, 0])
-        gold = np.array([0, 1, 0, 1])
-        matrix = confusion_matrix(preds, gold, num_classes=2)
-        np.testing.assert_array_equal(matrix, [[1, 1], [1, 1]])
-
-    def test_masked(self):
-        matrix = confusion_matrix(
-            np.array([0, 1]), np.array([0, 1]), 2, valid=np.array([True, False])
-        )
-        assert matrix.sum() == 1

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
 from repro.errors import TrainingError
-from repro.model import TaskTargets, compile_from_dataset
+from repro.model import TaskTargets
 from repro.supervision import combine_supervision
 from repro.training import (
     Trainer,
@@ -14,7 +14,8 @@ from repro.training import (
     quality_report,
 )
 
-from tests.fixtures import mini_dataset
+from tests.fixtures import compile_from_dataset, mini_dataset
+from tests.helpers import obs_activated
 
 
 def small_config(epochs=6, **kwargs) -> ModelConfig:
@@ -187,42 +188,6 @@ class TestQualityReport:
         assert {r.tag for r in report.for_task("Intent")} == {"overall", "train"}
 
 
-class TestConfusionForTag:
-    def test_matrix_counts_and_render(self):
-        from repro.training import confusion_for_tag, render_confusion
-
-        ds = mini_dataset(n=40, seed=20)
-        model, vocabs = compile_from_dataset(ds, small_config())
-        matrix = confusion_for_tag(
-            model, ds.records, ds.schema, vocabs, "Intent", tag="test"
-        )
-        k = ds.schema.task("Intent").num_classes
-        assert matrix.shape == (k, k)
-        assert matrix.sum() == len(ds.split("test"))
-        text = render_confusion(matrix, ds.schema.task("Intent").classes)
-        assert "height" in text
-
-    def test_empty_tag(self):
-        from repro.training import confusion_for_tag
-
-        ds = mini_dataset(n=10, seed=21)
-        model, vocabs = compile_from_dataset(ds, small_config())
-        matrix = confusion_for_tag(
-            model, ds.records, ds.schema, vocabs, "Intent", tag="ghost"
-        )
-        assert matrix.sum() == 0
-
-    def test_rejects_non_multiclass(self):
-        import pytest as _pytest
-
-        from repro.training import confusion_for_tag
-
-        ds = mini_dataset(n=10, seed=22)
-        model, vocabs = compile_from_dataset(ds, small_config())
-        with _pytest.raises(ValueError):
-            confusion_for_tag(model, ds.records, ds.schema, vocabs, "EntityType")
-
-
 class TestNaNGuard:
     def test_nonfinite_loss_raises_helpful_error(self):
         ds = mini_dataset(n=20, seed=30)
@@ -236,10 +201,12 @@ class TestNaNGuard:
 
 
 class TestTrainerHooks:
-    def _fit(self, hooks, epochs=2):
+    def _fit(self, hooks, epochs=2, **trainer_kwargs):
         ds = mini_dataset(n=40, seed=0)
         train = ds.split("train")
-        model, vocabs = compile_from_dataset(ds, small_config(epochs=epochs))
+        model, vocabs = compile_from_dataset(
+            ds, small_config(epochs=epochs, **trainer_kwargs)
+        )
         trainer = Trainer(model, model.config.trainer)
         return trainer.fit(
             train.records, vocabs, build_targets(ds, train.records), hooks=hooks
@@ -259,41 +226,35 @@ class TestTrainerHooks:
         assert all(norm is not None and norm >= 0 for *_, norm in calls)
         assert len(history.epochs) == 3
 
-    def test_metrics_hooks_feed_the_registry(self):
-        import repro.obs as obs
-        from repro.training import MetricsTrainerHooks
+    def test_hooks_see_the_pre_clip_norm_when_clipping(self):
+        norms = []
 
-        with obs.activated():
-            self._fit(MetricsTrainerHooks(model="unit-test"), epochs=2)
-            registry = obs.get_registry()
-            assert registry.get("repro_train_epochs_total").value(
-                model="unit-test"
-            ) == 2.0
-            epoch_s = registry.get("repro_train_epoch_seconds").value(
-                model="unit-test"
-            )
-            assert epoch_s["count"] == 2 and epoch_s["sum"] > 0
-            assert registry.get("repro_train_loss").value(model="unit-test") > 0
-            assert (
-                registry.get("repro_train_grad_norm").value(model="unit-test")
-                >= 0
-            )
+        class Recorder:
+            def on_epoch(self, stats, *, duration_s, grad_norm):
+                norms.append(grad_norm)
+
+        self._fit(Recorder(), epochs=2, clip_norm=1e-3)
+        # The norm reported is the one measured before clipping.
+        assert len(norms) == 2 and all(n > 1e-3 for n in norms)
+
+    def test_hooks_only_measure(self):
+        class Recorder:
+            def on_epoch(self, stats, *, duration_s, grad_norm):
+                pass
+
+        watched = self._fit(Recorder(), epochs=2)
+        silent = self._fit(None, epochs=2)
+        assert [e.train_loss for e in watched.epochs] == [
+            e.train_loss for e in silent.epochs
+        ]
 
     def test_epochs_are_traced_when_enabled(self):
         import repro.obs as obs
 
-        with obs.activated():
+        with obs_activated():
             self._fit(None, epochs=2)
             epochs = [
                 s for s in obs.get_tracer().ring.spans()
                 if s.name == "train.epoch"
             ]
             assert [s.attrs["epoch"] for s in epochs] == [0, 1]
-
-    def test_no_hooks_means_no_metrics(self):
-        import repro.obs as obs
-
-        with obs.activated():
-            self._fit(None, epochs=1)
-            counter = obs.get_registry().get("repro_train_epochs_total")
-            assert counter is None or counter.samples() == []

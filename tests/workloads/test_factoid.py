@@ -13,11 +13,12 @@ from repro.workloads import (
     by_surface,
     compatible,
     factoid_schema,
-    generate_dataset,
     is_ambiguous,
     surfaces_for_intent,
 )
 from repro.data.tags import slice_tag
+
+from tests.fixtures import generate_dataset
 
 
 class TestGazetteer:

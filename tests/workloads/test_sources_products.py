@@ -1,7 +1,6 @@
 """Tests for synthetic weak sources, pretrained embeddings, and products."""
 
 import numpy as np
-import pytest
 
 from repro.data.tags import slice_tag
 from repro.supervision import build_label_matrix, LabelModel
@@ -13,12 +12,16 @@ from repro.workloads import (
     apply_standard_weak_supervision,
     build_pretrained_product,
     build_product,
-    generate_dataset,
     keyword_intent_source,
     popularity_intent_arg_source,
     ppmi_svd_embeddings,
-    product_by_name,
 )
+
+from tests.fixtures import generate_dataset
+
+
+def _product(name: str):
+    return next(spec for spec in PRODUCTS if spec.name == name)
 
 
 class TestNoisySources:
@@ -153,22 +156,17 @@ class TestProducts:
         assert len(PRODUCTS) == 4
         assert [p.resourcing for p in PRODUCTS] == ["High", "Medium", "Medium", "Low"]
 
-    def test_product_by_name(self):
-        assert product_by_name("assistant-qa").resourcing == "High"
-        with pytest.raises(KeyError):
-            product_by_name("ghost")
-
     def test_build_product_weak_fraction_band(self):
         # High-resource product: most labels weak but crowd share visible.
-        built = build_product(product_by_name("assistant-qa"), seed=0)
+        built = build_product(_product("assistant-qa"), seed=0)
         frac = built.weak_supervision_fraction()
         assert 0.6 < frac < 1.0
 
     def test_low_resource_has_more_weak_share(self):
-        high = build_product(product_by_name("assistant-qa"), seed=0)
-        low = build_product(product_by_name("locale-expansion"), seed=0)
+        high = build_product(_product("assistant-qa"), seed=0)
+        low = build_product(_product("locale-expansion"), seed=0)
         assert low.weak_supervision_fraction() > high.weak_supervision_fraction()
 
     def test_registry_includes_gold(self):
-        built = build_product(product_by_name("locale-expansion"), seed=1)
+        built = build_product(_product("locale-expansion"), seed=1)
         assert "gold" in built.registry()

@@ -91,7 +91,7 @@ TENSOR_OPS = {
     INDEXING: {
         "Tensor.__getitem__", "Tensor.reshape", "Tensor.transpose", "Tensor.T",
         "Tensor.swapaxes", "Tensor.expand_dims", "Tensor.squeeze",
-        "_is_basic_index", "concat", "stack", "gather_rows", "pad_sequences",
+        "_is_basic_index", "concat", "stack", "gather_rows",
     },
 }
 STAGES = ("batch", "forward", "loss", "backward", "clip", "optimizer")
