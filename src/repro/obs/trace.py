@@ -1,4 +1,4 @@
-"""Dapper-style span tracing: thread-local contexts, bounded exporters.
+"""Dapper-style span tracing: thread-local contexts, a bounded span ring.
 
 One request served through the gateway touches half a dozen layers —
 enqueue, batch formation, tier routing, encode, forward — and when the
@@ -20,8 +20,8 @@ Three properties drive the design:
   :meth:`Tracer.span_fanout` measures the block once and exports one span
   *per participating trace*, keeping every request's trace complete.
 
-Exporters receive each span the moment it ends: the bounded in-memory
-:class:`SpanRing` backs ``GET /trace/<id>``.
+Each span goes to the bounded in-memory :class:`SpanRing` the moment it
+ends; the ring backs ``GET /trace/<id>``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 # Ids are a random per-process base plus an atomic counter: unique within
 # a process, different across processes, and ~2.5x cheaper to mint than
@@ -249,7 +249,7 @@ class _ActiveSpan:
         # primary identity, the rest travel as links and are expanded by
         # readers.  Export cost is O(1) per measured block, not O(batch).
         trace_id, span_id, parent_id = self._links[0]
-        self._tracer._export(
+        self._tracer.ring.export(
             Span(
                 trace_id, span_id, parent_id, self.name,
                 self.start_s, end, self.attrs,
@@ -278,7 +278,7 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Thread-local span stack + exporter fan-out, with a kill switch.
+    """Thread-local span stack + a span ring, with a kill switch.
 
     ``enabled`` starts ``False``: every tracing call site costs one branch
     until someone turns the tracer on (``repro.obs.enable()``).  ``clock``
@@ -301,27 +301,12 @@ class Tracer:
         self.sample_every = 1
         self._sample_counter = itertools.count()
         self.ring = SpanRing(capacity)
-        self._exporters: list[Any] = [self.ring]
         self._local = threading.local()
 
     def _sampled(self) -> bool:
         """Whether the next new trace should be recorded."""
         every = self.sample_every
         return every <= 1 or next(self._sample_counter) % every == 0
-
-    # ------------------------------------------------------------------
-    # Exporters
-    # ------------------------------------------------------------------
-    def add_exporter(self, exporter: Any) -> None:
-        """Register an object with an ``export(span)`` method."""
-        self._exporters.append(exporter)
-
-    def remove_exporter(self, exporter: Any) -> None:
-        self._exporters = [e for e in self._exporters if e is not exporter]
-
-    def _export(self, span: Span) -> None:
-        for exporter in self._exporters:
-            exporter.export(span)
 
     # ------------------------------------------------------------------
     # Context stack
@@ -428,7 +413,7 @@ class Tracer:
         if not self.enabled or ctx is None:
             return None
         span = Span(ctx.trace_id, _new_id(), ctx.span_id, name, start_s, end_s, attrs)
-        self._export(span)
+        self.ring.export(span)
         return span
 
 

@@ -31,7 +31,6 @@ from repro.tensor.ops import (
 from repro.tensor.functional import (
     log_softmax,
     softmax,
-    cross_entropy,
     binary_cross_entropy_with_logits,
     select_loss,
     accuracy,
@@ -57,7 +56,6 @@ __all__ = [
     "dropout_mask",
     "log_softmax",
     "softmax",
-    "cross_entropy",
     "binary_cross_entropy_with_logits",
     "select_loss",
     "accuracy",

@@ -19,11 +19,12 @@ The arrays themselves are plain numpy: call sites allocate with
 
 Usage::
 
-    from repro.tensor import dtype_policy, set_default_dtype, default_dtype
+    from repro.tensor import Tensor, default_dtype, dtype_policy
 
-    with dtype_policy("float32"):
+    with dtype_policy("float32"):       # this thread, inside the block
         t = Tensor([1.0, 2.0])          # float32 storage
-    set_default_dtype("float64")         # this thread, until changed back
+        assert default_dtype() == "float32"
+    assert default_dtype() == "float64"  # restored on exit
 """
 
 from __future__ import annotations

@@ -36,37 +36,12 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._wrap(np.exp(shifted - log_norm), "softmax")
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets: Array,
-    sample_weights: Array | None = None,
-    class_weights: Array | None = None,
-) -> Tensor:
-    """Mean cross-entropy for hard or soft targets, as one tape node.
-
-    Parameters
-    ----------
-    logits:
-        ``(n, num_classes)`` unnormalized scores.
-    targets:
-        Either integer class ids of shape ``(n,)`` or a probabilistic label
-        matrix of shape ``(n, num_classes)`` whose rows sum to 1.
-    sample_weights:
-        Optional per-example weights of shape ``(n,)`` (e.g. label-model
-        confidence); normalized so the loss stays on the same scale.
-    class_weights:
-        Optional per-class weights of shape ``(num_classes,)`` used for class
-        rebalancing.
-    """
-    loss = CrossEntropy(logits.data, targets, sample_weights, class_weights)
-    return Tensor._make_joint(loss.value, [logits], lambda g: [loss.vjp(g)], "cross_entropy")
-
-
 class CrossEntropy:
-    """:func:`cross_entropy` of a logits array: ``-(log_softmax(x) * w).sum()``
-    with ``w`` the targets times normalized example weights (``0 * sum(x)``
-    when every weight is zero), and for an upstream ``g`` the logits'
-    gradient, both in the float association of that expression op by op.
+    """Mean cross-entropy of a logits array for hard or soft targets:
+    ``-(log_softmax(x) * w).sum()`` with ``w`` the targets times normalized
+    example weights (``0 * sum(x)`` when every weight is zero), and for an
+    upstream ``g`` the logits' gradient, both in the float association of
+    that expression op by op.
     """
 
     def __init__(self, logits, targets, sample_weights=None, class_weights=None) -> None:

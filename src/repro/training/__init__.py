@@ -13,7 +13,6 @@ from repro.training.evaluation import (
     mean_primary,
     predict_all,
 )
-from repro.training.hooks import TrainerHooks
 from repro.training.trainer import EpochStats, Trainer, TrainHistory
 from repro.training.reports import (
     QualityReport,
@@ -33,7 +32,6 @@ __all__ = [
     "predict_all",
     "EpochStats",
     "Trainer",
-    "TrainerHooks",
     "TrainHistory",
     "QualityReport",
     "ReportRow",

@@ -10,7 +10,6 @@ training", §3).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,10 +24,9 @@ from repro.errors import TrainingError
 from repro.model.multitask import MultitaskModel
 from repro.model.task_heads import TaskTargets
 from repro.obs import get_tracer
-from repro.optim import Adam, AdamW, ConstantSchedule, SGD, clip_grad_norm, grad_norm
+from repro.optim import Adam, AdamW, ConstantSchedule, SGD, clip_grad_norm
 from repro.tensor import dtype_policy
 from repro.training.evaluation import evaluate, mean_primary
-from repro.training.hooks import TrainerHooks
 
 
 @dataclass
@@ -120,7 +118,6 @@ class Trainer:
         gold_source: str = "gold",
         callback: Callable[[EpochStats], None] | None = None,
         cache_batches: bool = True,
-        hooks: TrainerHooks | None = None,
     ) -> TrainHistory:
         """Train on ``records``; optionally track dev quality per epoch.
 
@@ -128,13 +125,6 @@ class Trainer:
         set and ``config.patience > 0``, training stops after ``patience``
         epochs without dev improvement and the best-epoch weights are
         restored.
-
-        ``hooks`` opts into per-epoch instrumentation
-        (:class:`~repro.training.hooks.TrainerHooks`): each epoch's stats,
-        wall-clock, and mean gradient L2 norm are delivered to
-        ``hooks.on_epoch``.  Gradient norms are only *measured* when hooks
-        are present (or clipping already computes them), so the default
-        fit pays nothing.
 
         ``cache_batches`` (the default) encodes the train and dev records
         once up front (:class:`~repro.data.EncodedDataset`) and serves every
@@ -173,9 +163,7 @@ class Trainer:
         tracer = get_tracer()
         self.model.train()
         for epoch in range(self.config.epochs):
-            epoch_started = time.perf_counter()
             losses = []
-            batch_norms = []
             with tracer.span("train.epoch", epoch=epoch):
                 for idx in iterate_batches(
                     len(records), self.config.batch_size, rng
@@ -205,13 +193,7 @@ class Trainer:
                     # The optimizer's list is the model's parameters in the
                     # same order, without a walk of the module tree per step.
                     if self.config.clip_norm > 0:
-                        norm = clip_grad_norm(
-                            self.optimizer.params, self.config.clip_norm
-                        )
-                        if hooks is not None:
-                            batch_norms.append(norm)
-                    elif hooks is not None:
-                        batch_norms.append(grad_norm(self.optimizer.params))
+                        clip_grad_norm(self.optimizer.params, self.config.clip_norm)
                     self.optimizer.step()
                     self.schedule.step()
                     losses.append(loss_value)
@@ -235,14 +217,6 @@ class Trainer:
                 else:
                     epochs_since_best += 1
             history.epochs.append(stats)
-            if hooks is not None:
-                hooks.on_epoch(
-                    stats,
-                    duration_s=time.perf_counter() - epoch_started,
-                    grad_norm=(
-                        float(np.mean(batch_norms)) if batch_norms else None
-                    ),
-                )
             if callback is not None:
                 callback(stats)
             if (

@@ -1,5 +1,6 @@
-"""Shared test utilities: gradient checking, call counting, process liveness,
-search executors over plain score functions, and scoped observability.
+"""Shared test utilities: gradient checking, a taped cross-entropy, call
+counting, process liveness, search executors over plain score functions, and
+scoped observability.
 
 Both gradient helpers accept a ``dtype`` so the gradcheck suites can run under the
 float32 policy too: the function under test is evaluated inside
@@ -20,6 +21,7 @@ import numpy as np
 from repro.exec import TrialExecutor
 from repro.obs import enable, get_registry, get_tracer
 from repro.tensor import Tensor, dtype_policy
+from repro.tensor.functional import CrossEntropy
 
 # Finite-difference steps and comparison tolerances per dtype policy.
 _EPS = {"float64": 1e-6, "float32": 1e-3}
@@ -91,6 +93,17 @@ def check_grad(
     assert t.grad.dtype == np.dtype(dtype), t.grad.dtype
     num = numerical_grad(fn, x, eps=_EPS[dtype], dtype=dtype)
     np.testing.assert_allclose(t.grad, num, atol=atol, rtol=rtol)
+
+
+def cross_entropy(
+    logits: Tensor, targets, sample_weights=None, class_weights=None
+) -> Tensor:
+    """:class:`~repro.tensor.functional.CrossEntropy` of a ``Tensor``'s
+    logits as one tape node (the gradcheck and parity suites' loss)."""
+    loss = CrossEntropy(logits.data, targets, sample_weights, class_weights)
+    return Tensor._make_joint(
+        loss.value, [logits], lambda g: [loss.vjp(g)], "cross_entropy"
+    )
 
 
 def python_calls(fn: Callable, *args, of: Callable | None = None) -> int:

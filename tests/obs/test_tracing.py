@@ -272,6 +272,20 @@ def test_record_exports_a_finished_span(tracer):
     assert tracer.record("queue.wait", 0.0, 1.0, ctx=None) is None
 
 
+def test_spans_land_in_the_ring_installed_now(tracer):
+    """The ring is the tracer's one sink: a caller that wants its own span
+    history swaps ``tracer.ring``, and every way a span ends lands there."""
+    with tracer.span("before"):
+        pass
+    mine = tracer.ring = SpanRing(8)
+    with tracer.span("root") as root:
+        ctx = root.context
+    with tracer.span_fanout("batch", [ctx]):
+        pass
+    tracer.record("queue.wait", 0.0, 1.0, ctx=ctx)
+    assert [s.name for s in mine.spans()] == ["root", "batch", "queue.wait"]
+
+
 # ----------------------------------------------------------------------
 # Cross-thread propagation
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ from hypothesis.extra import numpy as hnp
 from repro.tensor import (
     Tensor,
     concat,
-    cross_entropy,
     log_softmax,
     softmax,
 )
+
+from tests.helpers import cross_entropy
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.slicing import SliceAwareHead, slice_loss
-from repro.tensor import Tensor, cross_entropy, dtype_policy, no_grad
-from tests.helpers import python_calls
+from repro.tensor import Tensor, dtype_policy, no_grad
+from tests.helpers import cross_entropy, python_calls
 from tests.slicing import slice_head_oracle
 
 N_ITEMS, REP_DIM, CLASSES = 12, 5, 4

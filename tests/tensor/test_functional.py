@@ -8,13 +8,12 @@ from repro.tensor import (
     Tensor,
     log_softmax,
     softmax,
-    cross_entropy,
     binary_cross_entropy_with_logits,
     select_loss,
     accuracy,
 )
 
-from tests.helpers import check_grad
+from tests.helpers import check_grad, cross_entropy
 
 
 class TestSoftmax:

@@ -7,8 +7,6 @@ problem, naming the file and line, on small trees built under
 """
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,32 +30,8 @@ class TestRepository:
         assert arch.main() == 0, capsys.readouterr().err
 
     def test_the_allowlist_only_shrinks(self):
-        assert len(arch.REACH_ALLOWLIST) <= 2
+        assert len(arch.REACH_ALLOWLIST) <= 1
         assert all(reason.strip() for reason in arch.REACH_ALLOWLIST.values())
-
-    def test_every_package_has_a_place_in_the_order(self):
-        src = ROOT / "src" / "repro"
-        packages = {p.name for p in src.iterdir() if (p / "__init__.py").exists()}
-        assert packages - set(arch._RANKS) == set()
-
-    def test_every_layer_names_a_package_or_module(self):
-        src = ROOT / "src" / "repro"
-        for name in arch._RANKS:
-            assert (src / name / "__init__.py").exists() or (src / f"{name}.py").exists(), name
-
-    def test_the_order_names_each_package_once(self):
-        names = [n.strip() for layer in arch.LAYERS.split("<") for n in layer.split(",")]
-        assert len(names) == len(set(names)) == len(arch._RANKS)
-
-    def test_the_script_runs_standalone(self):
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "arch.py")],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "architecture: ok"
 
 
 class TestLayerOrder:

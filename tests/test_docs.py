@@ -172,11 +172,6 @@ class TestDocumentedPaths:
         missing = [p for p in _repo_paths(doc.read_text()) if not (ROOT / p).exists()]
         assert missing == []
 
-    def test_every_relative_link_and_repo_path_is_seen(self):
-        texts = [doc.read_text() for doc in _POINTING_DOCS]
-        assert sum(len(_relative_links(t)) for t in texts) > 50
-        assert sum(len(_repo_paths(t)) for t in texts) > 80
-
     def test_external_and_anchor_links_are_not_files(self):
         text = (
             "[a](https://arxiv.org/abs/1909.05372) [b](#layers) "

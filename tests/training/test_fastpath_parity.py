@@ -20,10 +20,10 @@ from repro.data import EncodedDataset
 from repro.model.multitask import MultitaskModel
 from repro.nn import GRU, LSTM, Embedding, Linear, Module
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, cross_entropy, dtype_policy, no_grad
+from repro.tensor import Tensor, dtype_policy, no_grad
 from repro.training import Trainer, evaluate
 from tests.fixtures import mini_dataset
-from tests.helpers import check_grad
+from tests.helpers import check_grad, cross_entropy
 
 
 def build(encoder="bow", n=40, seed=0, epochs=3, dtype="float64"):

@@ -200,59 +200,19 @@ class TestNaNGuard:
             trainer.fit(train.records, vocabs, build_targets(ds, train.records))
 
 
-class TestTrainerHooks:
-    def _fit(self, hooks, epochs=2, **trainer_kwargs):
+class TestEpochTracing:
+    def _fit(self, epochs=2):
         ds = mini_dataset(n=40, seed=0)
         train = ds.split("train")
-        model, vocabs = compile_from_dataset(
-            ds, small_config(epochs=epochs, **trainer_kwargs)
-        )
+        model, vocabs = compile_from_dataset(ds, small_config(epochs=epochs))
         trainer = Trainer(model, model.config.trainer)
-        return trainer.fit(
-            train.records, vocabs, build_targets(ds, train.records), hooks=hooks
-        )
-
-    def test_hooks_see_every_epoch_with_measurements(self):
-        calls = []
-
-        class Recorder:
-            def on_epoch(self, stats, *, duration_s, grad_norm):
-                calls.append((stats.epoch, duration_s, grad_norm))
-
-        history = self._fit(Recorder(), epochs=3)
-        assert [c[0] for c in calls] == [0, 1, 2]
-        assert all(duration > 0 for _, duration, _ in calls)
-        # clip_norm defaults off, so hooks trigger explicit norm measurement.
-        assert all(norm is not None and norm >= 0 for *_, norm in calls)
-        assert len(history.epochs) == 3
-
-    def test_hooks_see_the_pre_clip_norm_when_clipping(self):
-        norms = []
-
-        class Recorder:
-            def on_epoch(self, stats, *, duration_s, grad_norm):
-                norms.append(grad_norm)
-
-        self._fit(Recorder(), epochs=2, clip_norm=1e-3)
-        # The norm reported is the one measured before clipping.
-        assert len(norms) == 2 and all(n > 1e-3 for n in norms)
-
-    def test_hooks_only_measure(self):
-        class Recorder:
-            def on_epoch(self, stats, *, duration_s, grad_norm):
-                pass
-
-        watched = self._fit(Recorder(), epochs=2)
-        silent = self._fit(None, epochs=2)
-        assert [e.train_loss for e in watched.epochs] == [
-            e.train_loss for e in silent.epochs
-        ]
+        return trainer.fit(train.records, vocabs, build_targets(ds, train.records))
 
     def test_epochs_are_traced_when_enabled(self):
         import repro.obs as obs
 
         with obs_activated():
-            self._fit(None, epochs=2)
+            self._fit(epochs=2)
             epochs = [
                 s for s in obs.get_tracer().ring.spans()
                 if s.name == "train.epoch"

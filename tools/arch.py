@@ -50,11 +50,6 @@ REACH_ALLOWLIST: dict[str, str] = {
         "tests/autopilot/test_soak.py drives it and docs/robustness.md "
         "documents it"
     ),
-    "repro/tensor/functional.py:cross_entropy": (
-        "the taped form of CrossEntropy, which the slice head's loss calls "
-        "directly; tests/slicing/test_slice_head_conformance.py pins it to one "
-        "tape node, bit-equal to the per-op oracle"
-    ),
 }
 
 # Each package's position in the order, bottom layer first.
