@@ -66,7 +66,7 @@ def _violation_rate(endpoint: Endpoint, records, constraints) -> float:
         )
         arg_scores = np.array(response["IntentArg"]["scores"])
         distributions.append({"Intent": intent_probs, "IntentArg": arg_scores})
-        contexts.append(record)
+        contexts.append(record.payloads)
     return constraints.violation_rate(distributions, contexts)
 
 

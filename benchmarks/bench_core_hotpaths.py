@@ -10,11 +10,12 @@ substrate provides:
   Measured as forward passes/second on a recurrent-encoder model (the
   deepest tape: ~20 recorded ops per timestep), taped vs tape-free, with
   outputs asserted identical.
-* **epoch-level batch caching** — ``Trainer.fit(cache_batches=True)``
-  encodes the dataset once (:class:`repro.data.EncodedDataset`) and serves
-  per-batch row views, instead of re-encoding the same records every epoch.
-  Measured as wall-clock for an identical fit with the cache off vs on,
-  with per-epoch losses asserted identical.
+* **epoch-level batch caching** — ``Trainer.fit`` encodes the dataset
+  once (:class:`repro.data.EncodedDataset`) and serves per-batch row views,
+  instead of re-encoding the same records every epoch.  Measured as
+  wall-clock for an identical fit against a local per-batch
+  ``encode_inputs`` loop (the epoch before the cache), with per-epoch
+  losses asserted identical.
 
 Shape target: tape-free inference >= 2x taped throughput, cached epochs
 >= 1.3x uncached wall-clock.  When ``BENCH_CORE_JSON`` is set (the
@@ -32,8 +33,10 @@ import numpy as np
 
 from repro.api import Application
 from repro.core import ModelConfig, PayloadConfig, Schema, TrainerConfig
-from repro.data import Dataset, EncodedDataset
+from repro.data import Dataset, EncodedDataset, encode_inputs, iterate_batches
 from repro.model.compiler import compile_model
+from repro.model.task_heads import TaskTargets
+from repro.optim import clip_grad_norm
 from repro.tensor import no_grad
 from repro.training import Trainer
 from repro.workloads import (
@@ -197,14 +200,55 @@ class _TapedPredictModel:
                 self._model.train()
 
 
+def _legacy_fit(trainer: Trainer, records, vocabs, targets, on_epoch) -> list[float]:
+    """``Trainer.fit``'s epoch loop as it ran before the batch cache.
+
+    Every batch is re-encoded from its records with ``encode_inputs``; the
+    RNG stream, batch order, loss, clipping and optimizer steps are the
+    trainer's, so the losses match the cached fit bit for bit.
+    """
+    model, config = trainer.model, trainer.config
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    model.train()
+    for _ in range(config.epochs):
+        epoch = []
+        for idx in iterate_batches(len(records), config.batch_size, rng):
+            payloads = [records[int(i)].payloads for i in idx]
+            batch = encode_inputs(payloads, model.schema, vocabs, indices=idx)
+            rows = {
+                name: TaskTargets(
+                    probs=t.probs[idx],
+                    weights=t.weights[idx],
+                    class_weights=t.class_weights,
+                    membership=None if t.membership is None else t.membership[idx],
+                )
+                for name, t in targets.items()
+            }
+            loss = model.compute_loss(
+                model(batch), rows, slice_weight=config.slice_weight
+            )
+            trainer.optimizer.zero_grad()
+            loss.backward()
+            if config.clip_norm > 0:
+                clip_grad_norm(trainer.optimizer.params, config.clip_norm)
+            trainer.optimizer.step()
+            trainer.schedule.step()
+            epoch.append(loss.item())
+        losses.append(float(np.mean(epoch)))
+        on_epoch()
+    model.eval()
+    return losses
+
+
 def _run_epoch_lane(app, dataset, config, dev, fast: bool):
     """One timed fit: either the shipped fast path or the legacy loop.
 
-    The legacy lane re-encodes every batch (``cache_batches=False``) and
+    The legacy lane (:func:`_legacy_fit`) re-encodes every batch and
     evaluates dev with the taped forward via :class:`_TapedPredictModel`
-    from the epoch callback — including the trainer's best-epoch
-    bookkeeping (state snapshot on improvement, restore at the end) so both
-    lanes do identical work.
+    after each epoch — including the trainer's best-epoch bookkeeping
+    (state snapshot on improvement, restore at the end) so both lanes do
+    identical work.
     """
     from repro.training.evaluation import evaluate, mean_primary
 
@@ -213,7 +257,7 @@ def _run_epoch_lane(app, dataset, config, dev, fast: bool):
     if fast:
         start = time.perf_counter()
         history = trainer.fit(
-            train.records, vocabs, targets, dev_records=dev.records, cache_batches=True
+            train.records, vocabs, targets, dev_records=dev.records
         )
         elapsed = time.perf_counter() - start
         scores = [e.dev_score for e in history.epochs]
@@ -223,7 +267,7 @@ def _run_epoch_lane(app, dataset, config, dev, fast: bool):
     scores = []
     best = {"score": -np.inf, "state": None}
 
-    def legacy_eval(stats) -> None:
+    def legacy_eval() -> None:
         evals = evaluate(taped, dev.records, app.schema, vocabs, "gold")
         score = mean_primary(evals)
         scores.append(score)
@@ -232,13 +276,11 @@ def _run_epoch_lane(app, dataset, config, dev, fast: bool):
             best["state"] = model.state_dict()
 
     start = time.perf_counter()
-    history = trainer.fit(
-        train.records, vocabs, targets, cache_batches=False, callback=legacy_eval
-    )
+    losses = _legacy_fit(trainer, train.records, vocabs, targets, legacy_eval)
     if best["state"] is not None:
         model.load_state_dict(best["state"])
     elapsed = time.perf_counter() - start
-    return elapsed, [e.train_loss for e in history.epochs], scores
+    return elapsed, losses, scores
 
 
 def run_epoch_fastpath(

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from repro.data.batching import encode_inputs
-from repro.data.record import Record
+from repro.data.values import value_rule
 from repro.errors import DeploymentError
 from repro.obs import get_tracer
 from repro.tensor import dtype_policy, no_grad, resolve_dtype
@@ -48,7 +48,7 @@ class Endpoint:
     ``constraints`` optionally enables joint constrained decoding (the
     paper's SRL future work, :mod:`repro.core.constraints`): per-example
     distributions of constrained tasks are rescored jointly, with the
-    record passed as constraint context.
+    request payload passed as constraint context.
 
     ``micro_batch_size`` caps the model batch; ``None`` serves each request
     list as one batch.  ``strict`` controls whether *missing* signature
@@ -101,9 +101,14 @@ class Endpoint:
         self._schema = artifact.schema
         self.artifact = artifact
         self.signature = artifact.signature
-        # What validate_payload checks every payload against, built once
-        # per signature rather than once per payload.
+        # What admit_payload checks every payload against, built once per
+        # signature rather than once per payload: the input names, then
+        # one value rule per input.
         self._input_names = frozenset(i.name for i in artifact.signature.inputs)
+        self._value_rules = [
+            (i.name, value_rule(artifact.schema.payload(i.name)))
+            for i in artifact.signature.inputs
+        ]
         # What finalize_outputs formats each task with, also per signature:
         # (task, payload whose lengths bound its positions or members or
         # None, the column formatter).
@@ -223,11 +228,17 @@ class Endpoint:
     def predict_one(self, payload: dict[str, Any]) -> dict[str, Any]:
         return self.predict([payload])[0]
 
-    def validate_payload(self, payload: dict[str, Any], index: int | None = None) -> None:
-        """Check one request against the serving signature.
+    def admit_payload(self, payload: dict[str, Any], index: int | None = None) -> None:
+        """The whole check a payload passes before it may be encoded.
 
-        Unknown fields are always rejected; missing signature inputs are
-        rejected when the endpoint is strict.  The error names the fields.
+        Field names against the signature: unknown fields are always
+        rejected, and missing signature inputs when the endpoint is strict
+        (:class:`DeploymentError` naming the fields).  Then each value
+        against its input's :func:`~repro.data.values.value_rule`
+        (:class:`DataError` naming the field), which accepts exactly what
+        :meth:`encode_requests` can encode.  :meth:`predict` runs it on
+        every request up front and the gateway on every submit, so
+        encoding trusts its input.
         """
         if not isinstance(payload, dict):
             raise DeploymentError(
@@ -248,37 +259,28 @@ class Endpoint:
                     f"{_request_label(index)} is missing payloads {sorted(missing)}; "
                     f"signature inputs: {sorted(known)}"
                 )
-
-    def admit_payload(self, payload: dict[str, Any], index: int | None = None) -> None:
-        """The whole check a payload passes before it may be encoded.
-
-        :meth:`validate_payload`'s field names, then the values against the
-        schema (:meth:`Record.validate`: sequence lengths, set members,
-        vector sizes), which raise :class:`DataError` naming the field.
-        :meth:`predict` runs it on every request up front and the gateway
-        on every submit, so :meth:`encode_requests` trusts its input.
-        """
-        self.validate_payload(payload, index=index)
-        Record(payloads=payload).validate(self._schema)
+        get = payload.get
+        for name, check in self._value_rules:
+            check(get(name))
 
     # ------------------------------------------------------------------
     # The encode-then-forward path (shared with repro.serve's batcher)
     # ------------------------------------------------------------------
     def encode_requests(
         self, payloads: Sequence[dict[str, Any]]
-    ) -> tuple[list[Record], dict]:
-        """Turn admitted payloads into records + one encoded model batch.
+    ) -> tuple[Sequence[dict[str, Any]], dict]:
+        """Encode admitted payloads into one model batch: ``(payloads, batch)``.
 
         The payloads must have passed :meth:`admit_payload`; nothing here
-        checks them again.  Encoding runs under the model's dtype policy so
-        float batch arrays (masks, raw features) are born in the serving
-        dtype instead of being cast on every forward.
+        checks them again.  They come back unchanged, for
+        :meth:`finalize_outputs`.  Encoding runs under the model's dtype
+        policy so float batch arrays (masks, raw features) are born in the
+        serving dtype instead of being cast on every forward.
         """
         with get_tracer().span("endpoint.encode", child_only=True, n=len(payloads)):
-            records = [Record(payloads=p) for p in payloads]
             with dtype_policy(self._model.dtype):
-                batch = encode_inputs(records, self._schema, self.artifact.vocabs)
-        return records, batch
+                batch = encode_inputs(payloads, self._schema, self.artifact.vocabs)
+        return payloads, batch
 
     def forward_raw(self, batch: dict) -> dict[str, Any]:
         """The bare model forward over an encoded batch: task outputs only.
@@ -304,9 +306,9 @@ class Endpoint:
         return outputs
 
     def finalize_outputs(
-        self, outputs: dict[str, Any], records: list[Record]
+        self, outputs: dict[str, Any], payloads: Sequence[dict[str, Any]]
     ) -> list[dict[str, Any]]:
-        """Constrain and format raw task outputs into per-record responses.
+        """Constrain and format raw task outputs into per-payload responses.
 
         ``outputs`` only needs per-task ``.probs`` / ``.predictions``
         arrays (a full :class:`~repro.model.task_heads.TaskOutput` or the
@@ -314,11 +316,11 @@ class Endpoint:
         worker results without re-running the forward.
         """
         if self._constraints is not None and len(self._constraints):
-            self._apply_constraints(outputs, records)
+            self._apply_constraints(outputs, payloads)
         # Each task is formatted once per batch, as one column of
-        # per-record values; the columns are then zipped into responses.
+        # per-payload values; the columns are then zipped into responses.
         lengths = {
-            name: [len(r.payloads.get(name) or ()) for r in records]
+            name: [len(p.get(name) or ()) for p in payloads]
             for name in self._length_payloads
         }
         columns = [
@@ -329,15 +331,15 @@ class Endpoint:
         return [dict(zip(tasks, row)) for row in zip(*columns)]
 
     def forward_encoded(
-        self, records: list[Record], batch: dict
+        self, payloads: Sequence[dict[str, Any]], batch: dict
     ) -> list[dict[str, Any]]:
-        """One model forward over an encoded batch, formatted per record.
+        """One model forward over an encoded batch, formatted per payload.
 
         Composition of :meth:`forward_raw` and :meth:`finalize_outputs` —
         the in-process serving path, and the parity reference for the
         process-parallel one.
         """
-        return self.finalize_outputs(self.forward_raw(batch), records)
+        return self.finalize_outputs(self.forward_raw(batch), payloads)
 
     # ------------------------------------------------------------------
     # Internals
@@ -345,7 +347,7 @@ class Endpoint:
     def _predict_batch(self, payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
         return self.forward_encoded(*self.encode_requests(payloads))
 
-    def _apply_constraints(self, outputs, records: list[Record]) -> None:
+    def _apply_constraints(self, outputs, payloads: Sequence[dict[str, Any]]) -> None:
         """Rewrite constrained tasks' predictions via joint decoding.
 
         Only singleton-multiclass and select tasks participate (their
@@ -363,19 +365,19 @@ class Endpoint:
         ]
         if not constrained:
             return
-        for i, record in enumerate(records):
+        for i, payload in enumerate(payloads):
             distributions = {t: outputs[t].probs[i] for t in constrained}
-            result = self._constraints.decode(distributions, context=record)
+            result = self._constraints.decode(distributions, context=payload)
             for task, (before, after) in result.changed.items():
                 outputs[task].predictions[i] = after
 
 
 def _column_formatter(out_sig, schema) -> tuple[str | None, Callable]:
-    """How one task's outputs become a column of per-record responses.
+    """How one task's outputs become a column of per-payload responses.
 
-    Returns the payload whose per-record lengths the column needs (the
+    Returns the payload whose per-payload lengths the column needs (the
     sequence a sequence task labels, the set a select task picks from) or
-    ``None``, and ``column(task_out, lengths) -> [response per record]``.
+    ``None``, and ``column(task_out, lengths) -> [response per payload]``.
     """
     names = np.array(out_sig.classes, dtype=object)
     payload = schema.task(out_sig.name).payload

@@ -35,8 +35,8 @@ class Constraint:
 
     ``check(assignment, context)`` returns True when satisfied.  The
     assignment maps task name -> chosen label index; ``context`` is the
-    caller-provided per-example payload (e.g. the record), so checks can
-    inspect candidate entities etc.
+    caller-provided per-example context (an endpoint passes the request's
+    payload mapping), so checks can inspect candidate entities etc.
     """
 
     name: str

@@ -6,7 +6,6 @@ from repro.data.dataset import Dataset
 from repro.data.tags import (
     DEFAULT_SPLITS,
     TagTable,
-    assign_splits,
     is_slice_tag,
     slice_name,
     slice_tag,
@@ -21,7 +20,7 @@ from repro.data.batching import (
     extract_targets,
     iterate_batches,
 )
-from repro.data.encoded import EncodedDataset, encoding_fingerprint
+from repro.data.encoded import EncodedDataset
 
 __all__ = [
     "Record",
@@ -30,7 +29,6 @@ __all__ = [
     "Dataset",
     "DEFAULT_SPLITS",
     "TagTable",
-    "assign_splits",
     "is_slice_tag",
     "slice_name",
     "slice_tag",
@@ -45,6 +43,5 @@ __all__ = [
     "extract_targets",
     "iterate_batches",
     "EncodedDataset",
-    "encoding_fingerprint",
     "RecordQuery",
 ]

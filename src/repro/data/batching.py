@@ -1,4 +1,4 @@
-"""Batching: convert records into padded numpy inputs for the compiled model.
+"""Batching: convert payloads into padded numpy inputs for the compiled model.
 
 The split of responsibilities mirrors the paper: records carry raw payloads
 and per-source supervision; the *label model* (repro.supervision) combines
@@ -9,7 +9,7 @@ and gold targets for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,38 +48,38 @@ class Batch:
 
 
 def encode_inputs(
-    records: Sequence[Record],
+    payloads: Sequence[Mapping[str, Any]],
     schema: Schema,
     vocabs: dict[str, Vocab],
     indices: np.ndarray | None = None,
 ) -> Batch:
-    """Encode ``records`` into a :class:`Batch` of padded arrays.
+    """Encode payload mappings (name -> value) into a :class:`Batch`.
 
-    Sequences are padded to the payload's ``max_length`` (fixed width keeps
-    shapes stable across batches, which the serving signature relies on).
+    The values must pass :func:`repro.data.values.value_rule`.  Sequences
+    are padded to the payload's ``max_length`` (fixed width keeps shapes
+    stable across batches, which the serving signature relies on).
     """
     if indices is None:
-        indices = np.arange(len(records))
+        indices = np.arange(len(payloads))
     batch = Batch(indices=np.asarray(indices))
-    n = len(records)
+    n = len(payloads)
     # Float inputs (masks, raw features) follow the dtype policy; id/index
     # arrays are *always* integer — the policy must never touch them.
     dtype = default_dtype()
 
-    for payload in schema.payloads:
-        if payload.base:
+    for spec in schema.payloads:
+        if spec.base:
             continue  # derived inside the model
         inputs = PayloadInputs()
-        if payload.type == "sequence":
-            vocab = _require_vocab(vocabs, payload.name)
-            length = payload.max_length or 0
+        if spec.type == "sequence":
+            vocab = _require_vocab(vocabs, spec.name)
+            length = spec.max_length or 0
             ids = np.zeros((n, length), dtype=np.int64)
             if n and length:
                 # Vectorized fill: one bulk vocab lookup over all tokens,
                 # scattered into the padded matrix by a row-length mask.
                 token_lists = [
-                    (record.payloads.get(payload.name) or [])[:length]
-                    for record in records
+                    (row.get(spec.name) or [])[:length] for row in payloads
                 ]
                 lengths = np.fromiter(
                     (len(t) for t in token_lists), dtype=np.int64, count=n
@@ -92,16 +92,16 @@ def encode_inputs(
                 mask = np.zeros((n, length), dtype=dtype)
             inputs.ids = ids
             inputs.mask = mask
-        elif payload.type == "set":
-            vocab = _require_vocab(vocabs, payload.name)
-            m = payload.max_members or 0
+        elif spec.type == "set":
+            vocab = _require_vocab(vocabs, spec.name)
+            m = spec.max_members or 0
             member_ids = np.zeros((n, m), dtype=np.int64)
             spans = np.zeros((n, m, 2), dtype=np.int64)
             member_mask = np.zeros((n, m), dtype=dtype)
-            range_payload = schema.payload(payload.range) if payload.range else None
+            range_payload = schema.payload(spec.range) if spec.range else None
             max_pos = range_payload.max_length if range_payload else None
-            for i, record in enumerate(records):
-                members = (record.payloads.get(payload.name) or [])[:m]
+            for i, row in enumerate(payloads):
+                members = (row.get(spec.name) or [])[:m]
                 for j, member in enumerate(members):
                     member_ids[i, j] = vocab.id(member.get("id", ""))
                     span = member.get("range") or [0, 1]
@@ -114,14 +114,14 @@ def encode_inputs(
             inputs.member_ids = member_ids
             inputs.spans = spans
             inputs.member_mask = member_mask
-        elif payload.type == "singleton" and payload.dim is not None:
-            features = np.zeros((n, payload.dim), dtype=dtype)
-            for i, record in enumerate(records):
-                value = record.payloads.get(payload.name)
+        elif spec.type == "singleton" and spec.dim is not None:
+            features = np.zeros((n, spec.dim), dtype=dtype)
+            for i, row in enumerate(payloads):
+                value = row.get(spec.name)
                 if value is not None:
                     features[i] = np.asarray(value, dtype=dtype)
             inputs.features = features
-        batch.payloads[payload.name] = inputs
+        batch.payloads[spec.name] = inputs
     return batch
 
 

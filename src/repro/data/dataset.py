@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.schema_def import Schema
 from repro.data.jsonl import read_records, write_records
 from repro.data.record import Record
-from repro.data.tags import TagTable, assign_splits
+from repro.data.tags import TagTable
 from repro.data.vocab import Vocab
 from repro.errors import DataError
 
@@ -72,34 +72,6 @@ class Dataset:
         """Records in one of the default splits (train/dev/test)."""
         return self.with_tag(name)
 
-    def ensure_splits(self, rng: np.random.Generator, train: float = 0.8, dev: float = 0.1) -> None:
-        """Assign default split tags to records that have none."""
-        missing = [
-            r for r in self.records
-            if not any(r.has_tag(s) for s in ("train", "dev", "test"))
-        ]
-        if not missing:
-            return
-        for record, split in zip(missing, assign_splits(len(missing), rng, train, dev)):
-            record.add_tag(split)
-
-    def apply_slice(self, name: str, predicate: Callable[[Record], bool]) -> int:
-        """Tag records matched by ``predicate`` with ``slice:<name>``.
-
-        Returns the number of records tagged.  This is the engineer's slice
-        declaration path (§2.2 "Slicing": "An engineer defines a slice by
-        tagging a subset of the data").
-        """
-        from repro.data.tags import slice_tag
-
-        tag = slice_tag(name)
-        count = 0
-        for record in self.records:
-            if predicate(record):
-                record.add_tag(tag)
-                count += 1
-        return count
-
     # ------------------------------------------------------------------
     # Vocab construction
     # ------------------------------------------------------------------
@@ -127,13 +99,6 @@ class Dataset:
     # ------------------------------------------------------------------
     # Supervision summary
     # ------------------------------------------------------------------
-    def sources_for_task(self, task_name: str) -> list[str]:
-        """All label sources observed for ``task_name``, sorted."""
-        sources: set[str] = set()
-        for record in self.records:
-            sources.update(record.sources_for(task_name))
-        return sorted(sources)
-
     def supervision_stats(self) -> dict[str, dict[str, int]]:
         """Per task, per source: number of records that source labeled."""
         stats: dict[str, dict[str, int]] = {t.name: {} for t in self.schema.tasks}

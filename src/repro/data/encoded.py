@@ -15,16 +15,12 @@ arrays.  Shuffling therefore behaves exactly as before — the trainer draws
 the same index permutations from the same RNG stream and only the array
 construction changes.
 
-The cache is valid for one (schema, vocabs) pair, captured as a
-:func:`encoding_fingerprint` at construction; callers that mutate vocabs
-between epochs (none do today) can detect staleness with
-:meth:`EncodedDataset.is_current`.
+The cache holds for one (schema, vocabs) pair; vocabs are append-only and
+nothing mutates them while a dataset is being encoded or trained on.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Sequence
 
 import numpy as np
@@ -33,36 +29,6 @@ from repro.core.schema_def import Schema
 from repro.data.batching import Batch, PayloadInputs, encode_inputs, extract_targets
 from repro.data.record import Record
 from repro.data.vocab import Vocab
-from repro.tensor.backend import default_dtype
-
-
-def encoding_fingerprint(schema: Schema, vocabs: dict[str, Vocab]) -> str:
-    """A stable digest of everything that shapes encoded arrays.
-
-    Covers each payload's structural fields (type, widths, range/base
-    wiring), each vocab's size — vocabs are append-only, so length pins
-    the id assignment — and the active dtype policy, since the float
-    arrays a cache built under float64 are not the arrays a float32
-    consumer expects.
-    """
-    spec = {
-        "dtype": default_dtype().name,
-        "payloads": [
-            {
-                "name": p.name,
-                "type": p.type,
-                "max_length": p.max_length,
-                "max_members": p.max_members,
-                "dim": p.dim,
-                "range": p.range,
-                "base": list(p.base),
-            }
-            for p in schema.payloads
-        ],
-        "vocabs": {name: len(v) for name, v in sorted(vocabs.items())},
-    }
-    payload = json.dumps(spec, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
 
 
 class EncodedDataset:
@@ -80,18 +46,13 @@ class EncodedDataset:
         vocabs: dict[str, Vocab],
     ) -> None:
         self.schema = schema
-        self.fingerprint = encoding_fingerprint(schema, vocabs)
         self._records = list(records)
-        self._full = encode_inputs(records, schema, vocabs)
+        self._full = encode_inputs([r.payloads for r in records], schema, vocabs)
         self._n = len(records)
         self._targets: dict[tuple[str, str], dict[str, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self._n
-
-    def is_current(self, schema: Schema, vocabs: dict[str, Vocab]) -> bool:
-        """Whether the cached encoding still matches (schema, vocabs)."""
-        return self.fingerprint == encoding_fingerprint(schema, vocabs)
 
     def batch(self, indices: np.ndarray) -> Batch:
         """The encoded batch for dataset rows ``indices`` (any order).
@@ -113,17 +74,13 @@ class EncodedDataset:
             )
         return Batch(indices=idx, payloads=payloads)
 
-    def full_batch(self) -> Batch:
-        """The entire dataset as one encoded batch (shared arrays, no copy)."""
-        return self._full
-
     def gold_targets(self, task_name: str, source: str) -> dict[str, np.ndarray]:
         """Memoized :func:`extract_targets` over the full record set.
 
         The evaluation harness extracts the same gold labels for every task
         on every call; per-epoch dev evaluation makes that an epoch-hot
         python loop.  Labels are as immutable as the encoded inputs, so
-        they are cached under the same fingerprint lifetime.
+        they are cached for the dataset's lifetime.
         """
         key = (task_name, source)
         cached = self._targets.get(key)

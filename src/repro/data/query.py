@@ -38,13 +38,6 @@ class RecordQuery:
     def with_tag(self, tag: str) -> "RecordQuery":
         return self.where(lambda r: r.has_tag(tag))
 
-    def without_tag(self, tag: str) -> "RecordQuery":
-        return self.where(lambda r: not r.has_tag(tag))
-
-    def labeled_by(self, task: str, source: str) -> "RecordQuery":
-        """Records where ``source`` provided a (non-null) label for ``task``."""
-        return self.where(lambda r: r.label_from(task, source) is not None)
-
     def unlabeled(self, task: str) -> "RecordQuery":
         """Records with no supervision at all for ``task``."""
         return self.where(
@@ -72,9 +65,6 @@ class RecordQuery:
             return len(set(labels)) > 1
 
         return self.where(has_conflict)
-
-    def token_contains(self, token: str, payload: str = "tokens") -> "RecordQuery":
-        return self.where(lambda r: token in (r.payloads.get(payload) or []))
 
     # ------------------------------------------------------------------
     # Terminals

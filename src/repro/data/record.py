@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.schema_def import Schema
+from repro.data.values import value_rule
 from repro.errors import DataError
 
 
@@ -109,48 +110,7 @@ class Record:
     def validate(self, schema: Schema) -> None:
         """Raise :class:`DataError` if this record violates ``schema``."""
         for name, value in self.payloads.items():
-            spec = schema.payload(name)  # raises SchemaError for unknown
-            if value is None:
-                continue  # "Each payload is described in the file (but may be null)"
-            if spec.type == "sequence":
-                if not isinstance(value, list):
-                    raise DataError(f"sequence payload {name!r} must be a list")
-                if spec.max_length is not None and len(value) > spec.max_length:
-                    raise DataError(
-                        f"sequence payload {name!r} has {len(value)} items, "
-                        f"max_length is {spec.max_length}"
-                    )
-            elif spec.type == "set":
-                if not isinstance(value, list):
-                    raise DataError(f"set payload {name!r} must be a list of members")
-                if spec.max_members is not None and len(value) > spec.max_members:
-                    raise DataError(
-                        f"set payload {name!r} has {len(value)} members, "
-                        f"max_members is {spec.max_members}"
-                    )
-                for i, member in enumerate(value):
-                    if not isinstance(member, dict):
-                        raise DataError(
-                            f"set payload {name!r} member {i} must be an object"
-                        )
-                    span = member.get("range")
-                    if span is not None:
-                        if (
-                            not isinstance(span, list)
-                            or len(span) != 2
-                            or not all(isinstance(x, int) for x in span)
-                            or span[0] < 0
-                            or span[1] <= span[0]
-                        ):
-                            raise DataError(
-                                f"set payload {name!r} member {i}: range must be "
-                                f"[start, end) with 0 <= start < end, got {span!r}"
-                            )
-            elif spec.type == "singleton" and spec.dim is not None:
-                if not isinstance(value, list) or len(value) != spec.dim:
-                    raise DataError(
-                        f"singleton payload {name!r} must be a {spec.dim}-vector"
-                    )
+            value_rule(schema.payload(name))(value)  # SchemaError if unknown
 
         for task_name, sources in self.tasks.items():
             task = schema.task(task_name)  # raises SchemaError for unknown

@@ -34,33 +34,6 @@ def slice_tag(name: str) -> str:
     return f"{SLICE_PREFIX}{name}"
 
 
-def assign_splits(
-    n: int,
-    rng: np.random.Generator,
-    train: float = 0.8,
-    dev: float = 0.1,
-) -> list[str]:
-    """Randomly assign each of ``n`` records a default split tag.
-
-    Proportions must satisfy ``0 < train``, ``0 <= dev``, ``train + dev < 1``
-    (the remainder is test).
-    """
-    if not 0 < train < 1 or dev < 0 or train + dev >= 1:
-        raise ValueError(
-            f"invalid split proportions train={train}, dev={dev}"
-        )
-    draws = rng.random(n)
-    splits = []
-    for value in draws:
-        if value < train:
-            splits.append("train")
-        elif value < train + dev:
-            splits.append("dev")
-        else:
-            splits.append("test")
-    return splits
-
-
 class TagTable:
     """A columnar view of tags across a dataset.
 
@@ -101,9 +74,6 @@ class TagTable:
 
     def count(self, tag: str) -> int:
         return len(self.indices(tag))
-
-    def slice_tags(self) -> list[str]:
-        return [t for t in self._indices if is_slice_tag(t)]
 
     def to_columns(self) -> dict[str, list]:
         """Pandas-compatible columnar dict: one bool column per tag."""

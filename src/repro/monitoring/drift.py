@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.data.record import Record
 from repro.data.vocab import Vocab
 
 
@@ -73,10 +72,10 @@ class DriftReport:
         }
 
 
-def _token_counts(records: Sequence[Record], payload: str) -> Counter:
+def _token_counts(window: Sequence[Mapping[str, Any]], payload: str) -> Counter:
     counts: Counter = Counter()
-    for record in records:
-        counts.update(record.payloads.get(payload) or [])
+    for values in window:
+        counts.update(values.get(payload) or [])
     return counts
 
 
@@ -94,14 +93,17 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def detect_drift(
-    reference: Sequence[Record],
-    live: Sequence[Record],
+    reference: Sequence[Mapping[str, Any]],
+    live: Sequence[Mapping[str, Any]],
     vocab: Vocab,
     payload: str = "tokens",
     js_threshold: float = 0.1,
     oov_threshold: float = 0.05,
 ) -> DriftReport:
     """Compare a live window against the training-time reference.
+
+    Both windows are payload mappings (name -> value): a record's
+    ``payloads`` or a request as served.
 
     ``js_threshold`` / ``oov_threshold`` are recorded on the returned report
     and become the defaults for its :meth:`DriftReport.drifted` gate.
@@ -120,8 +122,8 @@ def detect_drift(
         unknown = sum(c for t, c in counts.items() if t not in vocab)
         return unknown / total
 
-    def mean_length(records: Sequence[Record]) -> float:
-        lengths = [len(r.payloads.get(payload) or []) for r in records]
+    def mean_length(window: Sequence[Mapping[str, Any]]) -> float:
+        lengths = [len(values.get(payload) or []) for values in window]
         return float(np.mean(lengths)) if lengths else 0.0
 
     ref_total = sum(live_counts.values())

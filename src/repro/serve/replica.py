@@ -79,12 +79,12 @@ class Replica:
             with self.lock:
                 endpoint = self.endpoint
                 version = endpoint.version
-                records, batch = endpoint.encode_requests(payloads)
+                payloads, batch = endpoint.encode_requests(payloads)
                 with self.transport.unlocked(self.lock):
                     outputs = self.transport.forward(
                         self.tier, self.role, version, endpoint, batch
                     )
-                responses = endpoint.finalize_outputs(outputs, records)
+                responses = endpoint.finalize_outputs(outputs, payloads)
                 endpoint.requests_served += len(payloads)
                 elapsed = time.perf_counter() - started
                 self._note_served(len(payloads), elapsed)

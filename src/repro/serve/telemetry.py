@@ -190,10 +190,6 @@ class TelemetryRing:
             self._payloads.clear()
         return dropped
 
-    def live_records(self) -> list[Record]:
-        """The sampled payload window as records, for the drift detector."""
-        return [Record(payloads=dict(p)) for p in self.payload_samples()]
-
     def snapshot(
         self,
         max_batch_size: int | None = None,
@@ -259,8 +255,8 @@ class TelemetryRing:
         them here, once, rather than at every ``drifted()`` call site.
         """
         return detect_drift(
-            reference,
-            self.live_records(),
+            [r.payloads for r in reference],
+            self.payload_samples(),
             vocab,
             payload=payload,
             js_threshold=js_threshold,

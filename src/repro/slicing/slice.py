@@ -96,15 +96,3 @@ class SliceSet:
     def materialize(self, records: Sequence[Record]) -> dict[str, int]:
         """Tag all records for all slices; returns per-slice counts."""
         return {s.name: s.materialize(records) for s in self.slices}
-
-    @classmethod
-    def from_tags(cls, records: Sequence[Record]) -> "SliceSet":
-        """Discover slices from ``slice:`` tags already in the data."""
-        from repro.data.tags import is_slice_tag, slice_name
-
-        names: list[str] = []
-        for record in records:
-            for tag in record.tags:
-                if is_slice_tag(tag) and slice_name(tag) not in names:
-                    names.append(slice_name(tag))
-        return cls([SliceSpec(name=n) for n in sorted(names)])

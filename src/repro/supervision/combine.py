@@ -51,12 +51,6 @@ class CombinedSupervision:
     weights: np.ndarray
     source_accuracies: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def labeled_fraction(self) -> float:
-        if self.weights.size == 0:
-            return 0.0
-        return float((self.weights > 0).mean())
-
 
 def combine_supervision(
     records: Sequence[Record],

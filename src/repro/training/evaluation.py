@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.schema_def import Schema
 from repro.core.tasks import TaskSpec
-from repro.data.batching import encode_inputs, extract_targets, iterate_batches
+from repro.data.batching import iterate_batches
 from repro.data.encoded import EncodedDataset
 from repro.data.record import Record
 from repro.data.vocab import Vocab
@@ -48,25 +48,18 @@ def predict_all(
 ) -> dict[str, dict[str, np.ndarray]]:
     """Run inference over all records; returns per-task stacked outputs.
 
-    The forward passes run tape-free (``model.predict`` is wrapped in
-    :func:`repro.tensor.no_grad`).  Passing a pre-built ``encoded`` dataset
-    skips per-batch re-encoding — the trainer reuses one encoding of the
-    dev split across every epoch's evaluation.  Per-batch encoding runs
-    under the model's dtype policy so float32 models are fed float32
-    batch arrays instead of re-casting float64 ones every forward.
+    Batches are row slices of ``encoded``, an :class:`EncodedDataset` of
+    ``records`` (the trainer passes one dev encoding to every epoch's
+    evaluation); without one, the records are encoded here, under the
+    model's dtype policy.  The forward passes run tape-free.
     """
-    model_dtype = getattr(model, "dtype", None) or default_dtype()
+    if encoded is None:
+        encoded = encode_records(model, records, schema, vocabs)
     collected: dict[str, list] = {t.name: [] for t in schema.tasks}
     probs: dict[str, list] = {t.name: [] for t in schema.tasks}
     with no_grad():
         for idx in iterate_batches(len(records), batch_size):
-            if encoded is not None:
-                batch = encoded.batch(idx)
-            else:
-                batch_records = [records[int(i)] for i in idx]
-                with dtype_policy(model_dtype):
-                    batch = encode_inputs(batch_records, schema, vocabs, indices=idx)
-            outputs = model.predict(batch)
+            outputs = model.predict(encoded.batch(idx))
             for name, out in outputs.items():
                 collected[name].append(out.predictions)
                 probs[name].append(out.probs)
@@ -83,6 +76,21 @@ def predict_all(
     }
 
 
+def encode_records(
+    model: MultitaskModel,
+    records: Sequence[Record],
+    schema: Schema,
+    vocabs: dict[str, Vocab],
+) -> EncodedDataset:
+    """``records`` encoded once under ``model``'s dtype policy.
+
+    A float32 model is fed float32 batch arrays instead of re-casting
+    float64 ones every forward.
+    """
+    with dtype_policy(getattr(model, "dtype", None) or default_dtype()):
+        return EncodedDataset(records, schema, vocabs)
+
+
 def evaluate(
     model: MultitaskModel,
     records: Sequence[Record],
@@ -94,21 +102,23 @@ def evaluate(
 ) -> dict[str, TaskEvaluation]:
     """Evaluate every task against ``gold_source`` labels.
 
-    Inference runs tape-free; ``encoded`` (optional) reuses a prior
-    :class:`~repro.data.EncodedDataset` of ``records`` instead of
-    re-encoding them.
+    Inference runs tape-free over ``encoded`` (an
+    :class:`~repro.data.EncodedDataset` of ``records``, built here when
+    none is passed), and the gold targets come from the same encoding.
     """
     if not records:
         return {t.name: TaskEvaluation(task=t.name) for t in schema.tasks}
+    if encoded is None:
+        encoded = encode_records(model, records, schema, vocabs)
     outputs = predict_all(model, records, schema, vocabs, batch_size, encoded=encoded)
-    results: dict[str, TaskEvaluation] = {}
-    for task in schema.tasks:
-        if encoded is not None:
-            gold = encoded.gold_targets(task.name, gold_source)
-        else:
-            gold = extract_targets(records, schema, task.name, gold_source)
-        results[task.name] = _score(task, outputs[task.name]["predictions"], gold)
-    return results
+    return {
+        task.name: _score(
+            task,
+            outputs[task.name]["predictions"],
+            encoded.gold_targets(task.name, gold_source),
+        )
+        for task in schema.tasks
+    }
 
 
 def _score(

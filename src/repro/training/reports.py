@@ -13,12 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.schema_def import Schema
-from repro.data.batching import extract_targets
 from repro.data.record import Record
 from repro.data.tags import TagTable
 from repro.data.vocab import Vocab
 from repro.model.multitask import MultitaskModel
-from repro.training.evaluation import _score, predict_all
+from repro.training.evaluation import _score, encode_records, predict_all
 
 
 @dataclass
@@ -73,11 +72,12 @@ def quality_report(
 ) -> QualityReport:
     """Evaluate per tag (all tags by default, including slices).
 
-    One inference pass: every record is predicted once and each task's
-    gold targets are extracted once; a tag's rows score those arrays at
-    the tag's record indices.  Rows come "overall" first, then tags in
-    the given (default: :class:`TagTable`) order, each tag's tasks in
-    schema order; a tag no record carries gets ``n=0`` rows.
+    One encoding and one inference pass: every record is predicted once
+    and each task's gold targets are read from that encoding once; a
+    tag's rows score those arrays at the tag's record indices.  Rows come
+    "overall" first, then tags in the given (default: :class:`TagTable`)
+    order, each tag's tasks in schema order; a tag no record carries gets
+    ``n=0`` rows.
     """
     table = TagTable([r.tags for r in records])
     groups: list[tuple[str, np.ndarray | None]] = []
@@ -85,11 +85,9 @@ def quality_report(
         groups.append(("overall", None))
     tag_list = tags if tags is not None else table.all_tags
     groups.extend((tag, table.indices(tag)) for tag in tag_list)
-    outputs = predict_all(model, records, schema, vocabs)
-    golds = {
-        t.name: extract_targets(records, schema, t.name, gold_source)
-        for t in schema.tasks
-    }
+    encoded = encode_records(model, records, schema, vocabs)
+    outputs = predict_all(model, records, schema, vocabs, encoded=encoded)
+    golds = {t.name: encoded.gold_targets(t.name, gold_source) for t in schema.tasks}
     report = QualityReport()
     for tag, rows in groups:
         size = len(records) if rows is None else len(rows)

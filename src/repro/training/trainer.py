@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.tuning_spec import TrainerConfig
-from repro.data.batching import encode_inputs, iterate_batches
-from repro.data.encoded import EncodedDataset
+from repro.data.batching import iterate_batches
 from repro.data.record import Record
 from repro.data.vocab import Vocab
 from repro.errors import TrainingError
@@ -25,8 +24,7 @@ from repro.model.multitask import MultitaskModel
 from repro.model.task_heads import TaskTargets
 from repro.obs import get_tracer
 from repro.optim import Adam, AdamW, ConstantSchedule, SGD, clip_grad_norm
-from repro.tensor import dtype_policy
-from repro.training.evaluation import evaluate, mean_primary
+from repro.training.evaluation import encode_records, evaluate, mean_primary
 
 
 @dataclass
@@ -117,7 +115,6 @@ class Trainer:
         dev_records: Sequence[Record] | None = None,
         gold_source: str = "gold",
         callback: Callable[[EpochStats], None] | None = None,
-        cache_batches: bool = True,
     ) -> TrainHistory:
         """Train on ``records``; optionally track dev quality per epoch.
 
@@ -126,13 +123,9 @@ class Trainer:
         epochs without dev improvement and the best-epoch weights are
         restored.
 
-        ``cache_batches`` (the default) encodes the train and dev records
-        once up front (:class:`~repro.data.EncodedDataset`) and serves every
-        epoch's batches as row slices of that encoding; results are
-        bit-identical to re-encoding per batch — same RNG stream, same
-        batch order, same arrays — just without the per-epoch encode cost.
-        Pass ``False`` to force the legacy re-encoding path (used by the
-        core benchmark and the parity suite).
+        The train and dev records are encoded once up front
+        (:class:`~repro.data.EncodedDataset`), and every epoch's batches are
+        row slices of that encoding.
         """
         if not records:
             raise TrainingError("cannot train on an empty dataset")
@@ -149,16 +142,14 @@ class Trainer:
         best_state: dict | None = None
         epochs_since_best = 0
 
-        encoded: EncodedDataset | None = None
-        dev_encoded: EncodedDataset | None = None
-        # Encode under the model's dtype policy: a float32 model trains on
-        # float32 batch arrays (half the cache memory, no per-forward
-        # re-cast); under the default float64 policy this is a no-op.
-        if cache_batches:
-            with dtype_policy(self.model.dtype):
-                encoded = EncodedDataset(records, schema, vocabs)
-                if dev_records:
-                    dev_encoded = EncodedDataset(dev_records, schema, vocabs)
+        # Encoded under the model's dtype policy: a float32 model trains on
+        # float32 batch arrays (half the cache memory, no per-forward re-cast).
+        encoded = encode_records(self.model, records, schema, vocabs)
+        dev_encoded = (
+            encode_records(self.model, dev_records, schema, vocabs)
+            if dev_records
+            else None
+        )
 
         tracer = get_tracer()
         self.model.train()
@@ -168,15 +159,7 @@ class Trainer:
                 for idx in iterate_batches(
                     len(records), self.config.batch_size, rng
                 ):
-                    if encoded is not None:
-                        batch = encoded.batch(idx)
-                    else:
-                        batch_records = [records[int(i)] for i in idx]
-                        with dtype_policy(self.model.dtype):
-                            batch = encode_inputs(
-                                batch_records, schema, vocabs, indices=idx
-                            )
-                    outputs = self.model(batch)
+                    outputs = self.model(encoded.batch(idx))
                     loss = self.model.compute_loss(
                         outputs,
                         _slice_targets(targets, idx),

@@ -313,16 +313,16 @@ def factoid_constraints(weight: float = 5.0):
     """The application's natural constraint set (SRL future work, §5).
 
     Intent and IntentArg must be compatible: e.g. a ``capital`` intent
-    cannot select a person candidate.  Context is the :class:`Record`; the
-    gazetteer resolves candidate ids to categories.
+    cannot select a person candidate.  Context is the request's payload
+    mapping; the gazetteer resolves candidate ids to categories.
     """
     from repro.core.constraints import ConstraintSet, intent_argument_compatibility
     from repro.workloads.gazetteer import GAZETTEER
 
     by_id = {e.id: e for e in GAZETTEER}
 
-    def candidate_category(record, index: int) -> str | None:
-        members = record.payloads.get("entities") or []
+    def candidate_category(payload, index: int) -> str | None:
+        members = payload.get("entities") or []
         if not 0 <= index < len(members):
             return None
         entity = by_id.get(members[index].get("id"))

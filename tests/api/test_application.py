@@ -237,16 +237,26 @@ class TestEndpoint:
     def test_validation_messages_are_exact(self, fitted, payload, index, message):
         app, ds, run = fitted
         with pytest.raises(DeploymentError) as caught:
-            run.endpoint().validate_payload(payload, index=index)
+            run.endpoint().admit_payload(payload, index=index)
         assert str(caught.value) == message
 
-    def test_validating_a_payload_is_per_signature_work(self, fitted):
-        """The known input names are built once per signature: checking a
-        valid payload makes no Python call beyond the check itself."""
+    def test_admitting_a_payload_is_per_signature_work(self, fitted):
+        """The input names and value rules are built once per signature:
+        admitting a valid payload makes the check's own call and one call
+        per input's rule, and no Python call per token or member."""
         app, ds, run = fitted
         endpoint = run.endpoint()
-        good = {"tokens": ["hi"], "entities": []}
-        assert python_calls(endpoint.validate_payload, good) == 1
+        schema = app.schema
+        longest = schema.payload("tokens").max_length
+        most = schema.payload("entities").max_members
+        short = {"tokens": ["hi"], "entities": [{"id": "paris", "range": [0, 1]}]}
+        full = {
+            "tokens": ["hi"] * longest,
+            "entities": [{"id": "paris", "range": [0, 1]}] * most,
+        }
+        inputs = len(endpoint.signature.inputs)
+        assert python_calls(endpoint.admit_payload, short) == 1 + inputs
+        assert python_calls(endpoint.admit_payload, full) == 1 + inputs
 
     def test_version_pinning_against_store(self, fitted, tmp_path):
         app, ds, run = fitted

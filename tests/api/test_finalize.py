@@ -20,7 +20,6 @@ from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, Schema, TrainerConfig
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.data import Dataset
-from repro.data.record import Record
 from repro.deploy.artifact import ModelArtifact
 from repro.serve.shm import RawTaskOutput
 
@@ -51,7 +50,7 @@ def forbid_first_member() -> ConstraintSet:
             Constraint(
                 name="first-member-needs-first-intent",
                 tasks=("Intent", "IntentArg"),
-                check=lambda a, _record: a["IntentArg"] != 0 or a["Intent"] == 0,
+                check=lambda a, _payload: a["IntentArg"] != 0 or a["Intent"] == 0,
                 weight=50.0,
             )
         ]
@@ -111,13 +110,13 @@ class TestAgainstTheOracle:
         _, payloads = setup
         endpoint = endpoints[dtype, constrained]
         assert endpoint.dtype_name == dtype
-        records, batch = endpoint.encode_requests(payloads[:n])
+        batch_payloads, batch = endpoint.encode_requests(payloads[:n])
         outputs = endpoint.forward_raw(batch)
         # finalize rewrites constrained predictions in place; the oracle
         # formats the arrays as finalize left them.
-        got = endpoint.finalize_outputs(outputs, records)
+        got = endpoint.finalize_outputs(outputs, batch_payloads)
         assert outputs["Intent"].probs.dtype == np.dtype(dtype)
-        assert_same_bytes(got, format_responses(endpoint, outputs, records))
+        assert_same_bytes(got, format_responses(endpoint, outputs, batch_payloads))
 
     def test_constraints_rewrite_what_is_formatted(self, setup, endpoints):
         """The constrained case above is not vacuous: the constraint moves
@@ -141,12 +140,12 @@ class TestAgainstTheOracle:
         endpoint = endpoints["float64", False]
         n = int(rng.integers(1, 33))
         positions = int(rng.integers(1, 14))
-        records = []
+        payloads = []
         for _ in range(n):
             length, members = int(rng.integers(0, 13)), int(rng.integers(0, 5))
             tokens = None if length == 0 and rng.random() < 0.5 else ["w"] * length
             entities = None if members == 0 and rng.random() < 0.5 else [{}] * members
-            records.append(Record(payloads={"tokens": tokens, "entities": entities}))
+            payloads.append({"tokens": tokens, "entities": entities})
         dtype = np.float32 if seed % 2 else np.float64
         classes = {o.name: len(o.classes) for o in endpoint.signature.outputs}
 
@@ -174,8 +173,8 @@ class TestAgainstTheOracle:
                 probs(n, len(TOPICS)), bits(n, len(TOPICS))
             ),
         }
-        got = endpoint.finalize_outputs(outputs, records)
-        assert_same_bytes(got, format_responses(endpoint, outputs, records))
+        got = endpoint.finalize_outputs(outputs, payloads)
+        assert_same_bytes(got, format_responses(endpoint, outputs, payloads))
 
 
 def test_finalize_has_no_per_record_python(setup, endpoints):
@@ -186,7 +185,7 @@ def test_finalize_has_no_per_record_python(setup, endpoints):
     endpoint = endpoints["float64", False]
     calls = {}
     for n in (1, 32):
-        records, batch = endpoint.encode_requests(payloads[:n])
+        batch_payloads, batch = endpoint.encode_requests(payloads[:n])
         outputs = endpoint.forward_raw(batch)
-        calls[n] = python_calls(endpoint.finalize_outputs, outputs, records)
+        calls[n] = python_calls(endpoint.finalize_outputs, outputs, batch_payloads)
     assert calls[32] <= calls[1] + 3 * 31, calls

@@ -118,15 +118,15 @@ class TestJointDecode:
         assert cs.violation_rate([]) == 0.0
 
 
+# The context an endpoint passes: the request's payload mapping.
+PAYLOAD = {"entities": [{"category": "person"}, {"category": "country"}]}
+
+
 class TestIntentArgumentCompatibility:
     def make(self):
-        categories = {"ctx1": ["person", "country"]}
-
-        def lookup(context, idx):
-            cats = categories.get(context)
-            if cats is None or idx >= len(cats):
-                return None
-            return cats[idx]
+        def lookup(payload, idx):
+            members = payload.get("entities") or []
+            return members[idx]["category"] if idx < len(members) else None
 
         return intent_argument_compatibility(
             intent_classes=["height", "capital"],
@@ -136,20 +136,20 @@ class TestIntentArgumentCompatibility:
 
     def test_compatible_passes(self):
         c = self.make()
-        assert c.check({"Intent": 0, "IntentArg": 0}, "ctx1")  # height/person
-        assert c.check({"Intent": 1, "IntentArg": 1}, "ctx1")  # capital/country
+        assert c.check({"Intent": 0, "IntentArg": 0}, PAYLOAD)  # height/person
+        assert c.check({"Intent": 1, "IntentArg": 1}, PAYLOAD)  # capital/country
 
     def test_incompatible_fails(self):
         c = self.make()
-        assert not c.check({"Intent": 0, "IntentArg": 1}, "ctx1")  # height/country
+        assert not c.check({"Intent": 0, "IntentArg": 1}, PAYLOAD)  # height/country
 
     def test_unknown_candidate_passes(self):
         c = self.make()
-        assert c.check({"Intent": 0, "IntentArg": 9}, "ctx1")
+        assert c.check({"Intent": 0, "IntentArg": 9}, PAYLOAD)
 
     def test_missing_tasks_pass(self):
         c = self.make()
-        assert c.check({"Intent": 0}, "ctx1")
+        assert c.check({"Intent": 0}, PAYLOAD)
 
     def test_joint_decode_fixes_incompatible_pair(self):
         c = self.make()
@@ -160,7 +160,7 @@ class TestIntentArgumentCompatibility:
                 "Intent": np.array([0.55, 0.45]),  # height
                 "IntentArg": np.array([0.45, 0.55]),  # country (incompatible)
             },
-            context="ctx1",
+            context=PAYLOAD,
         )
         intent, arg = result.assignment["Intent"], result.assignment["IntentArg"]
         assert (intent, arg) in {(0, 0), (1, 1)}  # a compatible pair

@@ -17,7 +17,7 @@ class TestEncodeInputs:
     def test_sequence_payload_arrays(self):
         ds = dataset(2)
         vocabs = ds.build_vocabs()
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         tokens = batch.payloads["tokens"]
         assert tokens.ids.shape == (2, 12)  # padded to max_length
         assert tokens.mask.shape == (2, 12)
@@ -26,7 +26,7 @@ class TestEncodeInputs:
 
     def test_set_payload_arrays(self):
         ds = dataset(2)
-        batch = encode_inputs(ds.records, ds.schema, ds.build_vocabs())
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, ds.build_vocabs())
         ents = batch.payloads["entities"]
         assert ents.member_ids.shape == (2, 4)
         assert ents.spans.shape == (2, 4, 2)
@@ -35,24 +35,24 @@ class TestEncodeInputs:
 
     def test_derived_payload_not_encoded(self):
         ds = dataset(1)
-        batch = encode_inputs(ds.records, ds.schema, ds.build_vocabs())
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, ds.build_vocabs())
         assert "query" not in batch.payloads
 
     def test_missing_vocab_rejected(self):
         ds = dataset(1)
         with pytest.raises(DataError, match="vocabulary"):
-            encode_inputs(ds.records, ds.schema, {})
+            encode_inputs([r.payloads for r in ds.records], ds.schema, {})
 
     def test_unknown_token_becomes_unk(self):
         ds = dataset(1)
         vocabs = ds.build_vocabs()
         ds.records[0].payloads["tokens"][0] = "xylophone"
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         assert batch.payloads["tokens"].ids[0, 0] == vocabs["tokens"].unk_id
 
     def test_batch_size_property(self):
         ds = dataset(3)
-        batch = encode_inputs(ds.records, ds.schema, ds.build_vocabs())
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, ds.build_vocabs())
         assert batch.size == 3
 
     def test_raw_singleton_features(self):
@@ -70,7 +70,7 @@ class TestEncodeInputs:
         record = Record.from_dict(
             {"payloads": {"feat": [1.0, 2.0, 3.0]}, "tasks": {"T": {"gold": "a"}}}
         )
-        batch = encode_inputs([record], schema, {})
+        batch = encode_inputs([record.payloads], schema, {})
         np.testing.assert_allclose(batch.payloads["feat"].features, [[1.0, 2.0, 3.0]])
 
 

@@ -1,6 +1,5 @@
 """Tests for Dataset, tags, vocabs, and JSONL round trips."""
 
-import numpy as np
 import pytest
 
 from repro.data import Dataset, Record, read_records, write_records
@@ -69,33 +68,11 @@ class TestJsonl:
 
 
 class TestSplitsAndTags:
-    def test_ensure_splits_assigns_missing(self):
-        records = [sample_record() for _ in range(50)]
-        for r in records:
-            r.tags = []
-        ds = Dataset(factoid_schema(), records)
-        ds.ensure_splits(np.random.default_rng(0))
-        table = ds.tag_table()
-        total = table.count("train") + table.count("dev") + table.count("test")
-        assert total == 50
-        assert table.count("train") > table.count("test")
-
-    def test_ensure_splits_respects_existing(self):
-        ds = make_dataset(3)  # all tagged 'train' by fixture
-        ds.ensure_splits(np.random.default_rng(0))
-        assert ds.tag_table().count("train") == 3
-
     def test_with_tag_and_split(self):
         ds = make_dataset(3)
         ds[0].add_tag("slice:rare")
         assert len(ds.with_tag("slice:rare")) == 1
         assert len(ds.split("train")) == 3
-
-    def test_apply_slice(self):
-        ds = make_dataset(4)
-        count = ds.apply_slice("short", lambda r: len(r.payloads["tokens"]) < 100)
-        assert count == 4
-        assert ds.tag_table().count("slice:short") == 4
 
 
 class TestVocabsAndStats:
@@ -104,10 +81,6 @@ class TestVocabsAndStats:
         assert set(vocabs) == {"tokens", "entities"}
         assert vocabs["tokens"].id("how") >= 2
         assert vocabs["entities"].id("United_States") >= 2
-
-    def test_sources_for_task(self):
-        ds = make_dataset(2)
-        assert ds.sources_for_task("Intent") == ["crowd", "weak1", "weak2"]
 
     def test_supervision_stats(self):
         ds = make_dataset(3)

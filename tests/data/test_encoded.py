@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.data import EncodedDataset, encode_inputs, encoding_fingerprint
-from tests.fixtures import factoid_schema, mini_dataset
+from repro.data import EncodedDataset, encode_inputs
+from tests.fixtures import mini_dataset
 
 
 def setup_data(n=30):
@@ -33,34 +33,12 @@ class TestBatchParity:
     def test_sliced_batches_match_fresh_encoding(self):
         records, schema, vocabs = setup_data()
         encoded = EncodedDataset(records, schema, vocabs)
+        assert len(encoded) == len(records)
         for idx in (np.arange(5), np.array([7, 2, 19, 2]), np.array([29])):
             fresh = encode_inputs(
-                [records[int(i)] for i in idx], schema, vocabs, indices=idx
+                [records[int(i)].payloads for i in idx], schema, vocabs, indices=idx
             )
             self.assert_batches_equal(encoded.batch(idx), fresh)
-
-    def test_full_batch_matches(self):
-        records, schema, vocabs = setup_data()
-        encoded = EncodedDataset(records, schema, vocabs)
-        self.assert_batches_equal(
-            encoded.full_batch(), encode_inputs(records, schema, vocabs)
-        )
-        assert len(encoded) == len(records)
-
-
-class TestFingerprint:
-    def test_stable_for_same_inputs(self):
-        records, schema, vocabs = setup_data()
-        assert encoding_fingerprint(schema, vocabs) == encoding_fingerprint(
-            factoid_schema(), vocabs
-        )
-
-    def test_vocab_growth_invalidates(self):
-        records, schema, vocabs = setup_data()
-        encoded = EncodedDataset(records, schema, vocabs)
-        assert encoded.is_current(schema, vocabs)
-        vocabs["tokens"].add("a-brand-new-token")
-        assert not encoded.is_current(schema, vocabs)
 
 
 class TestGoldTargets:

@@ -18,22 +18,14 @@ def records(n=4):
 
 
 class TestFilters:
-    def test_with_without_tag(self):
+    def test_with_tag(self):
         q = RecordQuery(records(4))
         assert q.with_tag("even").count() == 2
-        assert q.without_tag("even").count() == 2
         assert q.with_tag("train").count() == 4
 
     def test_chaining(self):
         q = RecordQuery(records(4)).with_tag("train").with_tag("even")
         assert q.count() == 2
-
-    def test_labeled_by(self):
-        recs = records(2)
-        recs[0].tasks["Intent"].pop("crowd")
-        q = RecordQuery(recs)
-        assert q.labeled_by("Intent", "crowd").count() == 1
-        assert q.labeled_by("Intent", "nobody").count() == 0
 
     def test_unlabeled(self):
         recs = records(2)
@@ -54,11 +46,6 @@ class TestFilters:
     def test_conflicting_handles_list_labels(self):
         recs = records(1)
         assert RecordQuery(recs).conflicting("POS").count() == 0  # single source
-
-    def test_token_contains(self):
-        q = RecordQuery(records(2))
-        assert q.token_contains("tall").count() == 2
-        assert q.token_contains("zzz").count() == 0
 
 
 class TestTerminals:

@@ -8,7 +8,6 @@ from repro.data import (
     TagTable,
     UNK,
     Vocab,
-    assign_splits,
     is_slice_tag,
     slice_name,
     slice_tag,
@@ -72,21 +71,6 @@ class TestSliceTags:
             slice_name("train")
 
 
-class TestAssignSplits:
-    def test_proportions(self):
-        splits = assign_splits(10_000, np.random.default_rng(0), train=0.8, dev=0.1)
-        counts = {s: splits.count(s) for s in ("train", "dev", "test")}
-        assert abs(counts["train"] / 10_000 - 0.8) < 0.02
-        assert abs(counts["dev"] / 10_000 - 0.1) < 0.02
-
-    def test_invalid_proportions(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            assign_splits(10, rng, train=0.9, dev=0.2)
-        with pytest.raises(ValueError):
-            assign_splits(10, rng, train=0.0)
-
-
 class TestTagTable:
     def test_mask_indices_count(self):
         table = TagTable([["train"], ["test"], ["train", "slice:a"]])
@@ -97,10 +81,6 @@ class TestTagTable:
     def test_all_tags_sorted(self):
         table = TagTable([["z"], ["a"]])
         assert table.all_tags == ["a", "z"]
-
-    def test_slice_tags(self):
-        table = TagTable([["train", "slice:b"], ["slice:a"]])
-        assert table.slice_tags() == ["slice:a", "slice:b"]
 
     def test_to_columns_pandas_compatible(self):
         table = TagTable([["train"], ["test"]])

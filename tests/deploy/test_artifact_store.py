@@ -35,7 +35,7 @@ class TestArtifact:
         artifact.save(tmp_path / "artifact")
         loaded = ModelArtifact.load(tmp_path / "artifact")
         rebuilt = loaded.build_model()
-        batch = encode_inputs(ds.records[:4], ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records[:4]], ds.schema, vocabs)
         np.testing.assert_allclose(
             model.predict(batch)["Intent"].probs,
             rebuilt.predict(batch)["Intent"].probs,

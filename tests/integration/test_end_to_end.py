@@ -78,7 +78,7 @@ class TestTrainDeployServe:
         endpoint = Endpoint(store.fetch("qa"), strict=False, micro_batch_size=None)
 
         records = workload.split("test").records[:10]
-        batch = encode_inputs(records, workload.schema, trained.vocabs)
+        batch = encode_inputs([r.payloads for r in records], workload.schema, trained.vocabs)
         direct = trained.model.predict(batch)["Intent"].predictions
         served = [
             endpoint.predict_one(

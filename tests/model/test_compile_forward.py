@@ -109,7 +109,7 @@ class TestForward:
     def test_all_encoders_forward(self, encoder):
         ds = dataset(3)
         model, vocabs = compile_from_dataset(ds, small_config(encoder))
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         outputs = model(batch)
         assert outputs["Intent"].probs.shape == (3, 5)
         assert outputs["POS"].probs.shape == (3, 12, 8)
@@ -119,7 +119,7 @@ class TestForward:
     def test_select_respects_candidate_mask(self):
         ds = dataset(2)
         model, vocabs = compile_from_dataset(ds, small_config())
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         out = model(batch)["IntentArg"]
         # Only 2 candidates exist; slots 2,3 must carry ~zero probability.
         assert out.probs[:, 2:].sum() == pytest.approx(0.0, abs=1e-9)
@@ -130,7 +130,7 @@ class TestForward:
         config = small_config()
         config.payloads["tokens"] = PayloadConfig(size=8, dropout=0.5)
         model, vocabs = compile_from_dataset(ds, config)
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         model.train()
         p1 = model.predict(batch)["Intent"].probs
         p2 = model.predict(batch)["Intent"].probs
@@ -147,7 +147,7 @@ class TestForward:
         config.payloads["tokens"] = PayloadConfig(size=8, dropout=0.5)
         config.payloads["query"] = PayloadConfig(size=8, dropout=0.3)
         model, vocabs = compile_from_dataset(ds, config)
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         dropouts = [m for m in submodules(model) if isinstance(m, Dropout) and m.rate]
         assert len(dropouts) == 2
 
@@ -187,7 +187,7 @@ class TestLoss:
     def test_multitask_loss_backward(self):
         ds = dataset(3)
         model, vocabs = compile_from_dataset(ds, small_config())
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         outputs = model(batch)
         loss = model.compute_loss(outputs, self.build_targets(ds))
         assert np.isfinite(loss.item())
@@ -198,7 +198,7 @@ class TestLoss:
     def test_task_weights_scale(self):
         ds = dataset(2)
         model, vocabs = compile_from_dataset(ds, small_config())
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         outputs = model(batch)
         targets = self.build_targets(ds)
         base = model.compute_loss(outputs, {"Intent": targets["Intent"]}).item()
@@ -221,7 +221,7 @@ class TestLoss:
 
         ds = dataset(2)
         model, vocabs = compile_from_dataset(ds, small_config())
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         with pytest.raises(TrainingError):
             model.compute_loss(model(batch), {})
 
@@ -230,7 +230,7 @@ class TestLoss:
         model, vocabs = compile_from_dataset(
             ds, small_config(), slice_names=["rare"]
         )
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         outputs = model(batch)
         combined = combine_supervision(ds.records, ds.schema, "Intent")
         from repro.supervision import class_weights_from_probs
@@ -252,7 +252,7 @@ class TestLoss:
         model, vocabs = compile_from_dataset(ds, small_config(), seed=1)
         clone, _ = compile_from_dataset(ds, small_config(), seed=2)
         clone.load_state_dict(model.state_dict())
-        batch = encode_inputs(ds.records, ds.schema, vocabs)
+        batch = encode_inputs([r.payloads for r in ds.records], ds.schema, vocabs)
         np.testing.assert_allclose(
             model.predict(batch)["Intent"].probs,
             clone.predict(batch)["Intent"].probs,

@@ -9,6 +9,11 @@ from repro.monitoring import detect_drift, js_divergence
 from tests.fixtures import mini_dataset
 
 
+def payloads(records):
+    """A drift window: each record's payload mapping."""
+    return [r.payloads for r in records]
+
+
 class TestJSDivergence:
     def test_identical_is_zero(self):
         p = np.array([0.5, 0.3, 0.2])
@@ -35,7 +40,8 @@ class TestDetectDrift:
         ds = mini_dataset(n=100, seed=0)
         vocab = ds.build_vocabs()["tokens"]
         half = len(ds.records) // 2
-        report = detect_drift(ds.records[:half], ds.records[half:], vocab)
+        window = payloads(ds.records)
+        report = detect_drift(window[:half], window[half:], vocab)
         assert not report.drifted()
         assert report.token_js_divergence < 0.1
 
@@ -47,7 +53,7 @@ class TestDetectDrift:
             record.payloads["tokens"] = [
                 f"{t}_new" for t in record.payloads["tokens"]
             ]
-        report = detect_drift(ds.records, live.records, vocab)
+        report = detect_drift(payloads(ds.records), payloads(live.records), vocab)
         assert report.drifted()
         assert report.oov_rate_live > 0.9
         assert report.novel_token_fraction > 0.9
@@ -58,7 +64,7 @@ class TestDetectDrift:
         live = mini_dataset(n=30, seed=4)
         for record in live.records:
             record.payloads["tokens"] = record.payloads["tokens"] * 2
-        report = detect_drift(ds.records, live.records, vocab)
+        report = detect_drift(payloads(ds.records), payloads(live.records), vocab)
         assert report.mean_length_live > report.mean_length_reference * 1.5
 
     def test_empty_windows(self):
@@ -73,8 +79,9 @@ class TestThresholdFlow:
     def test_detect_drift_stores_thresholds(self):
         ds = mini_dataset(n=40, seed=0)
         vocab = ds.build_vocabs()["tokens"]
+        window = payloads(ds.records)
         report = detect_drift(
-            ds.records, ds.records, vocab, js_threshold=0.3, oov_threshold=0.2
+            window, window, vocab, js_threshold=0.3, oov_threshold=0.2
         )
         assert report.js_threshold == 0.3
         assert report.oov_jump_threshold == 0.2
@@ -87,10 +94,10 @@ class TestThresholdFlow:
             record.payloads["tokens"] = [
                 f"{t}_new" for t in record.payloads["tokens"]
             ]
-        strict = detect_drift(ds.records, live.records, vocab)
+        strict = detect_drift(payloads(ds.records), payloads(live.records), vocab)
         lax = detect_drift(
-            ds.records,
-            live.records,
+            payloads(ds.records),
+            payloads(live.records),
             vocab,
             js_threshold=np.log(2) + 1,
             oov_threshold=1.0,
@@ -119,7 +126,7 @@ class TestThresholdFlow:
 
         ds = mini_dataset(n=20, seed=0)
         vocab = ds.build_vocabs()["tokens"]
-        report = detect_drift(ds.records, ds.records, vocab)
+        report = detect_drift(payloads(ds.records), payloads(ds.records), vocab)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["drifted"] is False
         assert payload["oov_jump"] == 0.0
@@ -131,7 +138,7 @@ class TestLiveWindows:
     def test_empty_live_window_against_real_reference(self):
         ds = mini_dataset(n=40, seed=0)
         vocab = ds.build_vocabs()["tokens"]
-        report = detect_drift(ds.records, [], vocab)
+        report = detect_drift(payloads(ds.records), [], vocab)
         assert np.isfinite(report.token_js_divergence)
         assert report.oov_rate_live == 0.0
         assert report.mean_length_live == 0.0
@@ -140,7 +147,7 @@ class TestLiveWindows:
     def test_single_record_live_window(self):
         ds = mini_dataset(n=40, seed=0)
         vocab = ds.build_vocabs()["tokens"]
-        report = detect_drift(ds.records, ds.records[:1], vocab)
+        report = detect_drift(payloads(ds.records), payloads(ds.records[:1]), vocab)
         assert np.isfinite(report.token_js_divergence)
         assert report.mean_length_live == len(ds.records[0].payloads["tokens"])
         assert not report.drifted(js_threshold=np.log(2))
@@ -148,10 +155,8 @@ class TestLiveWindows:
     def test_single_novel_record_flags_oov(self):
         ds = mini_dataset(n=40, seed=0)
         vocab = ds.build_vocabs()["tokens"]
-        from repro.data import Record
-
-        live = [Record(payloads={"tokens": ["zyx", "wvu"]})]
-        report = detect_drift(ds.records, live, vocab)
+        live = [{"tokens": ["zyx", "wvu"]}]
+        report = detect_drift(payloads(ds.records), live, vocab)
         assert report.oov_rate_live == 1.0
         assert report.novel_token_fraction == 1.0
         assert report.drifted()

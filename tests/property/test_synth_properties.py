@@ -202,12 +202,16 @@ def _drift_report(preset_name: str):
     spec = preset(preset_name).scaled(500)
     reference = SynthGenerator(spec.without_drift()).dataset(validate=False)
     live_tail = [
-        r
+        r.payloads
         for r in SynthGenerator(spec).iter_records(spec.n, start=int(spec.n * 0.6))
     ]
     vocab = reference.build_vocabs()["tokens"]
     return detect_drift(
-        reference.records, live_tail, vocab, js_threshold=0.35, oov_threshold=0.05
+        [r.payloads for r in reference.records],
+        live_tail,
+        vocab,
+        js_threshold=0.35,
+        oov_threshold=0.05,
     )
 
 

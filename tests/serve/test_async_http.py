@@ -176,6 +176,41 @@ class TestPredict:
         assert breaker["consecutive_failures"] == 0
         assert gateway.telemetry.isolated.value(tier="default") == 0
 
+    @pytest.mark.parametrize(
+        "tokens, entities",
+        [
+            ([["what"], "is"], []),  # a nested token
+            (["what", {"is": 1}], []),  # an object token
+            (["paris"], [{"id": ["Paris"], "range": [0, 1]}]),  # a list id
+            (["paris"], [{"id": {"name": "Paris"}}]),  # an object id
+        ],
+        ids=["nested-token", "object-token", "list-id", "object-id"],
+    )
+    def test_values_the_encoder_cannot_hash_are_400(self, front, tokens, entities):
+        """Admission is encodability: a value the vocab lookup cannot hash
+        is refused at submit, so six of them neither fail a batch nor open
+        the breaker, and the next good POST is served."""
+        gateway, server, payloads = front
+        bad = {"tokens": tokens, "entities": entities}
+        for _ in range(6):
+            status, body, _ = post(server.url + "/predict", bad)
+            assert status == 400, body
+            assert "JSON scalar" in body["error"]
+        with urllib.request.urlopen(server.url + "/telemetry", timeout=10) as reply:
+            breaker = json.loads(reply.read())["breakers"]["default"]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+        with urllib.request.urlopen(server.url + "/metrics", timeout=10) as reply:
+            isolated = [
+                float(line.rsplit(" ", 1)[1])
+                for line in reply.read().decode().splitlines()
+                if line.startswith("repro_gateway_batch_isolated_total{")
+            ]
+        assert sum(isolated) == 0
+        assert gateway.telemetry.isolated.value(tier="default") == 0
+        status, body, _ = post(server.url + "/predict", payloads[0])
+        assert status == 200 and "Intent" in body
+
 
 class TestFailures:
     def test_failing_item_fails_the_post_with_its_status(self, served, single_store):

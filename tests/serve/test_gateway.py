@@ -50,6 +50,29 @@ class TestServing:
                     endpoint.predict(payload)
                 )
 
+    def test_no_record_is_built_from_submit_to_reply(
+        self, served, single_store, monkeypatch
+    ):
+        """Serving reads payload mappings end to end: neither a gateway
+        submit nor ``Endpoint.predict`` builds a :class:`Record`."""
+        from repro.data import Record
+
+        app, ds, run, payloads = served
+        store, stable, _ = single_store
+        endpoint = Endpoint.from_store(store, app.name, version=stable.version)
+        built = []
+        plain = Record.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args or kwargs)
+            plain(self, *args, **kwargs)
+
+        with make_gateway(store) as gateway:
+            monkeypatch.setattr(Record, "__init__", counting)
+            assert "Intent" in gateway.submit(payloads[0])
+            assert "Intent" in endpoint.predict(payloads[1])
+        assert built == []
+
     def test_concurrent_requests_share_model_batches(self, served, single_store):
         app, ds, run, payloads = served
         store, *_ = single_store
@@ -338,8 +361,8 @@ class TestShadow:
                 def __getattr__(self, name):
                     return getattr(inner, name)
 
-                def finalize_outputs(self, outputs, records):
-                    responses = inner.finalize_outputs(outputs, records)
+                def finalize_outputs(self, outputs, payloads):
+                    responses = inner.finalize_outputs(outputs, payloads)
                     return [
                         {**r, "Intent": {**r["Intent"], "label": "__flipped__"}}
                         for r in responses

@@ -57,13 +57,6 @@ class TestSliceSet:
         matrix = sliceset.membership_matrix(records)
         np.testing.assert_allclose(matrix, [[1.0, 0.0], [0.0, 0.0]])
 
-    def test_from_tags_discovers(self):
-        records = [sample_record(), sample_record()]
-        records[0].add_tag("slice:zebra")
-        records[1].add_tag("slice:apple")
-        sliceset = SliceSet.from_tags(records)
-        assert sliceset.names == ["apple", "zebra"]
-
 
 class TestSliceAwareHead:
     def rng(self):

@@ -1,12 +1,12 @@
 """Fast-path parity: every hot-path optimization is a pure elision.
 
-The PR's fast paths — tape-free inference, encoded-batch caching, sparse
+The fast paths — tape-free inference, encoded-batch caching, sparse
 embedding gradients, vectorized span weights and recurrent masks — must be
 numerically invisible: same seeds, same scores, same weights as the legacy
 code paths.  This suite pins that contract (the ``workers=1`` parity
 pattern from ``tests/exec``, applied to the compute stack).
 
-The forward-parity, training-parity, and gradcheck suites run under **both
+The forward-parity and gradcheck suites run under **both
 dtype policies** (``ModelConfig.dtype`` float64 and float32): each fast
 path must be an elision *within* its precision, whatever the precision.
 """
@@ -21,7 +21,7 @@ from repro.model.multitask import MultitaskModel
 from repro.nn import GRU, LSTM, Embedding, Linear, Module
 from repro.optim import Adam, clip_grad_norm
 from repro.tensor import Tensor, dtype_policy, no_grad
-from repro.training import Trainer, evaluate
+from repro.training import evaluate
 from tests.fixtures import mini_dataset
 from tests.helpers import check_grad, cross_entropy
 
@@ -92,34 +92,10 @@ class TestNoGradForwardParity:
             )
 
 
-class TestEncodedTrainingParity:
-    @pytest.mark.parametrize("encoder", ["bow", "lstm"])
-    def test_fit_bit_identical_with_and_without_cache(self, encoder, dtype):
-        results = {}
-        for cached in (False, True):
-            dataset, schema, vocabs, config, model = build(encoder=encoder, dtype=dtype)
-            trainer = Trainer(model, config.trainer)
-            train = dataset.split("train")
-            dev = dataset.split("dev")
-            targets = gold_targets_for_training(train, schema)
-            history = trainer.fit(
-                train.records,
-                vocabs,
-                targets,
-                dev_records=dev.records,
-                cache_batches=cached,
-            )
-            results[cached] = (
-                [e.train_loss for e in history.epochs],
-                [e.dev_score for e in history.epochs],
-                model.state_dict(),
-            )
-        losses_a, scores_a, state_a = results[False]
-        losses_b, scores_b, state_b = results[True]
-        assert losses_a == losses_b
-        assert scores_a == scores_b
-        for name in state_a:
-            np.testing.assert_array_equal(state_a[name], state_b[name])
+class TestEncodedEvaluationParity:
+    """Trainer batches are row slices of one encoding; that slicing equals a
+    fresh encoding is ``tests/data/test_encoded.py``'s parity test, and the
+    ``fit`` benchmark's digests pin whole fits."""
 
     def test_evaluate_with_encoded_matches_fresh(self):
         dataset, schema, vocabs, _, model = build()
