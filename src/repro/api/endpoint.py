@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.data.batching import encode_inputs
+from repro.data.batching import encode_inputs, narrow_to_content
 from repro.data.values import value_rule
 from repro.errors import DeploymentError
 from repro.obs import get_tracer
@@ -276,11 +276,17 @@ class Endpoint:
         :meth:`finalize_outputs`.  Encoding runs under the model's dtype
         policy so float batch arrays (masks, raw features) are born in the
         serving dtype instead of being cast on every forward.
+
+        The batch is as wide as its content, not as ``max_length``
+        (:func:`~repro.data.batching.narrow_to_content`): the forward, and
+        a worker pool's shared-memory hand-off, pay only for the positions
+        the batch's longest payload holds, and the replies are the ones the
+        padded batch would give.
         """
         with get_tracer().span("endpoint.encode", child_only=True, n=len(payloads)):
             with dtype_policy(self._model.dtype):
                 batch = encode_inputs(payloads, self._schema, self.artifact.vocabs)
-        return payloads, batch
+        return payloads, narrow_to_content(batch, self._schema)
 
     def forward_raw(self, batch: dict) -> dict[str, Any]:
         """The bare model forward over an encoded batch: task outputs only.

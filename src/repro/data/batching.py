@@ -56,8 +56,9 @@ def encode_inputs(
     """Encode payload mappings (name -> value) into a :class:`Batch`.
 
     The values must pass :func:`repro.data.values.value_rule`.  Sequences
-    are padded to the payload's ``max_length`` (fixed width keeps shapes
-    stable across batches, which the serving signature relies on).
+    are padded to the payload's ``max_length``, the width training's
+    targets are built at; serving cuts a batch back to what it holds with
+    :func:`narrow_to_content`.
     """
     if indices is None:
         indices = np.arange(len(payloads))
@@ -122,6 +123,39 @@ def encode_inputs(
                     features[i] = np.asarray(value, dtype=dtype)
             inputs.features = features
         batch.payloads[spec.name] = inputs
+    return batch
+
+
+def narrow_to_content(batch: Batch, schema: Schema) -> Batch:
+    """Cut every sequence of ``batch`` to its content width, in place.
+
+    A sequence's content width is the longer of its longest live row and
+    the furthest span end of a live member of a set over it, at least 1
+    (and at most ``max_length``, which encoding already clipped to).  The
+    cut arrays are column views of the encoded ones.
+
+    At the positions that hold content the forward does not read the
+    trailing pads: recurrences run forward (a reverse pass holds a zero
+    state through masked steps), pads embed to zero and encoder outputs
+    are masked, and every live span ends inside the width.  So a narrowed
+    batch answers what the padded one does, up to the last-bit rounding a
+    change of batch composition also gives (docs/serving.md), at the cost
+    of its content rather than of ``max_length``.  Only serving narrows:
+    training's targets are built at ``max_length``.
+    """
+    for spec in schema.payloads:
+        inputs = batch.payloads.get(spec.name)
+        if spec.type != "sequence" or inputs is None or inputs.ids is None:
+            continue
+        # Rows are left-packed: a column is live if any row reaches it.
+        width = max(1, np.count_nonzero(inputs.mask.any(axis=0)))
+        for member_spec in schema.payloads:
+            members = batch.payloads.get(member_spec.name)
+            if member_spec.range == spec.name and members is not None:
+                # An empty member slot encodes the span (0, 0).
+                width = max(width, int(members.spans[..., 1].max(initial=0)))
+        inputs.ids = inputs.ids[:, :width]
+        inputs.mask = inputs.mask[:, :width]
     return batch
 
 

@@ -34,6 +34,7 @@ import functools
 import itertools
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -121,6 +122,8 @@ class ServingGateway:
         self._ids = itertools.count()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
+        # Per thread: the (lane, item) pairs an admit_first block holds back.
+        self._held = threading.local()
         self.started_at = self.telemetry.started_at
         self._tracer = get_tracer()
         # One breaker per tier: routing consults them (submit_async) and
@@ -184,8 +187,48 @@ class ServingGateway:
 
         Validation happens here, synchronously, against the replica that
         will answer — malformed requests raise before queueing, and the
-        lane encodes what was admitted without checking it again.
+        lane encodes what was admitted without checking it again.  Inside
+        :meth:`admit_first` the enqueue waits for the block to end.
         """
+        lane, item = self._admit(payload, latency_budget, request_id)
+        held = getattr(self._held, "items", None)
+        if held is None:
+            self._enqueue(lane, item)
+        else:
+            held.append((lane, item))
+        return item.future
+
+    @contextmanager
+    def admit_first(self):
+        """Queue the block's submissions only once every one is admitted.
+
+        Each :meth:`submit_async` in the block (on this thread) routes and
+        admits its payload and returns its future; the enqueues run when
+        the block ends, and not at all if it raises.  One list POST is such
+        a block, so a payload that fails admission leaves its batch-mates
+        unqueued instead of served for a reply that is an error.  A block
+        inside another holds for the outer one.
+
+        The HTTP front still calls :meth:`submit_async` once per payload,
+        rather than admitting and enqueueing by hand, so that a wrapper of
+        that one entry point (the traced benchmark server's) sees every
+        request.
+        """
+        if getattr(self._held, "items", None) is not None:
+            yield
+            return
+        held = self._held.items = []
+        try:
+            yield
+        finally:
+            self._held.items = None
+        for lane, item in held:
+            self._enqueue(lane, item)
+
+    def _admit(
+        self, payload: dict, latency_budget: float | None, request_id: str | None
+    ) -> tuple["_Lane", QueuedRequest]:
+        """Route and admit one request: its lane and its queue item."""
         if self._stopped:
             raise ServeError("gateway is stopped")
         if request_id is None:
@@ -214,18 +257,19 @@ class ServingGateway:
             replica.endpoint.admit_payload(payload)
             item = QueuedRequest(payload, request_id, trace=ctx)
             item.future.trace_id = root.trace_id
-            lane = self._lane(tier, role)
-            self._track(+1)
-            try:
-                lane.queue.put(item)
-            except ServeOverloadError:
-                self._track(-1)
-                self.telemetry.shed.inc(tier=lane.tier, reason="queue_full")
-                raise
-            except ServeError:
-                self._track(-1)
-                raise
-        return item.future
+            return self._lane(tier, role), item
+
+    def _enqueue(self, lane: "_Lane", item: QueuedRequest) -> None:
+        self._track(+1)
+        try:
+            lane.queue.put(item)
+        except ServeOverloadError:
+            self._track(-1)
+            self.telemetry.shed.inc(tier=lane.tier, reason="queue_full")
+            raise
+        except ServeError:
+            self._track(-1)
+            raise
 
     def submit(
         self,

@@ -423,9 +423,10 @@ class AsyncGatewayServer:
                 {},
             )
         payloads, kwargs, single = _parse_predict(parsed)
-        futures = [
-            self.gateway.submit_async(p, **kwargs) for p in payloads
-        ]  # validation raises here, before anything queues
+        # Every payload is admitted before any is queued: one that fails
+        # raises here, and its batch-mates are never served.
+        with self.gateway.admit_first():
+            futures = [self.gateway.submit_async(p, **kwargs) for p in payloads]
         await self._settled(futures)
         # In order: the first failed item's exception is the POST's
         # (mapped by _dispatch).

@@ -2,10 +2,12 @@
 
 Every array a forward returns is pinned by the sha256 of its bytes: the
 tape-free serving forward (``Endpoint.forward_raw``: each task's ``probs``
-and ``predictions``) and the taped training forward of the same batches
-(each task's logits, probs and predictions, the loss and every parameter
-gradient), for a bag-of-words and an LSTM encoder, float64 and float32, at
-batch sizes 1, 2 and 32.  Both paths share ``SliceAwareHead._run``, so a
+and ``predictions``) of a batch padded to ``max_length`` and of the same
+batch as ``Endpoint.encode_requests`` serves it (cut to its content
+width), and the taped training forward of the same batches (each task's
+logits, probs and predictions, the loss and every parameter gradient), for
+a bag-of-words and an LSTM encoder, float64 and float32, at batch sizes 1,
+2 and 32.  Both paths share ``SliceAwareHead._run``, so a
 rewrite of the head, the encoders or the module glue that moves one bit of
 one float fails here.
 
@@ -25,6 +27,7 @@ import pytest
 
 from repro.api import Endpoint
 from repro.core import ModelConfig, PayloadConfig, TrainerConfig
+from repro.data.batching import encode_inputs
 from repro.data.encoded import EncodedDataset
 from repro.tensor import dtype_policy
 from repro.training.trainer import _cast_targets, _slice_targets
@@ -64,7 +67,24 @@ TAPED = {
     "lstm-float32-n2": "900ac4d791eb4da426f0d0fb241da8d73e29a4fa48a5fab5cae24fdd174f3617",
     "lstm-float32-n32": "cc8c36cb65adff007940cd6da586209a0cbe04eb925c8ed73108633bf8bfe9df",
 }
+FORWARD_SERVED = {
+    "bow-float64-n1": "8223afdb095856d892d1a46bfb24d4672573a480d8d1ee0d6ab033293de800e8",
+    "bow-float64-n2": "359935e0409de2a24a35de7febe0ac2d4fabeca1bd5f4400f7bb95fed905a91b",
+    "bow-float64-n32": "dbd83263ce93a42c9d2abb1aedfb98bead9356a2024f02da32619fbfbb6ed62f",
+    "bow-float32-n1": "9ccf8f5527ca871eb54e692d4385bb26a431daa1caa58cfaa0e3abe95f9192dd",
+    "bow-float32-n2": "a9a942cb87c9c616e7e35392aa651397e1d83cb09ea1f171996b59b49df321ba",
+    "bow-float32-n32": "7e588240d6316e4176a64eb44d06bf9fd5f4bc5eb3116c179ed6a2234218fe6f",
+    "lstm-float64-n1": "dfb46faf28ed49c5976e4e367ec23b9c85706c37f370bdc77cae7ac10ba6f44d",
+    "lstm-float64-n2": "83170959e6918484ba8eae4a54e7306eb561d251d023583f239dcecfc2069445",
+    "lstm-float64-n32": "ff968f274fb7e34c06d405ffbc47a90dc95fad289927ad9d1feb9f7ab3def5d4",
+    "lstm-float32-n1": "bb9c953ae0fd1a56ead3a4ace67c7034e295502c68f0ea6425a17e5b2ec51de4",
+    "lstm-float32-n2": "9d6c8659d18a18b89b93e06d29a47d756aea5ac858d1a5129e690b56d0b22e4a",
+    "lstm-float32-n32": "c73e9ffe62175fe9306d46054c8c1aa3b384d79ff4f1f6fe42855cae7355331d",
+}
 
+# How far a served (content-width) forward's probabilities may sit from the
+# padded one's: ten times the largest gap measured on these models.
+SERVED_BOUND = {"float64": 4.2e-16, "float32": 3.0e-7}
 
 # Python function calls per ``Endpoint.forward_raw`` on the fixture, the same
 # for a batch of 1 and of 32 (no per-row Python; rows pad to one length).
@@ -112,16 +132,29 @@ def trained(request):
     return fit(request.param)
 
 
-def encoded(endpoint: Endpoint, records, n: int):
-    """The first ``n`` records as the endpoint encodes a request batch."""
+def request_payloads(endpoint: Endpoint, records, n: int) -> list[dict]:
     names = [spec.name for spec in endpoint.signature.inputs]
-    payloads = [{name: r.payloads[name] for name in names} for r in records[:n]]
-    return endpoint.encode_requests(payloads)[1]
+    return [{name: r.payloads[name] for name in names} for r in records[:n]]
 
 
-def forward_raw_digest(artifact, records, dtype: str, n: int) -> str:
+def encoded(endpoint: Endpoint, records, n: int):
+    """The first ``n`` records as a request batch padded to ``max_length``."""
+    with dtype_policy(endpoint.dtype_name):
+        return encode_inputs(
+            request_payloads(endpoint, records, n),
+            endpoint.artifact.schema,
+            endpoint.artifact.vocabs,
+        )
+
+
+def served(endpoint: Endpoint, records, n: int):
+    """The first ``n`` records as the endpoint encodes a request batch."""
+    return endpoint.encode_requests(request_payloads(endpoint, records, n))[1]
+
+
+def forward_raw_digest(artifact, records, dtype: str, n: int, encode=encoded) -> str:
     endpoint = Endpoint(artifact, dtype=dtype)
-    outputs = endpoint.forward_raw(encoded(endpoint, records, n))
+    outputs = endpoint.forward_raw(encode(endpoint, records, n))
     return digest(
         array
         for task in sorted(outputs)
@@ -161,6 +194,38 @@ def test_forward_raw_bytes_are_pinned(trained, dtype, n):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_served_forward_raw_bytes_are_pinned(trained, dtype, n):
+    encoder, _, data, artifact = trained
+    key = f"{encoder}-{dtype}-n{n}"
+    got = forward_raw_digest(artifact, data.train_records, dtype, n, encode=served)
+    assert got == FORWARD_SERVED[key]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_a_served_batch_forwards_the_padded_columns(trained, dtype, n):
+    """``encode_requests`` cuts the batch to its content width: every
+    output is the padded forward's, a sequence task's positions cut to
+    that width.  Predictions are equal; probabilities equal up to the last
+    bits of a slice indicator's matrix-vector product, whose rounding
+    follows the row count (``tests/api/test_content_width.py``)."""
+    _, _, data, artifact = trained
+    endpoint = Endpoint(artifact, dtype=dtype)
+    batch = served(endpoint, data.train_records, n)
+    width = batch.payloads["tokens"].ids.shape[1]
+    assert width < endpoint.artifact.schema.payload("tokens").max_length
+    narrow = endpoint.forward_raw(batch)
+    padded = endpoint.forward_raw(encoded(endpoint, data.train_records, n))
+    for task, out in padded.items():
+        cut = (slice(None), slice(0, width)) if out.probs.ndim == 3 else ()
+        got = narrow[task]
+        assert np.array_equal(got.predictions, out.predictions[cut]), task
+        assert got.probs.dtype == out.probs.dtype
+        assert np.abs(got.probs - out.probs[cut]).max() <= SERVED_BOUND[dtype], task
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_taped_forward_loss_and_grads_are_pinned(trained, dtype, n):
     encoder, app, data, artifact = trained
     key = f"{encoder}-{dtype}-n{n}"
@@ -171,7 +236,7 @@ def test_taped_forward_loss_and_grads_are_pinned(trained, dtype, n):
 def test_forward_raw_python_calls_are_pinned(trained, n):
     encoder, _, data, artifact = trained
     endpoint = Endpoint(artifact)
-    batch = encoded(endpoint, data.train_records, n)
+    batch = served(endpoint, data.train_records, n)
     assert python_calls(endpoint.forward_raw, batch) <= FORWARD_RAW_CALLS[encoder]
 
 

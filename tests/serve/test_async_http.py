@@ -159,18 +159,23 @@ class TestPredict:
     def test_over_long_payloads_are_400_and_never_reach_the_breaker(self, front):
         """A payload the schema forbids is refused at submit, naming the
         field: it is never queued, so it cannot fail a batch, isolate its
-        batch-mates or count against the tier's circuit breaker."""
+        batch-mates or count against the tier's circuit breaker.  A list
+        POST is admitted whole before anything queues, so the good payload
+        ahead of a refused one is not served either."""
         gateway, server, payloads = front
-        limit = gateway.pool.replica("default").endpoint.artifact.schema.payload(
-            "tokens"
-        ).max_length
+        replica = gateway.pool.replica("default")
+        limit = replica.endpoint.artifact.schema.payload("tokens").max_length
         too_long = dict(payloads[0], tokens=["w"] * (limit + 1))
+        served_before = replica.requests_served
         for body in [too_long] * 5 + [[payloads[1], too_long]]:
             status, body, _ = post(server.url + "/predict", body)
             assert status == 400
             assert "'tokens'" in body["error"] and "max_length" in body["error"]
         status, body, _ = post(server.url + "/predict", payloads[0])
         assert status == 200 and "Intent" in body
+        # Only the last, good POST was served: the lane is FIFO, so a
+        # payload queued by the mixed POST would have been served first.
+        assert replica.requests_served == served_before + 1
         breaker = gateway.stats()["breakers"]["default"]
         assert breaker["state"] == "closed"
         assert breaker["consecutive_failures"] == 0

@@ -185,6 +185,31 @@ class TestServing:
                 gateway.submit(dict(payloads[0], entities=[{}] * 5))
             assert gateway.stats()["telemetry"]["total_requests"] == 0
 
+    def test_admit_first_queues_at_the_outer_block_end_or_never(
+        self, served, single_store
+    ):
+        """Submissions inside ``admit_first`` are admitted at once and
+        queued when the outermost block ends; a block that raises queues
+        none of them."""
+        app, ds, run, payloads = served
+        store, *_ = single_store
+        with make_gateway(store, max_wait_s=0.0) as gateway:
+            replica = gateway.pool.replica("default")
+            with gateway.admit_first():
+                first = gateway.submit_async(payloads[0])
+                with gateway.admit_first():
+                    second = gateway.submit_async(payloads[1])
+                assert gateway._inflight == 0
+            assert first.result(timeout=30) and second.result(timeout=30)
+            served_before = replica.requests_served
+            with pytest.raises(DataError, match="'entities' has 5 members"):
+                with gateway.admit_first():
+                    gateway.submit_async(payloads[2])
+                    gateway.submit_async(dict(payloads[0], entities=[{}] * 5))
+            # The lane is FIFO: a queued payloads[2] would be served first.
+            assert gateway.submit(payloads[3])
+            assert replica.requests_served == served_before + 1
+
     def test_submits_build_no_condition(self, served, single_store):
         """A future is one lock and a flag: 64 submits construct no
         ``threading.Condition`` (an Event per future built one, and the
